@@ -301,20 +301,28 @@ def _load_query_source(index, opts):
         return load_tfidf(os.path.join(opts["index"], "tfidf.json"))
     if not opts["vectors"]:
         raise UsageError("--vectors is required for a word-vector index")
-    return load_vector_table(opts["vectors"])
+    table = load_vector_table(opts["vectors"])
+    dim = index.unit_matrix.shape[1]
+    if table.dim != dim:
+        raise ValueError(f"{opts['vectors']}: vectors have dimension "
+                         f"{table.dim}, but index {opts['index']} has "
+                         f"dimension {dim}")
+    return table
 
 
 def cmd_decompose(args):
     opts = _resolve(args, DECOMPOSE_DEFAULTS,
                     required=("questions", "index", "out"))
-    if opts["method"] not in METHODS:
-        raise UsageError(f"--method must be one of {', '.join(METHODS)}")
+    try:
+        config = DecomposeConfig(method=opts["method"], k=opts["k"],
+                                 n=opts["n"], max_n=opts["max_n"],
+                                 beam_width=opts["beam_width"],
+                                 seed=opts["seed"], workers=opts["workers"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     index = load_index(opts["index"])
     source = _load_query_source(index, opts)
     questions = load_corpus(opts["questions"])
-    config = DecomposeConfig(method=opts["method"], k=opts["k"], n=opts["n"],
-                             max_n=opts["max_n"], beam_width=opts["beam_width"],
-                             seed=opts["seed"], workers=opts["workers"])
     result = build_pseudo_decomposition_dataset(questions, index, source, config)
     write_dataset_tsv(result.records, opts["out"])
     for qid, reason in result.failures:
@@ -549,7 +557,9 @@ def build_parser():
                    help="largest subset size for variable")
     p.add_argument("--beam-width", dest="beam_width", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="accepted and checked (at least 1) for existing "
+                        "scripts; decompose runs on one thread")
 
     p = add("edit", cmd_edit, "rewrite decomposition entities in a dataset")
     p.add_argument("--decompositions", help="dataset TSV from decompose")

@@ -14,8 +14,8 @@ plus a seeded uniform random baseline.
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -38,6 +38,21 @@ METHODS = (METHOD_FIXED, METHOD_GENERAL, METHOD_VARIABLE, METHOD_RANDOM)
 # at most this; beyond it (and for N > 3) greedy forward selection is used.
 EXHAUSTIVE_SUBSET_CAP = 10_000_000
 
+# Float32 scores held per scan chunk (4 MB, small beside the index itself):
+# the dataset builder scans _SCAN_BLOCK // len(index) questions per
+# _topk_rows call.
+_SCAN_BLOCK = 1 << 20
+
+_U32 = 2.0 ** -24  # unit roundoff of float32
+_U64 = 2.0 ** -53  # unit roundoff of float64
+
+
+def _gamma(n, u):
+    """gamma_n = n*u / (1 - n*u): relative error bound of an n-term dot
+    product evaluated in any order with unit roundoff u (Higham, Accuracy
+    and Stability of Numerical Algorithms, section 3.1)."""
+    return n * u / (1.0 - n * u)
+
 
 @dataclass(frozen=True)
 class LengthFilter:
@@ -51,9 +66,9 @@ class LengthFilter:
 class EmbeddedIndex:
     """Id-aligned candidate texts with unit and raw embedding matrices.
 
-    unit_matrix rows are unit-normalized (used for similarity search); the
-    raw_matrix keeps the pre-normalization embeddings because the
-    variable-length objective is defined on un-normalized sums.
+    unit_matrix rows are unit-normalized float32 (used for similarity
+    search); the raw_matrix keeps the pre-normalization embeddings because
+    the variable-length objective is defined on un-normalized sums.
     """
 
     ids: tuple
@@ -75,6 +90,21 @@ class EmbeddedIndex:
 
     def __contains__(self, qid):
         return qid in self._row_map
+
+    @cached_property
+    def row_norm_bound(self):
+        """Upper bound on the largest row norm of unit_matrix.
+
+        The squared norms are summed in float32, without a float64 copy of
+        the matrix; dividing by 1 - gamma_d covers their rounding.
+        """
+        matrix = self.unit_matrix
+        if matrix.dtype != np.float32:
+            raise ValueError(f"index unit matrix must be float32, "
+                             f"got {matrix.dtype}")
+        squares = float(np.einsum("ij,ij->i", matrix, matrix).max())
+        bound = squares / (1.0 - _gamma(matrix.shape[1], _U32))
+        return math.sqrt(bound) * (1.0 + 2.0 ** -40)
 
 
 def embed_query(source, tokens):
@@ -160,29 +190,69 @@ def load_index(dirpath):
                          filtered_out=meta["filtered_out"])
 
 
-def _topk_rows(index, q_unit, k):
-    """Row indices of the K highest-cosine candidates; ties break by id."""
+def _topk_rows(index, q_units, k):
+    """Top-K rows of the index for each row of a (queries, dim) matrix.
+
+    Returns one (rows, scores) pair per query: the row indices of its K
+    highest-cosine candidates, by descending score with ties broken by id,
+    and their float64 scores. A row's score is (row * q).sum() in float64,
+    which gives a row the same value wherever it sits in the matrix, so
+    identical rows tie exactly.
+
+    All queries are scored against every row with one float32 GEMM. A row's
+    float32 score g and its float64 score s differ by at most
+
+        delta = R * (gamma_d(u32) |q32| + |q32 - q| + gamma_d(u64) |q|)
+                + d * 2**-149
+
+    where R bounds the index row norms (row_norm_bound), q32 is the query
+    rounded to float32, gamma_d(u) = d*u / (1 - d*u) is the dot-product
+    error bound, and the last term covers underflow. The K rows with the
+    largest g have s >= tau - delta, tau being the K-th largest g, so every
+    row of the exact top K has g >= tau - 2 * delta. Only those rows are
+    rescored in float64, which makes the result identical to sorting the
+    float64 scores of all rows.
+    """
     if k < 1:
         raise ValueError("K must be at least 1")
-    q = np.asarray(q_unit, dtype=np.float64)
-    if not q.any():
+    queries = np.asarray(q_units, dtype=np.float64)
+    if queries.ndim != 2:
+        raise ValueError("queries must be a (count, dim) matrix")
+    if not queries.any(axis=1).all():
         raise ValueError("zero query vector")
-    scores = index.unit_matrix @ q
-    n = scores.shape[0]
+    matrix = index.unit_matrix
+    n, dim = matrix.shape
     k_eff = min(k, n)
-    if k_eff == n:
-        cand = range(n)
-    else:
-        kth = np.partition(scores, n - k_eff)[n - k_eff]
-        cand = np.flatnonzero(scores >= kth).tolist()
-    order = sorted(cand, key=lambda i: (-scores[i], index.ids[i]))
-    return [int(i) for i in order[:k_eff]], scores
+    bound = index.row_norm_bound
+    q32 = queries.astype(np.float32)
+    approx = q32 @ matrix.T
+    rounded = q32.astype(np.float64)
+    # the factor (1 + 2**-40) covers the rounding of delta itself
+    delta = (bound * (_gamma(dim, _U32) * np.linalg.norm(rounded, axis=1)
+                      + np.linalg.norm(rounded - queries, axis=1)
+                      + _gamma(dim, _U64) * np.linalg.norm(queries, axis=1))
+             + dim * 2.0 ** -149) * (1.0 + 2.0 ** -40)
+    results = []
+    for q, scores32, margin in zip(queries, approx, 2.0 * delta):
+        if k_eff == n:
+            rows = np.arange(n)
+        else:
+            tau = np.float64(np.partition(scores32, n - k_eff)[n - k_eff])
+            # nextafter covers the rounding of tau - margin
+            floor = np.nextafter(tau - margin, -np.inf)
+            rows = np.flatnonzero(scores32.astype(np.float64) >= floor)
+        scores = (np.asarray(matrix[rows], dtype=np.float64, order="C")
+                  * q).sum(axis=1)
+        order = sorted(range(len(rows)),
+                       key=lambda i: (-scores[i], index.ids[rows[i]]))[:k_eff]
+        results.append(([int(rows[i]) for i in order], scores[order]))
+    return results
 
 
 def topk_candidates(index, q_unit_vector, k):
     """Ranked (id, cosine) list of the K nearest candidates."""
-    rows, scores = _topk_rows(index, q_unit_vector, k)
-    return [(index.ids[r], float(scores[r])) for r in rows]
+    [(rows, scores)] = _topk_rows(index, [q_unit_vector], k)
+    return [(index.ids[r], float(s)) for r, s in zip(rows, scores)]
 
 
 def pair_objective(q_hat, s1_hat, s2_hat):
@@ -216,14 +286,24 @@ class PseudoDecomposition:
             raise ValueError("fixed2 decompositions have exactly two sub-questions")
 
 
-def pseudo_decompose_fixed(index, question, source, k=1000):
+def _query_rows(index, question, source, k, rows):
+    """Raw and unit embedding of a question and its top-K index rows.
+
+    rows already found by a batched _topk_rows call are used as given.
+    """
+    raw, unit = embed_query(source, question.tokens)
+    if rows is None:
+        [(rows, _)] = _topk_rows(index, [unit], k)
+    return raw, unit, rows
+
+
+def pseudo_decompose_fixed(index, question, source, k=1000, rows=None):
     """Best pair under the pair objective, searched exhaustively in the top-K.
 
     Ties break toward the lexicographically smallest (lower id, higher id)
-    pair.
+    pair. rows, when given, are the question's top-K rows from _topk_rows.
     """
-    _, unit = embed_query(source, question.tokens)
-    rows, _ = _topk_rows(index, unit, k)
+    _, unit, rows = _query_rows(index, question, source, k, rows)
     if len(rows) < 2:
         raise ValueError("need at least two candidates to form a pair")
     cand = index.unit_matrix[rows].astype(np.float64)
@@ -260,19 +340,19 @@ def _subset_score(sims, gram, positions):
     return total
 
 
-def pseudo_decompose_general(index, question, source, n, k=1000):
+def pseudo_decompose_general(index, question, source, n, k=1000, rows=None):
     """Best size-N subset under the generalized objective.
 
     Exhaustive for N <= 3 while the subset count stays within
     EXHAUSTIVE_SUBSET_CAP; otherwise greedy forward selection (the chosen
     mode is recorded in search_mode). N=2 is exactly the fixed2 search.
+    rows, when given, are the question's top-K rows from _topk_rows.
     """
     if n < 2:
         raise ValueError("N must be at least 2")
     if n == 2:
-        return pseudo_decompose_fixed(index, question, source, k)
-    _, unit = embed_query(source, question.tokens)
-    rows, _ = _topk_rows(index, unit, k)
+        return pseudo_decompose_fixed(index, question, source, k, rows)
+    _, unit, rows = _query_rows(index, question, source, k, rows)
     m = len(rows)
     if m < n:
         raise ValueError(f"need at least {n} candidates, have {m}")
@@ -333,21 +413,21 @@ def pseudo_decompose_general(index, question, source, n, k=1000):
 
 
 def pseudo_decompose_variable(index, question, source, max_n, k=1000,
-                              beam_width=100):
+                              beam_width=100, rows=None):
     """Best subset of size 1..max_N minimizing ||v_q - sum v_s||.
 
     Beam search: states of size m extend by every unused candidate, the
     beam_width lowest-distance states survive per size, and the global best
     across sizes wins. Ties prefer fewer sub-questions, then lexicographic
     ids. Subset vectors are recomputed in canonical row order so identical
-    subsets found along different paths are numerically identical.
+    subsets found along different paths are numerically identical. rows,
+    when given, are the question's top-K rows from _topk_rows.
     """
     if max_n < 1:
         raise ValueError("max_N must be at least 1")
     if beam_width < 1:
         raise ValueError("beam width must be at least 1")
-    raw_q, unit = embed_query(source, question.tokens)
-    rows, _ = _topk_rows(index, unit, k)
+    raw_q, _, rows = _query_rows(index, question, source, k, rows)
     if not rows:
         raise ValueError("empty candidate pool")
     m = len(rows)
@@ -429,6 +509,12 @@ def _random_from_index(index, question, n, seed):
 
 @dataclass(frozen=True)
 class DecomposeConfig:
+    """Settings of one dataset build, validated before any work.
+
+    workers is accepted and must be at least 1, but the build runs on one
+    thread: selection holds the GIL, so worker threads only slowed it down.
+    """
+
     method: str = METHOD_FIXED
     k: int = 1000
     n: int = 2
@@ -436,6 +522,25 @@ class DecomposeConfig:
     beam_width: int = 100
     seed: int = 0
     workers: int = 1
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {', '.join(METHODS)}, "
+                             f"got {self.method!r}")
+        if self.method != METHOD_RANDOM and self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
+        if self.method == METHOD_GENERAL and self.n < 2:
+            raise ValueError(f"n must be at least 2 for general, got {self.n}")
+        if self.method == METHOD_RANDOM and self.n < 1:
+            raise ValueError(f"n must be at least 1 for random, got {self.n}")
+        if self.method == METHOD_VARIABLE:
+            if self.max_n < 1:
+                raise ValueError(f"max_n must be at least 1, got {self.max_n}")
+            if self.beam_width < 1:
+                raise ValueError(
+                    f"beam_width must be at least 1, got {self.beam_width}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -447,46 +552,60 @@ class DatasetBuildResult:
 def build_pseudo_decomposition_dataset(questions, index, source, config):
     """Decompose every embeddable question; skip and record failures.
 
-    Output order follows input order regardless of the worker count, so the
-    emitted dataset is byte-identical for any parallelism level.
+    Every question is embedded first. The scanning methods then find top-K
+    rows for _SCAN_BLOCK // len(index) questions at a time, with one
+    _topk_rows call per chunk: a float32 GEMM whose shortlist keeps every
+    row within the proven error margin 2 * delta of the K-th best score,
+    rescored in float64 (see _topk_rows), so each question gets exactly
+    the rows a float64 scan of the whole index would rank first. Each
+    question's rows go to pseudo_decompose_fixed/general/variable. Records
+    and failures follow input order, and config.workers does not change
+    the output (the build runs on one thread).
     """
-    if config.method not in METHODS:
-        raise ValueError(f"unknown method {config.method!r}")
-    if config.workers < 1:
-        raise ValueError("workers must be at least 1")
-
-    def task(item):
-        pos, q = item
+    outcomes = [None] * len(questions)  # a decomposition or a failure reason
+    embedded = []  # (position, question, unit vector)
+    for pos, q in enumerate(questions):
         try:
-            if config.method == METHOD_FIXED:
-                d = pseudo_decompose_fixed(index, q, source, config.k)
-            elif config.method == METHOD_GENERAL:
-                d = pseudo_decompose_general(index, q, source, config.n, config.k)
-            elif config.method == METHOD_VARIABLE:
-                d = pseudo_decompose_variable(index, q, source, config.max_n,
-                                              config.k, config.beam_width)
-            else:
-                embed_query(source, q.tokens)  # same embeddability gate
-                d = _random_from_index(index, q, config.n,
-                                       child_seed(config.seed, "decompose-random", pos))
-            return pos, d, None
+            _, unit = embed_query(source, q.tokens)
         except ValueError as exc:
-            return pos, None, str(exc)
+            outcomes[pos] = str(exc)
+        else:
+            embedded.append((pos, q, unit))
 
-    items = list(enumerate(questions))
-    if config.workers == 1:
-        results = [task(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(task, items))
+    chunk = max(1, _SCAN_BLOCK // len(index))
+    for start in range(0, len(embedded), chunk):
+        part = embedded[start:start + chunk]
+        if config.method == METHOD_RANDOM:
+            hits = [(None, None)] * len(part)
+        else:
+            hits = _topk_rows(index, [unit for _, _, unit in part], config.k)
+        for (pos, q, _), (rows, _) in zip(part, hits):
+            try:
+                if config.method == METHOD_FIXED:
+                    d = pseudo_decompose_fixed(index, q, source, config.k,
+                                               rows=rows)
+                elif config.method == METHOD_GENERAL:
+                    d = pseudo_decompose_general(index, q, source, config.n,
+                                                 config.k, rows=rows)
+                elif config.method == METHOD_VARIABLE:
+                    d = pseudo_decompose_variable(
+                        index, q, source, config.max_n, config.k,
+                        config.beam_width, rows=rows)
+                else:
+                    d = _random_from_index(
+                        index, q, config.n,
+                        child_seed(config.seed, "decompose-random", pos))
+                outcomes[pos] = d
+            except ValueError as exc:
+                outcomes[pos] = str(exc)
 
     records = []
     failures = []
-    for pos, d, err in results:
-        if d is None:
-            failures.append((questions.questions[pos].id, err))
+    for q, outcome in zip(questions, outcomes):
+        if isinstance(outcome, str):
+            failures.append((q.id, outcome))
         else:
-            records.append((questions.questions[pos], d))
+            records.append((q, outcome))
     return DatasetBuildResult(records=tuple(records), failures=tuple(failures))
 
 

@@ -114,7 +114,7 @@ def decomposition_rank(objective, composite, gold_sub_ids, index, source, k):
         if gid not in index:
             raise ValueError(f"gold sub-question {gid!r} is not in the index")
     raw_q, unit = embed_query(source, composite.tokens)
-    rows, _ = _topk_rows(index, unit, k)
+    [(rows, _)] = _topk_rows(index, [unit], k)
     pos_of = {r: p for p, r in enumerate(rows)}
     gold_rows = [index.row_of(g) for g in gold_sub_ids]
     if any(r not in pos_of for r in gold_rows):

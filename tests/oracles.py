@@ -117,3 +117,17 @@ def bleu_oracle(hypotheses, references, max_n=4):
     log_p = sum(math.log(m / t) for m, t in supported) / len(supported)
     bp = math.exp(min(0.0, 1.0 - ref_len / hyp_len))
     return bp * math.exp(log_p)
+
+
+def topk_oracle(q, rows, ids, k):
+    """Full float64 scan: every row upcast and scored as the float64 sum of
+    its elementwise products with q, rows sorted by (-score, id), cut to K.
+
+    Returns (row indices, scores). The score expression is the package's
+    definition of a row's exact score; what this checks is the selection
+    around it (no float32 pass, no shortlist).
+    """
+    matrix = np.asarray(rows, dtype=np.float64)
+    scores = (matrix * np.asarray(q, dtype=np.float64)).sum(axis=1)
+    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
+    return order, [float(scores[i]) for i in order]

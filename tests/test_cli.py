@@ -194,6 +194,53 @@ def test_decompose_edit_metrics_flow(workspace, capsys):
     assert rep["scaled"] == pytest.approx(rep["bleu"] * rep["good_fraction"])
 
 
+@pytest.fixture
+def indexed(workspace):
+    """The workspace plus a word-vector index over its single-hop corpus."""
+    idx = workspace["tmp"] / "idx"
+    assert main(["build-index", "--corpus", str(workspace["single"]),
+                 "--vectors", str(workspace["vec"]), "--out", str(idx),
+                 "--no-length-filter"]) == 0
+    return dict(workspace, idx=idx)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--k", "0"],
+    ["--method", "general", "--n", "1"],
+    ["--method", "random", "--n", "0"],
+    ["--method", "variable", "--max-n", "0"],
+    ["--method", "variable", "--beam-width", "0"],
+    ["--workers", "0"],
+], ids=["k", "general-n", "random-n", "max-n", "beam-width", "workers"])
+def test_decompose_bad_flag_is_usage_error(indexed, capsys, flags):
+    out = indexed["tmp"] / "pseudo.tsv"
+    assert main(["decompose", "--questions", str(indexed["single"]),
+                 "--index", str(indexed["idx"]),
+                 "--vectors", str(indexed["vec"]), "--out", str(out)]
+                + flags) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["decompose", "synth-eval"])
+def test_vector_dimension_mismatch_is_data_error(indexed, capsys, command):
+    narrow = indexed["tmp"] / "narrow.vec"
+    save_vector_table(synthetic_vector_table(
+        corpus_vocabulary(indexed["corpus"]), dim=16, seed=42), narrow)
+    out = indexed["tmp"] / "out"
+    argv = [command, "--index", str(indexed["idx"]), "--vectors", str(narrow),
+            "--out", str(out)]
+    if command == "decompose":
+        argv += ["--questions", str(indexed["single"])]
+    else:
+        argv += ["--corpus", str(indexed["single"]),
+                 "--objective", "sum-distance", "--count", "5", "--k", "20"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "dimension 16" in err and "dimension 24" in err
+    assert not out.exists()
+
+
 def test_noise_command(workspace, capsys):
     tmp = workspace["tmp"]
     out = tmp / "noised.jsonl"

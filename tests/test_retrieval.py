@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qdecomp import retrieval
 from qdecomp.corpus import Question, QuestionCorpus
 from qdecomp.embeddings import embed_text_sum, make_vector_table, unit_normalize
 from qdecomp.retrieval import (
     DecomposeConfig,
     EXHAUSTIVE_SUBSET_CAP,
+    EmbeddedIndex,
     LengthFilter,
+    SOURCE_VECTORS,
     PseudoDecomposition,
     build_index,
     build_pseudo_decomposition_dataset,
@@ -26,7 +30,8 @@ from qdecomp.retrieval import (
 )
 
 from conftest import make_corpus
-from oracles import general_argmax_oracle, pair_argmax_oracle, variable_argmin_oracle
+from oracles import (general_argmax_oracle, pair_argmax_oracle, topk_oracle,
+                     variable_argmin_oracle)
 
 
 def index_from_rows(rows):
@@ -87,6 +92,60 @@ def test_topk_rejects_bad_k():
     _, unit = embed_sum_unit(table, q)
     with pytest.raises(ValueError):
         topk_candidates(index, unit, 0)
+
+
+def ulp_neighbour(row, rng):
+    """row with each component moved by -1, 0 or +1 float32 ulp."""
+    steps = rng.integers(-1, 2, size=row.shape)
+    toward = np.where(steps > 0, np.inf, -np.inf).astype(np.float32)
+    return np.where(steps == 0, row, np.nextafter(row, toward))
+
+
+@st.composite
+def scan_cases(draw):
+    """Unit float32 rows, some of them exact copies or one-ulp neighbours of
+    one source row, shuffled ids, a few unit queries (optionally the source
+    row itself, so the near-ties rank first), and K from 1 to past N."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 24))
+    rows = rng.normal(size=(n, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = rows.astype(np.float32)
+    src = draw(st.integers(0, n - 1))
+    for dst in rng.choice(n, size=draw(st.integers(0, n - 1)), replace=False):
+        if dst != src:
+            rows[dst] = (ulp_neighbour(rows[src], rng) if draw(st.booleans())
+                         else rows[src])
+    ids = tuple(f"r{p:03d}" for p in rng.permutation(n))
+    queries = rng.normal(size=(draw(st.integers(1, 4)), dim))
+    if draw(st.booleans()):
+        queries[0] = rows[src]
+    queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+    k = draw(st.one_of(st.just(1), st.integers(1, n), st.integers(n, n + 3)))
+    return rows, ids, queries, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+def test_batched_topk_equals_full_float64_scan(case):
+    rows, ids, queries, k = case
+    index = EmbeddedIndex(ids=ids, texts=ids, unit_matrix=rows,
+                          raw_matrix=rows, source=SOURCE_VECTORS)
+    got = retrieval._topk_rows(index, queries, k)
+    assert len(got) == len(queries)
+    for q, (got_rows, got_scores) in zip(queries, got):
+        want_rows, want_scores = topk_oracle(q, rows, ids, k)
+        assert got_rows == want_rows
+        assert list(got_scores) == want_scores
+
+
+def test_topk_rejects_bad_queries():
+    index, _ = index_from_rows(np.eye(3))
+    with pytest.raises(ValueError, match="zero query"):
+        retrieval._topk_rows(index, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 2)
+    with pytest.raises(ValueError, match="matrix"):
+        retrieval._topk_rows(index, [1.0, 0.0, 0.0], 2)
 
 
 # ---- objective oracles ----
@@ -299,6 +358,64 @@ def test_dataset_build_worker_count_invariance():
     assert r1.records == r4.records
     assert r1.failures == r4.failures
     assert [q.id for q, _ in r1.records] == list(questions.ids)
+
+
+@pytest.mark.parametrize("method, params", [
+    ("fixed2", {}),
+    ("general", {"n": 3}),
+    ("variable", {"max_n": 3, "beam_width": 20}),
+])
+def test_dataset_build_equals_per_question_calls(monkeypatch, method, params):
+    rng = np.random.default_rng(21)
+    index, table = index_from_rows(nonzero_rows(rng, 40, 5))
+    for i in range(15):
+        table.entries[f"p{i:02d}"] = rng.normal(size=5).astype(np.float32)
+    questions = make_corpus([f"p{i:02d}" for i in range(15)] + ["unknownword"],
+                            prefix="mq")
+    scan = retrieval._topk_rows
+    chunks = []
+
+    def counted_scan(index, q_units, k):
+        chunks.append(len(q_units))
+        return scan(index, q_units, k)
+
+    monkeypatch.setattr(retrieval, "_SCAN_BLOCK", 4 * len(index))
+    monkeypatch.setattr(retrieval, "_topk_rows", counted_scan)
+    config = DecomposeConfig(method=method, k=12, **params)
+    result = build_pseudo_decomposition_dataset(questions, index, table, config)
+    assert chunks == [4, 4, 4, 3]
+
+    expected = []
+    for q in list(questions)[:15]:
+        if method == "fixed2":
+            d = pseudo_decompose_fixed(index, q, table, k=12)
+        elif method == "general":
+            d = pseudo_decompose_general(index, q, table, n=3, k=12)
+        else:
+            d = pseudo_decompose_variable(index, q, table, max_n=3, k=12,
+                                          beam_width=20)
+        expected.append((q, d))
+    assert result.records == tuple(expected)
+    assert result.failures == (("mq00000015", "text has no in-vocabulary tokens"),)
+
+
+@pytest.mark.parametrize("fields", [
+    {"k": 0},
+    {"method": "general", "n": 1},
+    {"method": "random", "n": 0},
+    {"method": "variable", "max_n": 0},
+    {"method": "variable", "beam_width": 0},
+    {"workers": 0},
+    {"method": "nearest"},
+])
+def test_decompose_config_rejects_bad_values(fields):
+    with pytest.raises(ValueError):
+        DecomposeConfig(**fields)
+
+
+def test_decompose_config_checks_only_what_the_method_uses():
+    DecomposeConfig(method="random", k=0, n=1)
+    DecomposeConfig(method="fixed2", n=0, max_n=0, beam_width=0)
 
 
 def test_dataset_build_records_failures():
