@@ -16,9 +16,9 @@ from .classifier import (LinearTextClassifier, Prediction, TrainingConfig,
 from .retrieval import (DecomposeConfig, EmbeddedIndex, LengthFilter,
                         PseudoDecomposition, build_index,
                         build_pseudo_decomposition_dataset, embed_query,
-                        load_index, pair_objective, pseudo_decompose_fixed,
+                        load_index, pseudo_decompose_fixed,
                         pseudo_decompose_general, pseudo_decompose_variable,
-                        random_pseudo_decompose, save_index, topk_candidates)
+                        save_index, topk_candidates)
 from .editing import (EntitySpan, detect_entities, edit_pseudo_decomposition,
                       edit_sub_question_texts)
 from .noising import NoiseConfig, local_shuffle, noise_tokens, word_dropout

@@ -43,6 +43,12 @@ EXHAUSTIVE_SUBSET_CAP = 10_000_000
 # _topk_rows call.
 _SCAN_BLOCK = 1 << 20
 
+# Float64 elements of gathered candidate rows held per block of variable
+# beam extensions (512 KB, so a block stays in cache): at the CLI defaults
+# (K=1000, beam 100, 300-d) an unblocked size-3 pass would gather
+# 100K x 3 x 300 of them.
+_BEAM_BLOCK = 1 << 16
+
 _U32 = 2.0 ** -24  # unit roundoff of float32
 _U64 = 2.0 ** -53  # unit roundoff of float64
 
@@ -179,11 +185,35 @@ def save_index(index, dirpath):
     np.save(os.path.join(dirpath, "raw.npy"), index.raw_matrix)
 
 
+def _load_matrix(path, shape):
+    """A float32 matrix of the given shape with only finite values."""
+    matrix = np.load(path)
+    if matrix.dtype != np.float32 or matrix.shape != shape:
+        raise ValueError(f"{path}: expected a float32 matrix of shape {shape} "
+                         f"from meta.json, got {matrix.dtype} of shape "
+                         f"{matrix.shape}")
+    # a float64 sum of float32 values cannot overflow, so it is finite
+    # exactly when every value is, and needs no boolean copy of the matrix
+    if not np.isfinite(matrix.sum(dtype=np.float64)):
+        raise ValueError(f"{path}: holds a NaN or infinite value")
+    return matrix
+
+
 def load_index(dirpath):
-    with open(os.path.join(dirpath, "meta.json"), encoding="utf-8") as fh:
+    """Read an index written by save_index.
+
+    Raises ValueError when meta.json's rows, ids and texts disagree, or when
+    unit.npy or raw.npy is not a finite float32 (rows, dim) matrix.
+    """
+    meta_path = os.path.join(dirpath, "meta.json")
+    with open(meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
-    unit = np.load(os.path.join(dirpath, "unit.npy"))
-    raw = np.load(os.path.join(dirpath, "raw.npy"))
+    rows, dim = meta["rows"], meta["dim"]
+    if not len(meta["ids"]) == len(meta["texts"]) == rows:
+        raise ValueError(f"{meta_path}: rows is {rows}, but it lists "
+                         f"{len(meta['ids'])} ids and {len(meta['texts'])} texts")
+    unit, raw = (_load_matrix(os.path.join(dirpath, name), (rows, dim))
+                 for name in ("unit.npy", "raw.npy"))
     return EmbeddedIndex(ids=tuple(meta["ids"]), texts=tuple(meta["texts"]),
                          unit_matrix=unit, raw_matrix=raw, source=meta["source"],
                          oov_excluded=meta["oov_excluded"],
@@ -253,14 +283,6 @@ def topk_candidates(index, q_unit_vector, k):
     """Ranked (id, cosine) list of the K nearest candidates."""
     [(rows, scores)] = _topk_rows(index, [q_unit_vector], k)
     return [(index.ids[r], float(s)) for r, s in zip(rows, scores)]
-
-
-def pair_objective(q_hat, s1_hat, s2_hat):
-    """Similarity-plus-diversity score for a candidate pair (unit vectors)."""
-    q = np.asarray(q_hat, dtype=np.float64)
-    a = np.asarray(s1_hat, dtype=np.float64)
-    b = np.asarray(s2_hat, dtype=np.float64)
-    return float(np.dot(q, a) + np.dot(q, b) - np.dot(a, b))
 
 
 @dataclass(frozen=True)
@@ -412,6 +434,22 @@ def pseudo_decompose_general(index, question, source, n, k=1000, rows=None):
     )
 
 
+def _extensions(beam, m):
+    """Distinct keys of every beam state extended by one unused position.
+
+    beam is a (states, size) array of keys, each a row of ascending pool
+    positions. Returns a (keys, size + 1) array of ascending-position rows
+    in lexicographic order.
+    """
+    unused = (beam[:, :, None] != np.arange(m)).all(axis=1)
+    prev, extra = np.nonzero(unused)
+    keys = np.sort(np.column_stack([beam[prev], extra]), axis=1)
+    keys = keys[np.lexsort(keys.T[::-1])]
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return keys[fresh]
+
+
 def pseudo_decompose_variable(index, question, source, max_n, k=1000,
                               beam_width=100, rows=None):
     """Best subset of size 1..max_N minimizing ||v_q - sum v_s||.
@@ -419,9 +457,30 @@ def pseudo_decompose_variable(index, question, source, max_n, k=1000,
     Beam search: states of size m extend by every unused candidate, the
     beam_width lowest-distance states survive per size, and the global best
     across sizes wins. Ties prefer fewer sub-questions, then lexicographic
-    ids. Subset vectors are recomputed in canonical row order so identical
-    subsets found along different paths are numerically identical. rows,
-    when given, are the question's top-K rows from _topk_rows.
+    ids. A state's distance is norm(v_q - raws[key].sum(axis=0)), with key
+    its pool positions in ascending order, so identical subsets found along
+    different paths are numerically identical. rows, when given, are the
+    question's top-K rows from _topk_rows.
+
+    Each size is scored as arrays. The distinct extensions of the beam are
+    taken in blocks of _BEAM_BLOCK // (size * d) keys. A block's subset
+    sums come from raws[keys].sum(axis=1), the same reduction over the same
+    rows in the same order as the exact distance, so its residuals are
+    bitwise the exact ones; their squared norms a are taken with einsum.
+    einsum and the BLAS dot inside np.linalg.norm add the same d
+    non-negative terms, each in its own order, so each is within
+    gamma_d(u64) = d*u / (1 - d*u) of the true square, plus at most
+    d * 2**-1074 from underflow. With tau the beam_width-th smallest a, at
+    least beam_width states have a <= tau, and their exact distances bound
+    the beam's cut, so every state of the exact beam has
+
+        a <= (tau + d * 2**-1072) * ((1 + gamma_d) / (1 - gamma_d))**2
+             * (1 + 2**-40)
+
+    where the last factor covers the rounding of the square root and of
+    the bound itself. Only the states within it get their exact distance
+    and sorted id tuple and are sorted by (distance, ids), which makes the
+    surviving beam identical to sorting every extension exactly.
     """
     if max_n < 1:
         raise ValueError("max_N must be at least 1")
@@ -432,6 +491,9 @@ def pseudo_decompose_variable(index, question, source, max_n, k=1000,
         raise ValueError("empty candidate pool")
     m = len(rows)
     raws = index.raw_matrix[rows].astype(np.float64)
+    dim = raws.shape[1]
+    gamma = _gamma(dim, _U64)
+    widen = ((1.0 + gamma) / (1.0 - gamma)) ** 2 * (1.0 + 2.0 ** -40)
 
     def stats(key):
         vec = raws[list(key)].sum(axis=0)
@@ -440,29 +502,27 @@ def pseudo_decompose_variable(index, question, source, max_n, k=1000,
         return dist, ids_t
 
     best = None  # (dist, size, ids_tuple, key)
-    beam = [()]
+    beam = np.zeros((1, 0), dtype=np.intp)
     for size in range(1, max_n + 1):
-        seen = set()
-        states = []
-        for prev in beam:
-            for c in range(m):
-                if c in prev:
-                    continue
-                key = tuple(sorted(prev + (c,)))
-                if key in seen:
-                    continue
-                seen.add(key)
-                dist, ids_t = stats(key)
-                states.append((dist, ids_t, key))
-        if not states:
+        keys = _extensions(beam, m)
+        if not len(keys):
             break
+        if len(keys) > beam_width:
+            approx = np.empty(len(keys))
+            step = max(1, _BEAM_BLOCK // (size * dim))
+            for start in range(0, len(keys), step):
+                resid = raw_q - raws[keys[start:start + step]].sum(axis=1)
+                approx[start:start + step] = np.einsum("ij,ij->i", resid, resid)
+            tau = np.partition(approx, beam_width - 1)[beam_width - 1]
+            keys = keys[approx <= (tau + dim * 2.0 ** -1072) * widen]
+        states = [stats(key) + (key,) for key in map(tuple, keys.tolist())]
         states.sort(key=lambda s: (s[0], s[1]))
         states = states[:beam_width]
         head = states[0]
         cand = (head[0], size, head[1], head[2])
         if best is None or cand[:3] < best[:3]:
             best = cand
-        beam = [s[2] for s in states]
+        beam = np.array([s[2] for s in states], dtype=np.intp)
 
     members = sorted(((index.ids[rows[p]], index.texts[rows[p]]) for p in best[3]))
     return PseudoDecomposition(
@@ -471,24 +531,6 @@ def pseudo_decompose_variable(index, question, source, max_n, k=1000,
         sub_texts=tuple(t for _, t in members),
         objective_score=best[0],
         method=METHOD_VARIABLE,
-    )
-
-
-def random_pseudo_decompose(corpus, question, n, seed):
-    """Uniform sample of N distinct corpus questions (seeded baseline)."""
-    if n < 1:
-        raise ValueError("N must be at least 1")
-    if len(corpus) < n:
-        raise ValueError(f"corpus has {len(corpus)} questions, need {n}")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(corpus), size=n, replace=False)
-    picked = [corpus.questions[int(i)] for i in idx]
-    return PseudoDecomposition(
-        question_id=question.id,
-        sub_question_ids=tuple(q.id for q in picked),
-        sub_texts=tuple(q.raw_text for q in picked),
-        objective_score=float("nan"),
-        method=METHOD_RANDOM,
     )
 
 

@@ -131,3 +131,37 @@ def topk_oracle(q, rows, ids, k):
     scores = (matrix * np.asarray(q, dtype=np.float64)).sum(axis=1)
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
     return order, [float(scores[i]) for i in order]
+
+
+def variable_beam_oracle(q_raw, raw_rows, ids, max_n, beam_width):
+    """Plain transcription of the documented variable beam search.
+
+    raw_rows are the candidate pool in pool order and keys are ascending
+    pool positions. Per size, every beam state extends by every unused
+    position; each distinct key is scored once as the norm of q minus its
+    rows summed with ndarray.sum (the package's arithmetic); states sort by
+    (distance, sorted ids) and the first beam_width survive. The best state
+    across sizes is the smallest (distance, size, ids). The search stops
+    when a size has no states. Returns (ids tuple, distance).
+    """
+    rows = np.asarray(raw_rows, dtype=np.float64)
+    q = np.asarray(q_raw, dtype=np.float64)
+    best = None
+    beam = [()]
+    for size in range(1, max_n + 1):
+        scored = {}
+        for prev in beam:
+            for c in range(len(ids)):
+                if c in prev:
+                    continue
+                key = tuple(sorted(prev + (c,)))
+                if key not in scored:
+                    dist = float(np.linalg.norm(q - rows[list(key)].sum(axis=0)))
+                    scored[key] = (dist, tuple(sorted(ids[i] for i in key)))
+        if not scored:
+            break
+        beam = sorted(scored, key=lambda key: scored[key])[:beam_width]
+        dist, key_ids = scored[beam[0]]
+        if best is None or (dist, size, key_ids) < best:
+            best = (dist, size, key_ids)
+    return best[2], best[0]

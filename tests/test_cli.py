@@ -241,6 +241,34 @@ def test_vector_dimension_mismatch_is_data_error(indexed, capsys, command):
     assert not out.exists()
 
 
+def with_nan(matrix):
+    matrix = matrix.copy()
+    matrix[7, 3] = np.nan
+    return matrix
+
+
+@pytest.mark.parametrize("name, corrupt, shape", [
+    ("unit.npy", lambda m: np.vstack([m, m[:5]]), "(65, 24)"),
+    ("unit.npy", lambda m: m[:-5], "(55, 24)"),
+    ("unit.npy", with_nan, "NaN"),
+    ("raw.npy", lambda m: np.ascontiguousarray(m[:, :10]), "(60, 10)"),
+], ids=["extra-rows", "missing-rows", "nan", "narrow-raw"])
+def test_index_contradicting_meta_is_data_error(indexed, capsys, name,
+                                                corrupt, shape):
+    path = indexed["idx"] / name
+    np.save(path, corrupt(np.load(path)))
+    out = indexed["tmp"] / "pseudo.tsv"
+    assert main(["decompose", "--questions", str(indexed["single"]),
+                 "--index", str(indexed["idx"]),
+                 "--vectors", str(indexed["vec"]), "--out", str(out),
+                 "--method", "variable", "--k", "20"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and shape in err
+    if shape != "NaN":
+        assert "(60, 24)" in err
+    assert not out.exists()
+
+
 def test_noise_command(workspace, capsys):
     tmp = workspace["tmp"]
     out = tmp / "noised.jsonl"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,11 +19,9 @@ from qdecomp.retrieval import (
     build_pseudo_decomposition_dataset,
     decomposition_text,
     load_index,
-    pair_objective,
     pseudo_decompose_fixed,
     pseudo_decompose_general,
     pseudo_decompose_variable,
-    random_pseudo_decompose,
     read_dataset_tsv,
     save_index,
     topk_candidates,
@@ -31,7 +30,7 @@ from qdecomp.retrieval import (
 
 from conftest import make_corpus
 from oracles import (general_argmax_oracle, pair_argmax_oracle, topk_oracle,
-                     variable_argmin_oracle)
+                     variable_argmin_oracle, variable_beam_oracle)
 
 
 def index_from_rows(rows):
@@ -150,10 +149,6 @@ def test_topk_rejects_bad_queries():
 
 # ---- objective oracles ----
 
-def test_pair_objective_value():
-    assert pair_objective([1.0, 0.0], [1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
-
-
 def test_fixed_pair_matches_brute_force():
     rng = np.random.default_rng(42)
     for trial in range(20):
@@ -271,6 +266,63 @@ def test_variable_tie_on_size_prefers_smaller_ids():
     assert got.sub_question_ids == ("c00000000",)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 5, 48])
+def test_blocked_subset_sums_are_bitwise_the_per_state_sums(dim):
+    # the variable search's margin assumes raws[keys].sum(axis=1) adds rows
+    # exactly as raws[list(key)].sum(axis=0) does; chained adds would not
+    # for d = 1 and 8 or more rows, where numpy sums pairwise
+    rng = np.random.default_rng(dim)
+    raws = rng.normal(size=(30, dim)) * rng.choice([1e-8, 1.0, 1e8], size=(30, 1))
+    for size in (1, 3, 8, 9, 17):
+        keys = np.sort([rng.choice(30, size, replace=False) for _ in range(50)],
+                       axis=1)
+        for key, got in zip(keys, raws[keys].sum(axis=1)):
+            np.testing.assert_array_equal(got, raws[list(key)].sum(axis=0))
+
+
+@st.composite
+def beam_cases(draw):
+    """A pool with more states per size than the beam keeps, so the cut at
+    beam_width prunes, and ties on that cut: integer grid rows (exact ties),
+    or coordinate permutations of one float row around a query whose
+    coordinates are all equal (residual norms then agree up to rounding),
+    each with some rows duplicated. max_n may exceed the pool size, so the
+    search also runs out of states."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(2, 10))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 5))
+        rows = nonzero_rows(rng, m, dim, grid=True)
+        q_vec = rng.integers(-3, 4, size=dim).astype(float)
+        q_vec[0] = q_vec[0] or 1.0
+    else:
+        # summation order only matters once there are several terms
+        dim = draw(st.integers(2, 16))
+        base = rng.normal(size=dim)
+        rows = np.array([rng.permutation(base) for _ in range(m)])
+        q_vec = np.full(dim, rng.normal())
+    for dst in rng.choice(m, size=draw(st.integers(0, m // 2)), replace=False):
+        rows[dst] = rows[rng.integers(m)]
+    return rows, q_vec, draw(st.integers(1, 5)), draw(st.integers(1, m + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(beam_cases())
+def test_variable_beam_equals_plain_beam(case):
+    rows, q_vec, beam_width, max_n = case
+    index, table = index_from_rows(rows)
+    q = query_for(table, q_vec)
+    got = pseudo_decompose_variable(index, q, table, max_n=max_n, k=len(rows),
+                                    beam_width=beam_width)
+    raw_q, unit = embed_sum_unit(table, q)
+    pool, _ = topk_oracle(unit, index.unit_matrix, index.ids, len(rows))
+    want_ids, want_dist = variable_beam_oracle(
+        raw_q, index.raw_matrix[pool], [index.ids[p] for p in pool], max_n,
+        beam_width)
+    assert got.sub_question_ids == want_ids
+    assert got.objective_score == want_dist
+
+
 # ---- index construction and persistence ----
 
 def test_build_index_length_filter_and_oov_counts(tiny_table):
@@ -306,6 +358,17 @@ def test_index_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(back.raw_matrix, index.raw_matrix)
 
 
+def test_load_index_rejects_meta_rows_that_disagree_with_ids(tmp_path):
+    index, _ = index_from_rows(np.eye(3))
+    save_index(index, tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta["texts"] = meta["texts"][:2]
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="rows is 3, but it lists 3 ids "
+                                         "and 2 texts"):
+        load_index(tmp_path)
+
+
 def test_index_serialization_is_byte_stable(tmp_path):
     rng = np.random.default_rng(4)
     index, _ = index_from_rows(rng.normal(size=(5, 3)))
@@ -331,15 +394,15 @@ def test_pseudo_decomposition_validation():
 
 
 def test_random_baseline_deterministic_and_nan_scored():
-    corpus = make_corpus([f"candidate number {i} here ?" for i in range(10)], prefix="c")
+    index, _ = index_from_rows(np.eye(10))
     q = Question.from_text("q", "what is it ?")
-    a = random_pseudo_decompose(corpus, q, n=2, seed=5)
-    b = random_pseudo_decompose(corpus, q, n=2, seed=5)
+    a = retrieval._random_from_index(index, q, n=2, seed=5)
+    b = retrieval._random_from_index(index, q, n=2, seed=5)
     assert a.sub_question_ids == b.sub_question_ids
     assert len(set(a.sub_question_ids)) == 2
     assert math.isnan(a.objective_score)
     assert a.method == "random"
-    assert all(i in corpus for i in a.sub_question_ids)
+    assert all(i in index for i in a.sub_question_ids)
 
 
 def test_dataset_build_worker_count_invariance():
