@@ -21,12 +21,12 @@ from .classifier import (TrainingConfig, evaluate_classifier, classify,
 from .corpus import (DEFAULT_WH_WORDS, Question, QuestionCorpus,
                      extract_candidate_questions, load_corpus, save_corpus)
 from .editing import edit_sub_question_texts, split_sub_question_texts
-from .embeddings import load_tfidf, load_vector_table, save_tfidf, tfidf_fit
+from .embeddings import load_vector_table
 from .metrics import RoundTripRecord, roundtrip_report
 from .noising import NoiseConfig, noise_tokens
 from .recompose import (ensemble_average, predict_answer, read_logits_jsonl,
                         span_probabilities)
-from .retrieval import (SOURCE_TFIDF, DecomposeConfig, LengthFilter, METHODS,
+from .retrieval import (DecomposeConfig, LengthFilter, METHODS,
                         build_index, build_pseudo_decomposition_dataset,
                         load_index, read_dataset_tsv, save_index,
                         write_dataset_tsv, DATASET_COLUMNS, _tsv_field)
@@ -258,32 +258,26 @@ def cmd_route(args):
 
 
 BUILD_INDEX_DEFAULTS = {
-    "corpus": None, "out": None, "vectors": None, "tfidf": False,
+    "corpus": None, "out": None, "vectors": None,
     "min_tokens": 4, "max_tokens": 20, "no_length_filter": False,
 }
 
 
 def cmd_build_index(args):
-    opts = _resolve(args, BUILD_INDEX_DEFAULTS, required=("corpus", "out"))
+    opts = _resolve(args, BUILD_INDEX_DEFAULTS,
+                    required=("corpus", "vectors", "out"))
     questions = []
     for path in opts["corpus"]:
         questions.extend(load_corpus(path).questions)
     merged = QuestionCorpus(tuple(questions))
-    if opts["tfidf"]:
-        source = tfidf_fit(merged)
-    else:
-        if not opts["vectors"]:
-            raise UsageError("--vectors is required unless --tfidf is set")
-        source = load_vector_table(opts["vectors"])
+    table = load_vector_table(opts["vectors"])
     filters = None if opts["no_length_filter"] else LengthFilter(
         min_tokens=opts["min_tokens"], max_tokens=opts["max_tokens"])
-    index = build_index(merged, source, filters)
+    index = build_index(merged, table, filters)
     save_index(index, opts["out"])
-    if opts["tfidf"]:
-        save_tfidf(source, os.path.join(opts["out"], "tfidf.json"))
     _progress(f"build-index: {len(index)} rows, {index.oov_excluded} without "
               f"vocabulary, {index.filtered_out} outside length bounds")
-    inputs = list(opts["corpus"]) + ([opts["vectors"]] if opts["vectors"] else [])
+    inputs = list(opts["corpus"]) + [opts["vectors"]]
     _write_manifest(opts, "build-index", _config_snapshot(opts), inputs,
                     opts["out"])
     return 0
@@ -297,10 +291,8 @@ DECOMPOSE_DEFAULTS = {
 
 
 def _load_query_source(index, opts):
-    if index.source == SOURCE_TFIDF:
-        return load_tfidf(os.path.join(opts["index"], "tfidf.json"))
     if not opts["vectors"]:
-        raise UsageError("--vectors is required for a word-vector index")
+        raise UsageError("missing required option --vectors")
     table = load_vector_table(opts["vectors"])
     dim = index.unit_matrix.shape[1]
     if table.dim != dim:
@@ -329,9 +321,7 @@ def cmd_decompose(args):
         _progress(f"decompose: skipped {qid}: {reason}")
     _progress(f"decompose: wrote {len(result.records)} records, "
               f"skipped {len(result.failures)}")
-    inputs = [opts["questions"], opts["index"]]
-    if opts["vectors"]:
-        inputs.append(opts["vectors"])
+    inputs = [opts["questions"], opts["index"], opts["vectors"]]
     _write_manifest(opts, "decompose", _config_snapshot(opts), inputs,
                     opts["out"])
     return 0
@@ -432,6 +422,11 @@ def cmd_synth_eval(args):
                     required=("corpus", "index", "out", "objective"))
     if opts["objective"] not in OBJECTIVES:
         raise UsageError(f"--objective must be one of {', '.join(OBJECTIVES)}")
+    if opts["k"] < opts["n"]:
+        raise UsageError(f"--k {opts['k']} is below --n {opts['n']}: no "
+                         f"size-{opts['n']} subset of the top K can be ranked")
+    if opts["count"] < 1:
+        raise UsageError(f"--count must be at least 1, got {opts['count']}")
     index = load_index(opts["index"])
     source = _load_query_source(index, opts)
     corpus = load_corpus(opts["corpus"])
@@ -451,9 +446,7 @@ def cmd_synth_eval(args):
     }
     _write_json(payload, opts["out"])
     print(json.dumps(payload, sort_keys=True))
-    inputs = [opts["corpus"], opts["index"]]
-    if opts["vectors"]:
-        inputs.append(opts["vectors"])
+    inputs = [opts["corpus"], opts["index"], opts["vectors"]]
     _write_manifest(opts, "synth-eval", _config_snapshot(opts), inputs,
                     opts["out"])
     return 0
@@ -537,8 +530,6 @@ def build_parser():
     p = add("build-index", cmd_build_index, "embed a corpus into an index")
     p.add_argument("--corpus", action="append", help="corpus JSONL (repeatable)")
     p.add_argument("--vectors", help="word-vector text file")
-    p.add_argument("--tfidf", action="store_true",
-                   help="use tf-idf embeddings fitted on the corpus")
     p.add_argument("--out", help="index output directory")
     p.add_argument("--min-tokens", dest="min_tokens", type=int)
     p.add_argument("--max-tokens", dest="max_tokens", type=int)
@@ -548,7 +539,7 @@ def build_parser():
     p = add("decompose", cmd_decompose, "retrieve pseudo-decompositions")
     p.add_argument("--questions", help="questions corpus JSONL")
     p.add_argument("--index", help="index directory")
-    p.add_argument("--vectors", help="word-vector file (word-vector indexes)")
+    p.add_argument("--vectors", help="word-vector file the index was built from")
     p.add_argument("--out", help="output TSV")
     p.add_argument("--method", choices=METHODS)
     p.add_argument("--k", type=int)
@@ -583,7 +574,7 @@ def build_parser():
             "rank gold subsets of synthetic composites")
     p.add_argument("--corpus", help="single-hop corpus JSONL")
     p.add_argument("--index", help="index directory over that corpus")
-    p.add_argument("--vectors", help="word-vector file (word-vector indexes)")
+    p.add_argument("--vectors", help="word-vector file the index was built from")
     p.add_argument("--objective", choices=OBJECTIVES)
     p.add_argument("--n", type=int, choices=(2, 3))
     p.add_argument("--count", type=int)

@@ -1,11 +1,8 @@
-"""Word-vector tables, summed bag-of-words embeddings, cosine, and TF-IDF.
+"""Word-vector tables, summed bag-of-words embeddings, and cosine.
 
 Vector tables are stored in 32-bit floats; accumulation happens in 64-bit.
 """
 
-import json
-import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,70 +132,3 @@ def cosine(v1, v2):
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine is undefined for zero vectors")
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-@dataclass
-class TfidfModel:
-    """Term index plus smoothed idf weights fitted on one corpus."""
-
-    vocabulary: dict
-    idf: np.ndarray
-    corpus_size: int
-
-
-def tfidf_fit(corpus):
-    """Fit vocabulary and idf = ln((1 + n) / (1 + df)) + 1 on a corpus."""
-    if len(corpus) == 0:
-        raise ValueError("cannot fit tf-idf on an empty corpus")
-    df = Counter()
-    for q in corpus:
-        df.update(set(q.tokens))
-    terms = sorted(df)
-    n = len(corpus)
-    idf = np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in terms],
-                   dtype=np.float64)
-    return TfidfModel(vocabulary={t: i for i, t in enumerate(terms)},
-                      idf=idf, corpus_size=n)
-
-
-def tfidf_embed(tokens, model):
-    """L2-normalized sparse tf-idf vector as {term index: weight}.
-
-    Unseen terms are ignored; a text with no in-vocabulary terms is an error
-    (its vector would be zero and cannot be normalized).
-    """
-    counts = Counter(t for t in tokens if t in model.vocabulary)
-    if not counts:
-        raise ValueError("no in-vocabulary terms: zero tf-idf vector")
-    items = sorted((model.vocabulary[t], c) for t, c in counts.items())
-    weights = np.array([c * model.idf[i] for i, c in items], dtype=np.float64)
-    norm = float(np.linalg.norm(weights))
-    return {i: float(w / norm) for (i, _), w in zip(items, weights)}
-
-
-def sparse_to_dense(vec, dim):
-    """Densify a {index: weight} sparse vector."""
-    out = np.zeros(dim, dtype=np.float64)
-    for i, w in vec.items():
-        out[i] = w
-    return out
-
-
-def save_tfidf(model, path):
-    payload = {
-        "schema_version": 1,
-        "vocabulary": model.vocabulary,
-        "idf": [float(x) for x in model.idf],
-        "corpus_size": model.corpus_size,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
-        fh.write("\n")
-
-
-def load_tfidf(path):
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return TfidfModel(vocabulary=payload["vocabulary"],
-                      idf=np.array(payload["idf"], dtype=np.float64),
-                      corpus_size=payload["corpus_size"])

@@ -14,6 +14,7 @@ plus a seeded uniform random baseline.
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -21,12 +22,11 @@ from itertools import combinations
 import numpy as np
 
 from .corpus import QuestionCorpus
-from .embeddings import (TfidfModel, VectorTable, embed_text_sum,
-                         sparse_to_dense, tfidf_embed, unit_normalize)
+from .embeddings import embed_text_sum, unit_normalize
 from .rng import child_seed
 
+# the one embedding an index holds, named in its meta.json
 SOURCE_VECTORS = "sum-of-word-vectors"
-SOURCE_TFIDF = "tfidf"
 
 METHOD_FIXED = "fixed2"
 METHOD_GENERAL = "general"
@@ -81,7 +81,6 @@ class EmbeddedIndex:
     texts: tuple
     unit_matrix: np.ndarray
     raw_matrix: np.ndarray
-    source: str
     oov_excluded: int = 0
     filtered_out: int = 0
 
@@ -114,20 +113,15 @@ class EmbeddedIndex:
 
 
 def embed_query(source, tokens):
-    """(raw float64 vector, unit vector) for a token list under either source.
+    """(raw float64 vector, unit vector): the summed word vectors of a
+    token list under a VectorTable.
 
     Raises ValueError when no token is in vocabulary.
     """
-    if isinstance(source, VectorTable):
-        emb = embed_text_sum(tokens, source)
-        if emb.is_zero:
-            raise ValueError("text has no in-vocabulary tokens")
-        raw = emb.vector
-    elif isinstance(source, TfidfModel):
-        raw = sparse_to_dense(tfidf_embed(tokens, source), len(source.vocabulary))
-    else:
-        raise ValueError(f"unsupported embedding source: {type(source).__name__}")
-    return raw, unit_normalize(raw)
+    emb = embed_text_sum(tokens, source)
+    if emb.is_zero:
+        raise ValueError("text has no in-vocabulary tokens")
+    return emb.vector, unit_normalize(emb.vector)
 
 
 def build_index(corpus, source, filters=None):
@@ -159,10 +153,9 @@ def build_index(corpus, source, filters=None):
         raws.append(raw.astype(np.float32))
     if not ids:
         raise ValueError("index is empty after filtering and vocabulary checks")
-    tag = SOURCE_VECTORS if isinstance(source, VectorTable) else SOURCE_TFIDF
     return EmbeddedIndex(ids=tuple(ids), texts=tuple(texts),
                          unit_matrix=np.vstack(units), raw_matrix=np.vstack(raws),
-                         source=tag, oov_excluded=oov, filtered_out=filtered)
+                         oov_excluded=oov, filtered_out=filtered)
 
 
 def save_index(index, dirpath):
@@ -170,7 +163,7 @@ def save_index(index, dirpath):
     os.makedirs(dirpath, exist_ok=True)
     meta = {
         "schema_version": 1,
-        "source": index.source,
+        "source": SOURCE_VECTORS,
         "dim": int(index.unit_matrix.shape[1]),
         "rows": len(index.ids),
         "oov_excluded": index.oov_excluded,
@@ -202,20 +195,27 @@ def _load_matrix(path, shape):
 def load_index(dirpath):
     """Read an index written by save_index.
 
-    Raises ValueError when meta.json's rows, ids and texts disagree, or when
+    Raises ValueError when meta.json names another source than summed word
+    vectors, when its rows, ids and texts disagree or an id repeats, or when
     unit.npy or raw.npy is not a finite float32 (rows, dim) matrix.
     """
     meta_path = os.path.join(dirpath, "meta.json")
     with open(meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
+    if meta.get("source") != SOURCE_VECTORS:
+        raise ValueError(f"{meta_path}: index source is {meta.get('source')!r}, "
+                         f"only {SOURCE_VECTORS!r} indexes can be read")
     rows, dim = meta["rows"], meta["dim"]
     if not len(meta["ids"]) == len(meta["texts"]) == rows:
         raise ValueError(f"{meta_path}: rows is {rows}, but it lists "
                          f"{len(meta['ids'])} ids and {len(meta['texts'])} texts")
+    if len(set(meta["ids"])) != rows:
+        [(repeated, _)] = Counter(meta["ids"]).most_common(1)
+        raise ValueError(f"{meta_path}: id {repeated!r} is listed more than once")
     unit, raw = (_load_matrix(os.path.join(dirpath, name), (rows, dim))
                  for name in ("unit.npy", "raw.npy"))
     return EmbeddedIndex(ids=tuple(meta["ids"]), texts=tuple(meta["texts"]),
-                         unit_matrix=unit, raw_matrix=raw, source=meta["source"],
+                         unit_matrix=unit, raw_matrix=raw,
                          oov_excluded=meta["oov_excluded"],
                          filtered_out=meta["filtered_out"])
 
@@ -569,10 +569,14 @@ class DecomposeConfig:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {', '.join(METHODS)}, "
                              f"got {self.method!r}")
-        if self.method != METHOD_RANDOM and self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
         if self.method == METHOD_GENERAL and self.n < 2:
             raise ValueError(f"n must be at least 2 for general, got {self.n}")
+        # a pool of fewer than the subset size yields no decomposition at all
+        least_k = {METHOD_FIXED: 2, METHOD_GENERAL: self.n,
+                   METHOD_VARIABLE: 1}.get(self.method)
+        if least_k is not None and self.k < least_k:
+            raise ValueError(f"k must be at least {least_k} for {self.method}, "
+                             f"got {self.k}")
         if self.method == METHOD_RANDOM and self.n < 1:
             raise ValueError(f"n must be at least 1 for random, got {self.n}")
         if self.method == METHOD_VARIABLE:

@@ -103,13 +103,16 @@ def decomposition_rank(objective, composite, gold_sub_ids, index, source, k):
     """Rank of the gold subset among all size-n subsets of the top-K pool.
 
     Gold ids must exist in the index; gold outside the top-K pool gets the
-    worst rank (subset count plus one). Strictly-better scores only.
+    worst rank (subset count plus one). Strictly-better scores only. K must
+    be at least n, since below it that worst rank would be 1.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     n = len(gold_sub_ids)
     if n < 2 or n > 3:
         raise ValueError("rank evaluation covers 2- or 3-part composites")
+    if k < n:
+        raise ValueError(f"K={k} is below the subset size {n}")
     for gid in gold_sub_ids:
         if gid not in index:
             raise ValueError(f"gold sub-question {gid!r} is not in the index")

@@ -211,7 +211,10 @@ def indexed(workspace):
     ["--method", "variable", "--max-n", "0"],
     ["--method", "variable", "--beam-width", "0"],
     ["--workers", "0"],
-], ids=["k", "general-n", "random-n", "max-n", "beam-width", "workers"])
+    ["--k", "1"],
+    ["--method", "general", "--n", "4", "--k", "3"],
+], ids=["k", "general-n", "random-n", "max-n", "beam-width", "workers",
+        "fixed2-k", "general-k"])
 def test_decompose_bad_flag_is_usage_error(indexed, capsys, flags):
     out = indexed["tmp"] / "pseudo.tsv"
     assert main(["decompose", "--questions", str(indexed["single"]),
@@ -247,25 +250,31 @@ def with_nan(matrix):
     return matrix
 
 
-@pytest.mark.parametrize("name, corrupt, shape", [
-    ("unit.npy", lambda m: np.vstack([m, m[:5]]), "(65, 24)"),
-    ("unit.npy", lambda m: m[:-5], "(55, 24)"),
-    ("unit.npy", with_nan, "NaN"),
-    ("raw.npy", lambda m: np.ascontiguousarray(m[:, :10]), "(60, 10)"),
-], ids=["extra-rows", "missing-rows", "nan", "narrow-raw"])
+@pytest.mark.parametrize("name, corrupt, shown", [
+    ("unit.npy", lambda m: np.vstack([m, m[:5]]), ["(65, 24)", "(60, 24)"]),
+    ("unit.npy", lambda m: m[:-5], ["(55, 24)", "(60, 24)"]),
+    ("unit.npy", with_nan, ["NaN"]),
+    ("raw.npy", lambda m: np.ascontiguousarray(m[:, :10]),
+     ["(60, 10)", "(60, 24)"]),
+    ("meta.json", lambda meta: dict(meta, ids=["dup"] * meta["rows"]),
+     ["'dup'"]),
+    ("meta.json", lambda meta: dict(meta, source="tfidf"), ["'tfidf'"]),
+], ids=["extra-rows", "missing-rows", "nan", "narrow-raw", "repeated-id",
+        "other-source"])
 def test_index_contradicting_meta_is_data_error(indexed, capsys, name,
-                                                corrupt, shape):
+                                                corrupt, shown):
     path = indexed["idx"] / name
-    np.save(path, corrupt(np.load(path)))
+    if name == "meta.json":
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    else:
+        np.save(path, corrupt(np.load(path)))
     out = indexed["tmp"] / "pseudo.tsv"
     assert main(["decompose", "--questions", str(indexed["single"]),
                  "--index", str(indexed["idx"]),
                  "--vectors", str(indexed["vec"]), "--out", str(out),
                  "--method", "variable", "--k", "20"]) == 2
     err = capsys.readouterr().err
-    assert str(path) in err and shape in err
-    if shape != "NaN":
-        assert "(60, 24)" in err
+    assert str(path) in err and all(text in err for text in shown)
     assert not out.exists()
 
 
@@ -300,6 +309,22 @@ def test_synth_eval_command(workspace, capsys):
     assert 0.0 < rep["mrr"] <= 1.0
     ranks = json.loads((tmp / "mrr.json.ranks.json").read_text())
     assert len(ranks) == 10
+
+
+@pytest.mark.parametrize("flags", [
+    ["--k", "2", "--n", "3"],
+    ["--k", "0"],
+    ["--count", "0"],
+], ids=["k-below-n", "k", "count"])
+def test_synth_eval_bad_flag_is_usage_error(indexed, capsys, flags):
+    out = indexed["tmp"] / "mrr.json"
+    assert main(["synth-eval", "--corpus", str(indexed["single"]),
+                 "--index", str(indexed["idx"]),
+                 "--vectors", str(indexed["vec"]), "--objective",
+                 "sum-distance", "--out", str(out)] + flags) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (indexed["tmp"] / "mrr.json.ranks.json").exists()
 
 
 def test_recompose_command(tmp_path, capsys):

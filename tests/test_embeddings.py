@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,18 +5,11 @@ from hypothesis import given, strategies as st
 from qdecomp.embeddings import (
     cosine,
     embed_text_sum,
-    load_tfidf,
     load_vector_table,
     make_vector_table,
-    save_tfidf,
     save_vector_table,
-    sparse_to_dense,
-    tfidf_embed,
-    tfidf_fit,
     unit_normalize,
 )
-
-from conftest import make_corpus
 
 
 def test_embed_text_sum_adds_known_words(tiny_table):
@@ -96,60 +87,3 @@ def test_vector_table_rejects_nonfinite(tmp_path):
     with pytest.raises(ValueError, match=r":1:"):
         load_vector_table(p)
 
-
-def test_tfidf_idf_formula():
-    # df("who")=2, df("hamlet")=1, n=2; idf = ln((1+n)/(1+df)) + 1
-    c = make_corpus(["who wrote hamlet", "who is it"])
-    model = tfidf_fit(c)
-    n = 2
-    assert model.corpus_size == n
-    who = model.idf[model.vocabulary["who"]]
-    ham = model.idf[model.vocabulary["hamlet"]]
-    assert who == pytest.approx(math.log((1 + n) / (1 + 2)) + 1)
-    assert ham == pytest.approx(math.log((1 + n) / (1 + 1)) + 1)
-    # vocabulary indices follow sorted term order
-    assert list(model.vocabulary) == sorted(model.vocabulary)
-
-
-def test_tfidf_embed_unit_norm():
-    c = make_corpus(["who wrote hamlet", "who is it", "what is love"])
-    model = tfidf_fit(c)
-    vec = tfidf_embed(["who", "is", "love"], model)
-    norm = math.sqrt(sum(w * w for w in vec.values()))
-    assert norm == pytest.approx(1.0, abs=1e-12)
-
-
-def test_tfidf_embed_ignores_unseen_and_rejects_all_unseen():
-    c = make_corpus(["who wrote hamlet"])
-    model = tfidf_fit(c)
-    a = tfidf_embed(["who", "zzz"], model)
-    b = tfidf_embed(["who"], model)
-    assert a == b
-    with pytest.raises(ValueError):
-        tfidf_embed(["zzz"], model)
-
-
-def test_tfidf_repeated_terms_raise_weight():
-    c = make_corpus(["a b", "a c", "b c"])
-    model = tfidf_fit(c)
-    once = tfidf_embed(["a", "b"], model)
-    twice = tfidf_embed(["a", "a", "b"], model)
-    ia = model.vocabulary["a"]
-    assert twice[ia] > once[ia]
-
-
-def test_sparse_to_dense():
-    dense = sparse_to_dense({0: 0.5, 3: -1.0}, 5)
-    np.testing.assert_array_equal(dense, [0.5, 0.0, 0.0, -1.0, 0.0])
-
-
-def test_tfidf_save_load_round_trip(tmp_path):
-    c = make_corpus(["who wrote hamlet", "what is love"])
-    model = tfidf_fit(c)
-    p = tmp_path / "tfidf.json"
-    save_tfidf(model, p)
-    back = load_tfidf(p)
-    assert back.vocabulary == model.vocabulary
-    assert back.corpus_size == model.corpus_size
-    np.testing.assert_array_equal(back.idf, model.idf)
-    assert tfidf_embed(["who", "love"], back) == tfidf_embed(["who", "love"], model)

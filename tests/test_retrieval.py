@@ -13,7 +13,6 @@ from qdecomp.retrieval import (
     EXHAUSTIVE_SUBSET_CAP,
     EmbeddedIndex,
     LengthFilter,
-    SOURCE_VECTORS,
     PseudoDecomposition,
     build_index,
     build_pseudo_decomposition_dataset,
@@ -130,7 +129,7 @@ def scan_cases(draw):
 def test_batched_topk_equals_full_float64_scan(case):
     rows, ids, queries, k = case
     index = EmbeddedIndex(ids=ids, texts=ids, unit_matrix=rows,
-                          raw_matrix=rows, source=SOURCE_VECTORS)
+                          raw_matrix=rows)
     got = retrieval._topk_rows(index, queries, k)
     assert len(got) == len(queries)
     for q, (got_rows, got_scores) in zip(queries, got):
@@ -351,7 +350,6 @@ def test_index_save_load_round_trip(tmp_path):
     back = load_index(d)
     assert back.ids == index.ids
     assert back.texts == index.texts
-    assert back.source == index.source
     assert back.oov_excluded == index.oov_excluded
     assert back.filtered_out == index.filtered_out
     np.testing.assert_array_equal(back.unit_matrix, index.unit_matrix)
@@ -470,6 +468,8 @@ def test_dataset_build_equals_per_question_calls(monkeypatch, method, params):
     {"method": "variable", "beam_width": 0},
     {"workers": 0},
     {"method": "nearest"},
+    {"k": 1},
+    {"method": "general", "n": 4, "k": 3},
 ])
 def test_decompose_config_rejects_bad_values(fields):
     with pytest.raises(ValueError):
@@ -479,6 +479,8 @@ def test_decompose_config_rejects_bad_values(fields):
 def test_decompose_config_checks_only_what_the_method_uses():
     DecomposeConfig(method="random", k=0, n=1)
     DecomposeConfig(method="fixed2", n=0, max_n=0, beam_width=0)
+    DecomposeConfig(method="general", n=4, k=4)
+    DecomposeConfig(method="variable", k=1)
 
 
 def test_dataset_build_records_failures():

@@ -114,6 +114,9 @@ def test_rank_rejects_bad_subset_size():
     with pytest.raises(ValueError):
         decomposition_rank(OBJECTIVE_SUM_DISTANCE, composite, ("c00000000",),
                            index, table, k=4)
+    with pytest.raises(ValueError, match="below the subset size"):
+        decomposition_rank(OBJECTIVE_SUM_DISTANCE, composite,
+                           ("c00000000", "c00000001"), index, table, k=1)
 
 
 def test_synthetic_corpus_is_deterministic_and_question_like():
