@@ -21,8 +21,7 @@ from .retrieval import (DecomposeConfig, EmbeddedIndex, LengthFilter,
 from .editing import (EntitySpan, detect_entities, edit_pseudo_decomposition,
                       edit_sub_question_texts)
 from .noising import NoiseConfig, local_shuffle, noise_tokens, word_dropout
-from .metrics import (DecompositionReport, RoundTripRecord, StoppingState,
-                      bleu, decomposition_report, edit_distance,
+from .metrics import (RoundTripRecord, StoppingState, bleu, edit_distance,
                       is_good_decomposition, length_ratio, roundtrip_report,
                       scaled_roundtrip_bleu, stopping_decision)
 from .recompose import (ParagraphLogits, ensemble_average, predict_answer,

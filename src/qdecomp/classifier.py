@@ -19,6 +19,17 @@ class TrainingConfig:
     min_count: int = 1
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("dim", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, "
+                                 f"got {getattr(self, name)}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive, "
+                             f"got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+
 
 @dataclass
 class LinearTextClassifier:

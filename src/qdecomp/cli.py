@@ -67,34 +67,102 @@ def _digest_path(path):
     return _digest_file(path)
 
 
-def _write_manifest(opts, subcommand, config, inputs, primary_out):
-    path = opts.get("manifest") or f"{primary_out}.manifest.json"
-    payload = {
-        "schema_version": 1,
-        "tool": "qdecomp",
-        "version": __version__,
-        "subcommand": subcommand,
-        "config": config,
-        "inputs": {p: _digest_path(p) for p in inputs if p},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _write_json(payload, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def _resolve(args, defaults, required):
-    """Merge defaults, then --config values, then explicitly passed flags."""
-    provided = {k: v for k, v in vars(args).items()
-                if k not in ("func", "command")}
-    config_path = provided.pop("config", None)
-    merged = dict(defaults)
-    merged["manifest"] = None
+def _write_manifest(opts, subcommand, inputs, primary_out):
+    payload = {
+        "schema_version": 1,
+        "tool": "qdecomp",
+        "version": __version__,
+        "subcommand": subcommand,
+        "config": {k: v for k, v in opts.items() if k != "manifest"},
+        "inputs": {p: _digest_path(p) for p in inputs if p},
+    }
+    _write_json(payload, opts["manifest"] or f"{primary_out}.manifest.json")
+
+
+# ---------------------------------------------------------------------------
+# option declarations
+
+REQUIRED = object()  # default of an option that must be given
+COMMANDS = {}  # subcommand -> (function, help text, option rows)
+
+
+def _opt(flag, default=None, **keywords):
+    """One option row: flag, default, argparse keywords (type, choices,
+    action, help). Its key in opts and in config files is the flag's dest."""
+    return flag, default, keywords
+
+
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+_COMMON = (_opt("--config", help="JSON config file or previous manifest"),
+           _opt("--manifest", help="manifest output path"))
+
+
+def _command(name, help_text, *options):
+    def register(func):
+        COMMANDS[name] = (func, help_text, _COMMON + options)
+        return func
+    return register
+
+
+def _given(namespace):
+    return {k: v for k, v in vars(namespace).items()
+            if k not in ("func", "command")}
+
+
+def _config_tokens(flag, keywords, value):
+    """argv tokens for one config value; a wrong JSON type is a usage error."""
+    action = keywords.get("action")
+    if action == "store_true":
+        ok, kind = isinstance(value, bool), "true or false"
+        tokens = [flag] if value is True else []
+    elif action == "append":
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        kind = "a list of strings"
+        tokens = [f"{flag}={v}" for v in value] if ok else []
+    else:
+        numeric = "type" in keywords
+        ok = (not isinstance(value, bool)
+              and isinstance(value, (int, float) if numeric else str))
+        kind = "a number" if numeric else "a string"
+        tokens = [f"{flag}={value}"]
+    if not ok:
+        raise UsageError(f"{flag} takes {kind}, got {json.dumps(value)}")
+    return tokens
+
+
+def _resolve(parser, args):
+    """Merge defaults, then --config values, then explicitly passed flags.
+
+    A config file is a JSON object keyed by option dest, or a previous run's
+    manifest, whose "config" object is used. Each value is turned into argv
+    tokens and parsed by the subcommand's own parser, so it passes exactly
+    the checks of its flag:
+
+    - null means the option was not given, so its default applies;
+    - a switch (--dedup, --no-length-filter) takes true or false;
+    - a repeatable flag (--labeled, --corpus, --logits) takes a list of
+      strings, and the same flag on the command line replaces the list;
+    - an option with a numeric type takes a number and any other option a
+      string, parsed by the flag's type= and choices=; booleans, lists and
+      objects are rejected.
+
+    A value that breaks a rule, an unknown key and a missing required option
+    are usage errors, raised before any input is read.
+    """
+    options = COMMANDS[args.command][2]
+    given = _given(args)
+    config_path = given.pop("config", None)
+    opts = {_dest(flag): None if default is REQUIRED else default
+            for flag, default, _ in options if flag != "--config"}
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -102,34 +170,48 @@ def _resolve(args, defaults, required):
             cfg = cfg["config"]  # accept a previous run's manifest
         if not isinstance(cfg, dict):
             raise UsageError(f"{config_path}: config must be a JSON object")
-        unknown = set(cfg) - set(merged)
+        unknown = set(cfg) - set(opts)
         if unknown:
             raise UsageError(
                 f"{config_path}: unknown config keys: {sorted(unknown)}")
-        merged.update(cfg)
-    merged.update(provided)
-    for key in required:
-        if merged.get(key) in (None, []):
-            raise UsageError(f"missing required option --{key.replace('_', '-')}")
-    return merged
+        rows = {_dest(flag): (flag, kw) for flag, _, kw in options}
+        for key, value in cfg.items():
+            if value is None:
+                continue
+            try:
+                tokens = _config_tokens(*rows[key], value)
+                opts.update(_given(parser.parse_args([args.command] + tokens)))
+            except UsageError as exc:
+                raise UsageError(f"{config_path}: key {key!r}: {exc}") from exc
+    opts.update(given)
+    for flag, default, _ in options:
+        if default is REQUIRED and opts[_dest(flag)] in (None, []):
+            raise UsageError(f"missing required option {flag}")
+    return opts
 
 
-def _config_snapshot(opts, skip=("manifest",)):
-    return {k: v for k, v in sorted(opts.items()) if k not in skip}
+def _checked(config_class, **fields):
+    """A validated config object; a value it rejects is a usage error."""
+    try:
+        return config_class(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-EXTRACT_DEFAULTS = {
-    "lines": None, "out": None,
-    "wh_words": ",".join(sorted(DEFAULT_WH_WORDS)),
-    "id_prefix": "", "dedup": False, "label": None,
-}
-
-
-def cmd_extract(args):
-    opts = _resolve(args, EXTRACT_DEFAULTS, required=("lines", "out"))
+@_command("extract", "harvest question lines from raw text",
+          _opt("--lines", REQUIRED,
+               help="input text file, one sentence per line"),
+          _opt("--out", REQUIRED, help="output corpus JSONL"),
+          _opt("--wh-words", ",".join(sorted(DEFAULT_WH_WORDS)),
+               help="comma-separated question-word list"),
+          _opt("--id-prefix", "", help="id namespace prefix"),
+          _opt("--dedup", False, action="store_true",
+               help="drop exact duplicate lines"),
+          _opt("--label", help="corpus label"))
+def cmd_extract(opts):
     with open(opts["lines"], encoding="utf-8") as fh:
         lines = fh.readlines()
     wh = frozenset(w.strip().lower() for w in opts["wh_words"].split(",")
@@ -140,16 +222,8 @@ def cmd_extract(args):
     corpus = QuestionCorpus(tuple(questions), label=opts["label"])
     save_corpus(corpus, opts["out"])
     _progress(f"extract: kept {len(questions)} of {len(lines)} lines")
-    _write_manifest(opts, "extract", _config_snapshot(opts),
-                    [opts["lines"]], opts["out"])
+    _write_manifest(opts, "extract", [opts["lines"]], opts["out"])
     return 0
-
-
-TRAIN_DEFAULTS = {
-    "labeled": None, "out": None, "report": None,
-    "dim": 32, "epochs": 5, "learning_rate": 0.1, "batch_size": 8,
-    "min_count": 1, "holdout": 0.1, "seed": 0,
-}
 
 
 def _split_holdout(corpus, fraction, rng):
@@ -161,8 +235,20 @@ def _split_holdout(corpus, fraction, rng):
     return train, hold
 
 
-def cmd_train_classifier(args):
-    opts = _resolve(args, TRAIN_DEFAULTS, required=("labeled", "out"))
+@_command("train-classifier", "train the question-type classifier",
+          _opt("--labeled", REQUIRED, action="append", metavar="LABEL=PATH",
+               help="labeled corpus (repeatable)"),
+          _opt("--out", REQUIRED, help="model output path"),
+          _opt("--report", help="training report JSON path"),
+          _opt("--dim", 32, type=int),
+          _opt("--epochs", 5, type=int),
+          _opt("--learning-rate", 0.1, type=float),
+          _opt("--batch-size", 8, type=int),
+          _opt("--min-count", 1, type=int),
+          _opt("--holdout", 0.1, type=float,
+               help="held-out fraction per corpus for evaluation"),
+          _opt("--seed", 0, type=int))
+def cmd_train_classifier(opts):
     pairs = []
     for spec in opts["labeled"]:
         label, sep, path = spec.partition("=")
@@ -171,6 +257,10 @@ def cmd_train_classifier(args):
         pairs.append((label, path))
     if not 0.0 <= opts["holdout"] < 1.0:
         raise UsageError("--holdout must be in [0, 1)")
+    config = _checked(TrainingConfig, dim=opts["dim"], epochs=opts["epochs"],
+                      learning_rate=opts["learning_rate"],
+                      batch_size=opts["batch_size"],
+                      min_count=opts["min_count"], seed=opts["seed"])
     train_sets = []
     heldout_sets = []
     rng = substream(opts["seed"], "classifier-split")
@@ -183,10 +273,6 @@ def cmd_train_classifier(args):
         train_sets.append((QuestionCorpus(train_qs, label=label), label))
         if hold_qs:
             heldout_sets.append((QuestionCorpus(hold_qs, label=label), label))
-    config = TrainingConfig(dim=opts["dim"], epochs=opts["epochs"],
-                            learning_rate=opts["learning_rate"],
-                            batch_size=opts["batch_size"],
-                            min_count=opts["min_count"], seed=opts["seed"])
     model = train_classifier(train_sets, config)
     save_classifier(model, opts["out"])
     report = {
@@ -203,16 +289,16 @@ def cmd_train_classifier(args):
     print(json.dumps(report, sort_keys=True))
     _progress(f"train-classifier: {report['train_examples']} train examples, "
               f"heldout accuracy {report['heldout_accuracy']}")
-    _write_manifest(opts, "train-classifier", _config_snapshot(opts),
-                    [p for _, p in pairs], opts["out"])
+    _write_manifest(opts, "train-classifier", [p for _, p in pairs],
+                    opts["out"])
     return 0
 
 
-CLASSIFY_DEFAULTS = {"model": None, "corpus": None, "out": None}
-
-
-def cmd_classify(args):
-    opts = _resolve(args, CLASSIFY_DEFAULTS, required=("model", "corpus", "out"))
+@_command("classify", "label a corpus with a trained model",
+          _opt("--model", REQUIRED),
+          _opt("--corpus", REQUIRED),
+          _opt("--out", REQUIRED, help="predictions JSONL"))
+def cmd_classify(opts):
     model = load_classifier(opts["model"])
     corpus = load_corpus(opts["corpus"])
     with open(opts["out"], "w", encoding="utf-8") as fh:
@@ -226,21 +312,19 @@ def cmd_classify(args):
             }, ensure_ascii=False, sort_keys=True))
             fh.write("\n")
     _progress(f"classify: labeled {len(corpus)} questions")
-    _write_manifest(opts, "classify", _config_snapshot(opts),
-                    [opts["model"], opts["corpus"]], opts["out"])
+    _write_manifest(opts, "classify", [opts["model"], opts["corpus"]],
+                    opts["out"])
     return 0
 
 
-ROUTE_DEFAULTS = {
-    "model": None, "mined": None, "single_label": None, "multi_label": None,
-    "out_single": None, "out_multi": None,
-}
-
-
-def cmd_route(args):
-    opts = _resolve(args, ROUTE_DEFAULTS,
-                    required=("model", "mined", "single_label", "multi_label",
-                              "out_single", "out_multi"))
+@_command("route", "partition mined questions by predicted label",
+          _opt("--model", REQUIRED),
+          _opt("--mined", REQUIRED, help="mined corpus JSONL"),
+          _opt("--single-label", REQUIRED),
+          _opt("--multi-label", REQUIRED),
+          _opt("--out-single", REQUIRED),
+          _opt("--out-multi", REQUIRED))
+def cmd_route(opts):
     model = load_classifier(opts["model"])
     mined = load_corpus(opts["mined"])
     to_single, to_multi = route_mined_questions(model, mined,
@@ -252,20 +336,20 @@ def cmd_route(args):
               "discarded": len(mined) - len(to_single) - len(to_multi)}
     print(json.dumps(counts, sort_keys=True))
     _progress(f"route: {counts}")
-    _write_manifest(opts, "route", _config_snapshot(opts),
-                    [opts["model"], opts["mined"]], opts["out_single"])
+    _write_manifest(opts, "route", [opts["model"], opts["mined"]],
+                    opts["out_single"])
     return 0
 
 
-BUILD_INDEX_DEFAULTS = {
-    "corpus": None, "out": None, "vectors": None,
-    "min_tokens": 4, "max_tokens": 20, "no_length_filter": False,
-}
-
-
-def cmd_build_index(args):
-    opts = _resolve(args, BUILD_INDEX_DEFAULTS,
-                    required=("corpus", "vectors", "out"))
+@_command("build-index", "embed a corpus into an index",
+          _opt("--corpus", REQUIRED, action="append",
+               help="corpus JSONL (repeatable)"),
+          _opt("--vectors", REQUIRED, help="word-vector text file"),
+          _opt("--out", REQUIRED, help="index output directory"),
+          _opt("--min-tokens", 4, type=int),
+          _opt("--max-tokens", 20, type=int),
+          _opt("--no-length-filter", False, action="store_true"))
+def cmd_build_index(opts):
     questions = []
     for path in opts["corpus"]:
         questions.extend(load_corpus(path).questions)
@@ -278,21 +362,11 @@ def cmd_build_index(args):
     _progress(f"build-index: {len(index)} rows, {index.oov_excluded} without "
               f"vocabulary, {index.filtered_out} outside length bounds")
     inputs = list(opts["corpus"]) + [opts["vectors"]]
-    _write_manifest(opts, "build-index", _config_snapshot(opts), inputs,
-                    opts["out"])
+    _write_manifest(opts, "build-index", inputs, opts["out"])
     return 0
 
 
-DECOMPOSE_DEFAULTS = {
-    "questions": None, "index": None, "out": None, "vectors": None,
-    "method": "fixed2", "k": 1000, "n": 2, "max_n": 3, "beam_width": 100,
-    "seed": 0, "workers": 1,
-}
-
-
 def _load_query_source(index, opts):
-    if not opts["vectors"]:
-        raise UsageError("missing required option --vectors")
     table = load_vector_table(opts["vectors"])
     dim = index.unit_matrix.shape[1]
     if table.dim != dim:
@@ -302,16 +376,27 @@ def _load_query_source(index, opts):
     return table
 
 
-def cmd_decompose(args):
-    opts = _resolve(args, DECOMPOSE_DEFAULTS,
-                    required=("questions", "index", "out"))
-    try:
-        config = DecomposeConfig(method=opts["method"], k=opts["k"],
-                                 n=opts["n"], max_n=opts["max_n"],
-                                 beam_width=opts["beam_width"],
-                                 seed=opts["seed"], workers=opts["workers"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+@_command("decompose", "retrieve pseudo-decompositions",
+          _opt("--questions", REQUIRED, help="questions corpus JSONL"),
+          _opt("--index", REQUIRED, help="index directory"),
+          _opt("--vectors", REQUIRED,
+               help="word-vector file the index was built from"),
+          _opt("--out", REQUIRED, help="output TSV"),
+          _opt("--method", "fixed2", choices=METHODS),
+          _opt("--k", 1000, type=int),
+          _opt("--n", 2, type=int, help="subset size for general/random"),
+          _opt("--max-n", 3, type=int,
+               help="largest subset size for variable"),
+          _opt("--beam-width", 100, type=int),
+          _opt("--seed", 0, type=int),
+          _opt("--workers", 1, type=int,
+               help="accepted and checked (at least 1) for existing "
+                    "scripts; decompose runs on one thread"))
+def cmd_decompose(opts):
+    config = _checked(DecomposeConfig, method=opts["method"], k=opts["k"],
+                      n=opts["n"], max_n=opts["max_n"],
+                      beam_width=opts["beam_width"], seed=opts["seed"],
+                      workers=opts["workers"])
     index = load_index(opts["index"])
     source = _load_query_source(index, opts)
     questions = load_corpus(opts["questions"])
@@ -322,16 +407,15 @@ def cmd_decompose(args):
     _progress(f"decompose: wrote {len(result.records)} records, "
               f"skipped {len(result.failures)}")
     inputs = [opts["questions"], opts["index"], opts["vectors"]]
-    _write_manifest(opts, "decompose", _config_snapshot(opts), inputs,
-                    opts["out"])
+    _write_manifest(opts, "decompose", inputs, opts["out"])
     return 0
 
 
-EDIT_DEFAULTS = {"decompositions": None, "out": None}
-
-
-def cmd_edit(args):
-    opts = _resolve(args, EDIT_DEFAULTS, required=("decompositions", "out"))
+@_command("edit", "rewrite decomposition entities in a dataset",
+          _opt("--decompositions", REQUIRED,
+               help="dataset TSV from decompose"),
+          _opt("--out", REQUIRED, help="edited TSV"))
+def cmd_edit(opts):
     rows = read_dataset_tsv(opts["decompositions"])
     with open(opts["out"], "w", encoding="utf-8") as fh:
         for fields in rows:
@@ -343,20 +427,19 @@ def cmd_edit(args):
             fh.write("\t".join(fields))
             fh.write("\n")
     _progress(f"edit: rewrote {len(rows)} decompositions")
-    _write_manifest(opts, "edit", _config_snapshot(opts),
-                    [opts["decompositions"]], opts["out"])
+    _write_manifest(opts, "edit", [opts["decompositions"]], opts["out"])
     return 0
 
 
-NOISE_DEFAULTS = {
-    "corpus": None, "out": None,
-    "mask_prob": 0.15, "drop_prob": 0.1, "shuffle_window": 3,
-    "mask_token": "<mask>", "seed": 0,
-}
-
-
-def cmd_noise(args):
-    opts = _resolve(args, NOISE_DEFAULTS, required=("corpus", "out"))
+@_command("noise", "apply token noise to a corpus",
+          _opt("--corpus", REQUIRED),
+          _opt("--out", REQUIRED),
+          _opt("--mask-prob", 0.15, type=float),
+          _opt("--drop-prob", 0.1, type=float),
+          _opt("--shuffle-window", 3, type=int),
+          _opt("--mask-token", "<mask>"),
+          _opt("--seed", 0, type=int))
+def cmd_noise(opts):
     corpus = load_corpus(opts["corpus"])
     config = NoiseConfig(mask_prob=opts["mask_prob"],
                          drop_prob=opts["drop_prob"],
@@ -371,16 +454,15 @@ def cmd_noise(args):
                                 separators=(",", ":")))
             fh.write("\n")
     _progress(f"noise: rewrote {len(corpus)} questions")
-    _write_manifest(opts, "noise", _config_snapshot(opts), [opts["corpus"]],
-                    opts["out"])
+    _write_manifest(opts, "noise", [opts["corpus"]], opts["out"])
     return 0
 
 
-METRICS_DEFAULTS = {"records": None, "out": None}
-
-
-def cmd_metrics(args):
-    opts = _resolve(args, METRICS_DEFAULTS, required=("records", "out"))
+@_command("metrics", "score round-trip records",
+          _opt("--records", REQUIRED,
+               help="TSV of question, decomposition, round-trip question"),
+          _opt("--out", REQUIRED, help="report JSON"))
+def cmd_metrics(opts):
     records = []
     with open(opts["records"], encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -405,23 +487,23 @@ def cmd_metrics(args):
     }
     _write_json(payload, opts["out"])
     print(json.dumps(payload, sort_keys=True))
-    _write_manifest(opts, "metrics", _config_snapshot(opts),
-                    [opts["records"]], opts["out"])
+    _write_manifest(opts, "metrics", [opts["records"]], opts["out"])
     return 0
 
 
-SYNTH_EVAL_DEFAULTS = {
-    "corpus": None, "index": None, "out": None, "vectors": None,
-    "objective": None, "n": 3, "count": 200, "k": 100, "seed": 0,
-    "ranks_out": None,
-}
-
-
-def cmd_synth_eval(args):
-    opts = _resolve(args, SYNTH_EVAL_DEFAULTS,
-                    required=("corpus", "index", "out", "objective"))
-    if opts["objective"] not in OBJECTIVES:
-        raise UsageError(f"--objective must be one of {', '.join(OBJECTIVES)}")
+@_command("synth-eval", "rank gold subsets of synthetic composites",
+          _opt("--corpus", REQUIRED, help="single-hop corpus JSONL"),
+          _opt("--index", REQUIRED, help="index directory over that corpus"),
+          _opt("--vectors", REQUIRED,
+               help="word-vector file the index was built from"),
+          _opt("--objective", REQUIRED, choices=OBJECTIVES),
+          _opt("--n", 3, type=int, choices=(2, 3)),
+          _opt("--count", 200, type=int),
+          _opt("--k", 100, type=int),
+          _opt("--seed", 0, type=int),
+          _opt("--out", REQUIRED, help="report JSON"),
+          _opt("--ranks-out", help="per-question ranks JSON"))
+def cmd_synth_eval(opts):
     if opts["k"] < opts["n"]:
         raise UsageError(f"--k {opts['k']} is below --n {opts['n']}: no "
                          f"size-{opts['n']} subset of the top K can be ranked")
@@ -447,16 +529,15 @@ def cmd_synth_eval(args):
     _write_json(payload, opts["out"])
     print(json.dumps(payload, sort_keys=True))
     inputs = [opts["corpus"], opts["index"], opts["vectors"]]
-    _write_manifest(opts, "synth-eval", _config_snapshot(opts), inputs,
-                    opts["out"])
+    _write_manifest(opts, "synth-eval", inputs, opts["out"])
     return 0
 
 
-RECOMPOSE_DEFAULTS = {"logits": None, "out": None}
-
-
-def cmd_recompose(args):
-    opts = _resolve(args, RECOMPOSE_DEFAULTS, required=("logits", "out"))
+@_command("recompose", "ensemble span logits and rank answers",
+          _opt("--logits", REQUIRED, action="append",
+               help="paragraph logits JSONL (repeatable)"),
+          _opt("--out", REQUIRED, help="ranked spans JSON"))
+def cmd_recompose(opts):
     sets = [read_logits_jsonl(path) for path in opts["logits"]]
     paragraphs = sets[0] if len(sets) == 1 else ensemble_average(sets)
     ranked = sorted(span_probabilities(paragraphs),
@@ -469,8 +550,7 @@ def cmd_recompose(args):
     }
     _write_json(payload, opts["out"])
     print(json.dumps(payload["prediction"], sort_keys=True))
-    _write_manifest(opts, "recompose", _config_snapshot(opts),
-                    list(opts["logits"]), opts["out"])
+    _write_manifest(opts, "recompose", list(opts["logits"]), opts["out"])
     return 0
 
 
@@ -481,113 +561,12 @@ def build_parser():
     parser = _Parser(prog="qdecomp",
                      description="question decomposition pipeline")
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+    for name, (func, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text,
+                           argument_default=argparse.SUPPRESS)
         p.set_defaults(func=func)
-        p.add_argument("--config", help="JSON config file or previous manifest")
-        p.add_argument("--manifest", help="manifest output path")
-        return p
-
-    p = add("extract", cmd_extract, "harvest question lines from raw text")
-    p.add_argument("--lines", help="input text file, one sentence per line")
-    p.add_argument("--out", help="output corpus JSONL")
-    p.add_argument("--wh-words", dest="wh_words",
-                   help="comma-separated question-word list")
-    p.add_argument("--id-prefix", dest="id_prefix", help="id namespace prefix")
-    p.add_argument("--dedup", action="store_true",
-                   help="drop exact duplicate lines")
-    p.add_argument("--label", help="corpus label")
-
-    p = add("train-classifier", cmd_train_classifier,
-            "train the question-type classifier")
-    p.add_argument("--labeled", action="append", metavar="LABEL=PATH",
-                   help="labeled corpus (repeatable)")
-    p.add_argument("--out", help="model output path")
-    p.add_argument("--report", help="training report JSON path")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--min-count", dest="min_count", type=int)
-    p.add_argument("--holdout", type=float,
-                   help="held-out fraction per corpus for evaluation")
-    p.add_argument("--seed", type=int)
-
-    p = add("classify", cmd_classify, "label a corpus with a trained model")
-    p.add_argument("--model")
-    p.add_argument("--corpus")
-    p.add_argument("--out", help="predictions JSONL")
-
-    p = add("route", cmd_route, "partition mined questions by predicted label")
-    p.add_argument("--model")
-    p.add_argument("--mined", help="mined corpus JSONL")
-    p.add_argument("--single-label", dest="single_label")
-    p.add_argument("--multi-label", dest="multi_label")
-    p.add_argument("--out-single", dest="out_single")
-    p.add_argument("--out-multi", dest="out_multi")
-
-    p = add("build-index", cmd_build_index, "embed a corpus into an index")
-    p.add_argument("--corpus", action="append", help="corpus JSONL (repeatable)")
-    p.add_argument("--vectors", help="word-vector text file")
-    p.add_argument("--out", help="index output directory")
-    p.add_argument("--min-tokens", dest="min_tokens", type=int)
-    p.add_argument("--max-tokens", dest="max_tokens", type=int)
-    p.add_argument("--no-length-filter", dest="no_length_filter",
-                   action="store_true")
-
-    p = add("decompose", cmd_decompose, "retrieve pseudo-decompositions")
-    p.add_argument("--questions", help="questions corpus JSONL")
-    p.add_argument("--index", help="index directory")
-    p.add_argument("--vectors", help="word-vector file the index was built from")
-    p.add_argument("--out", help="output TSV")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int, help="subset size for general/random")
-    p.add_argument("--max-n", dest="max_n", type=int,
-                   help="largest subset size for variable")
-    p.add_argument("--beam-width", dest="beam_width", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int,
-                   help="accepted and checked (at least 1) for existing "
-                        "scripts; decompose runs on one thread")
-
-    p = add("edit", cmd_edit, "rewrite decomposition entities in a dataset")
-    p.add_argument("--decompositions", help="dataset TSV from decompose")
-    p.add_argument("--out", help="edited TSV")
-
-    p = add("noise", cmd_noise, "apply token noise to a corpus")
-    p.add_argument("--corpus")
-    p.add_argument("--out")
-    p.add_argument("--mask-prob", dest="mask_prob", type=float)
-    p.add_argument("--drop-prob", dest="drop_prob", type=float)
-    p.add_argument("--shuffle-window", dest="shuffle_window", type=int)
-    p.add_argument("--mask-token", dest="mask_token")
-    p.add_argument("--seed", type=int)
-
-    p = add("metrics", cmd_metrics, "score round-trip records")
-    p.add_argument("--records",
-                   help="TSV of question, decomposition, round-trip question")
-    p.add_argument("--out", help="report JSON")
-
-    p = add("synth-eval", cmd_synth_eval,
-            "rank gold subsets of synthetic composites")
-    p.add_argument("--corpus", help="single-hop corpus JSONL")
-    p.add_argument("--index", help="index directory over that corpus")
-    p.add_argument("--vectors", help="word-vector file the index was built from")
-    p.add_argument("--objective", choices=OBJECTIVES)
-    p.add_argument("--n", type=int, choices=(2, 3))
-    p.add_argument("--count", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="report JSON")
-    p.add_argument("--ranks-out", dest="ranks_out", help="per-question ranks JSON")
-
-    p = add("recompose", cmd_recompose, "ensemble span logits and rank answers")
-    p.add_argument("--logits", action="append",
-                   help="paragraph logits JSONL (repeatable)")
-    p.add_argument("--out", help="ranked spans JSON")
-
+        for flag, _, keywords in options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -595,19 +574,15 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not hasattr(args, "func"):
+            parser.print_usage(sys.stderr)
+            return 1
+        return args.func(_resolve(parser, args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

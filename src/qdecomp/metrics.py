@@ -6,7 +6,6 @@ and no smoothing (any zero precision gives zero).
 """
 
 import math
-import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -154,31 +153,6 @@ def length_ratio(question, decomposition_text):
     if not question.tokens:
         raise ValueError("question has no tokens")
     return len(tokenize(decomposition_text)) / len(question.tokens)
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    count: int
-    mean_edit_distance: float
-    median_edit_distance: float
-    mean_length_ratio: float
-    good_fraction: float
-
-
-def decomposition_report(pairs):
-    """Aggregate quality statistics over (question, decomposition text) pairs."""
-    if not pairs:
-        raise ValueError("no pairs to report on")
-    dists = [edit_distance(q, d) for q, d in pairs]
-    ratios = [length_ratio(q, d) for q, d in pairs]
-    good = sum(is_good_decomposition(q, d) for q, d in pairs)
-    return DecompositionReport(
-        count=len(pairs),
-        mean_edit_distance=sum(dists) / len(dists),
-        median_edit_distance=float(statistics.median(dists)),
-        mean_length_ratio=sum(ratios) / len(ratios),
-        good_fraction=good / len(pairs),
-    )
 
 
 @dataclass(frozen=True)

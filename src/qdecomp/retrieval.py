@@ -587,6 +587,8 @@ class DecomposeConfig:
                     f"beam_width must be at least 1, got {self.beam_width}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,21 @@ def test_empty_training_rejected():
         train_classifier([], CFG)
 
 
+@pytest.mark.parametrize("fields", [
+    {"dim": 0},
+    {"epochs": 0},
+    {"batch_size": 0},
+    {"learning_rate": 0.0},
+    {"learning_rate": -0.1},
+    {"learning_rate": float("nan")},
+    {"learning_rate": float("inf")},
+    {"seed": -1},
+])
+def test_training_config_rejects_bad_values(fields):
+    with pytest.raises(ValueError):
+        TrainingConfig(**fields)
+
+
 def test_route_mined_questions():
     train, _ = synthetic_labeled_split(seed=8, n_train=60, n_heldout=0)
     m = train_classifier(train, CFG)

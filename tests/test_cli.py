@@ -213,8 +213,9 @@ def indexed(workspace):
     ["--workers", "0"],
     ["--k", "1"],
     ["--method", "general", "--n", "4", "--k", "3"],
+    ["--method", "random", "--seed", "-1"],
 ], ids=["k", "general-n", "random-n", "max-n", "beam-width", "workers",
-        "fixed2-k", "general-k"])
+        "fixed2-k", "general-k", "random-seed"])
 def test_decompose_bad_flag_is_usage_error(indexed, capsys, flags):
     out = indexed["tmp"] / "pseudo.tsv"
     assert main(["decompose", "--questions", str(indexed["single"]),
@@ -356,5 +357,166 @@ def test_internal_error_exit_code(tmp_path, capsys):
     qs = tmp_path / "q.jsonl"
     save_corpus(make_corpus(["who is x ?"]), qs)
     rc = main(["decompose", "--questions", str(qs), "--index", str(d),
-               "--out", str(out)])
+               "--vectors", str(tmp_path / "v.vec"), "--out", str(out)])
     assert rc == 2  # missing file surfaces as a data error
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dim", "0"],
+    ["--epochs", "0"],
+    ["--batch-size", "0"],
+    ["--learning-rate", "0"],
+    ["--learning-rate", "nan"],
+    ["--seed", "-1"],
+], ids=["dim", "epochs", "batch-size", "learning-rate", "nan-rate", "seed"])
+def test_train_classifier_bad_flag_is_usage_error(tmp_path, capsys, flags):
+    # the corpora do not exist: a bad value must fail before they are read
+    out = tmp_path / "clf.json"
+    assert main(["train-classifier", "--labeled", f"a={tmp_path / 'a.jsonl'}",
+                 "--labeled", f"b={tmp_path / 'b.jsonl'}", "--out", str(out)]
+                + flags) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _argv(indexed, command):
+    """Flags that make a valid run of command over the indexed workspace."""
+    tmp, single, vec = indexed["tmp"], str(indexed["single"]), str(indexed["vec"])
+    return {
+        "extract": ["--lines", str(indexed["lines"]), "--out", str(tmp / "x")],
+        "train-classifier": ["--labeled", f"single={single}",
+                             "--out", str(tmp / "x")],
+        "build-index": ["--vectors", vec, "--out", str(tmp / "x")],
+        "decompose": ["--questions", single, "--index", str(indexed["idx"]),
+                      "--vectors", vec, "--out", str(tmp / "x")],
+        "synth-eval": ["--corpus", single, "--index", str(indexed["idx"]),
+                       "--vectors", vec, "--objective", "sum-distance",
+                       "--out", str(tmp / "x")],
+    }[command]
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("decompose", {"k": 5.5}, "k"),
+    ("decompose", {"method": "variable", "beam_width": "3"}, "beam_width"),
+    ("decompose", {"k": True}, "k"),
+    ("train-classifier", {"holdout": "0.1"}, "holdout"),
+    ("train-classifier", {"epochs": 2.5}, "epochs"),
+    ("train-classifier", {"labeled": "single=x.jsonl"}, "labeled"),
+    ("build-index", {"corpus": "routed_single.jsonl"}, "corpus"),
+    ("build-index", {"corpus": ["a.jsonl"], "no_length_filter": "no"},
+     "no_length_filter"),
+    ("extract", {"dedup": "no"}, "dedup"),
+    ("synth-eval", {"n": 4}, "n"),
+], ids=["float-k", "string-beam-width", "bool-k", "string-holdout",
+        "float-epochs", "string-labeled", "string-corpus", "string-switch",
+        "string-dedup", "n-choice"])
+def test_bad_config_value_is_usage_error(indexed, capsys, command, config,
+                                         key):
+    cfg = indexed["tmp"] / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]
+                + _argv(indexed, command)) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and str(cfg) in err and repr(key) in err
+    assert not (indexed["tmp"] / "x").exists()
+
+
+def test_config_null_and_list_rules(workspace, capsys):
+    cfg = workspace["tmp"] / "cfg.json"
+    cfg.write_text(json.dumps({"corpus": [str(workspace["tmp"] / "gone")],
+                               "max_tokens": None, "no_length_filter": False,
+                               "min_tokens": 2}))
+    idx = workspace["tmp"] / "idx"
+    # --corpus on the command line replaces the config's whole list
+    assert main(["build-index", "--config", str(cfg), "--corpus",
+                 str(workspace["single"]), "--vectors", str(workspace["vec"]),
+                 "--out", str(idx)]) == 0
+    config = json.loads((workspace["tmp"] / "idx.manifest.json").read_text()
+                        )["config"]
+    assert config["corpus"] == [str(workspace["single"])]
+    assert (config["min_tokens"], config["max_tokens"]) == (2, 20)
+    assert config["no_length_filter"] is False
+
+
+def _tree_bytes(paths):
+    """{path: bytes} of every file in paths, directories expanded."""
+    found = {}
+    for path in paths:
+        files = sorted(path.iterdir()) if path.is_dir() else [path]
+        found.update((f, f.read_bytes()) for f in files)
+    return found
+
+
+def test_every_manifest_replays_to_identical_outputs(workspace, capsys):
+    from qdecomp.recompose import ParagraphLogits, write_logits_jsonl
+    tmp = workspace["tmp"]
+    qs = list(workspace["corpus"])
+    multi = tmp / "multi.jsonl"
+    save_corpus(make_corpus([qs[i].raw_text.rstrip("?").rstrip() + " and "
+                             + qs[i + 1].raw_text for i in range(0, 40, 2)],
+                            prefix="mh"), multi)
+    logits = tmp / "logits.jsonl"
+    write_logits_jsonl([ParagraphLogits("p1", (("s1", 2.0), ("s2", 0.5)),
+                                        0.1)], logits)
+    single, vec = str(workspace["single"]), str(workspace["vec"])
+    p = {name: tmp / name for name in (
+        "corpus.jsonl", "clf.json", "clf.report.json", "preds.jsonl",
+        "r_single.jsonl", "r_multi.jsonl", "idx", "pseudo.tsv", "edited.tsv",
+        "noised.jsonl", "records.tsv", "report.json", "mrr.json",
+        "mrr.json.ranks.json", "answer.json")}
+    runs = [
+        (["extract", "--lines", str(workspace["lines"]),
+          "--out", str(p["corpus.jsonl"]), "--id-prefix", "m", "--dedup"],
+         ["corpus.jsonl"]),
+        (["train-classifier", "--labeled", f"single={single}",
+          "--labeled", f"multi={multi}", "--out", str(p["clf.json"]),
+          "--report", str(p["clf.report.json"]), "--dim", "8", "--epochs", "3",
+          "--learning-rate", "0.5", "--holdout", "0.25", "--seed", "3"],
+         ["clf.json", "clf.report.json"]),
+        (["classify", "--model", str(p["clf.json"]), "--corpus", str(multi),
+          "--out", str(p["preds.jsonl"])], ["preds.jsonl"]),
+        (["route", "--model", str(p["clf.json"]),
+          "--mined", str(p["corpus.jsonl"]), "--single-label", "single",
+          "--multi-label", "multi", "--out-single", str(p["r_single.jsonl"]),
+          "--out-multi", str(p["r_multi.jsonl"])],
+         ["r_single.jsonl", "r_multi.jsonl"]),
+        (["build-index", "--corpus", single, "--vectors", vec,
+          "--out", str(p["idx"]), "--min-tokens", "3"], ["idx"]),
+        (["decompose", "--questions", str(multi), "--index", str(p["idx"]),
+          "--vectors", vec, "--out", str(p["pseudo.tsv"]),
+          "--method", "variable", "--k", "30", "--beam-width", "10"],
+         ["pseudo.tsv"]),
+        (["edit", "--decompositions", str(p["pseudo.tsv"]),
+          "--out", str(p["edited.tsv"])], ["edited.tsv"]),
+        (["noise", "--corpus", single, "--out", str(p["noised.jsonl"]),
+          "--mask-prob", "0.2", "--seed", "4"], ["noised.jsonl"]),
+        (["metrics", "--records", str(p["records.tsv"]),
+          "--out", str(p["report.json"])], ["report.json"]),
+        (["synth-eval", "--corpus", single, "--index", str(p["idx"]),
+          "--vectors", vec, "--objective", "sim-diversity", "--n", "2",
+          "--count", "8", "--k", "20", "--out", str(p["mrr.json"])],
+         ["mrr.json", "mrr.json.ranks.json"]),
+        (["recompose", "--logits", str(logits), "--logits", str(logits),
+          "--out", str(p["answer.json"])], ["answer.json"]),
+    ]
+    for argv, _ in runs:
+        if argv[0] == "metrics":
+            rows = read_dataset_tsv(p["edited.tsv"])
+            p["records.tsv"].write_text(
+                "".join(f"{r[1]}\t{r[2]}\t{r[1]}\n" for r in rows))
+        assert main(argv) == 0, argv
+    assert len(read_dataset_tsv(p["pseudo.tsv"])) == 20
+    for argv, outputs in runs:
+        manifest = tmp / f"{outputs[0]}.manifest.json"
+        paths = [p[name] for name in outputs] + [manifest]
+        before = _tree_bytes(paths)
+        replay = tmp / "replay.json"
+        manifest.rename(replay)
+        for path in paths[:-1]:
+            if path.is_dir():
+                for f in path.iterdir():
+                    f.unlink()
+            else:
+                path.unlink()
+        assert main([argv[0], "--config", str(replay)]) == 0, argv[0]
+        assert _tree_bytes(paths) == before, argv[0]

@@ -9,7 +9,6 @@ from qdecomp.metrics import (
     RoundTripRecord,
     StoppingState,
     bleu,
-    decomposition_report,
     edit_distance,
     is_good_decomposition,
     length_ratio,
@@ -229,21 +228,3 @@ def test_length_ratio():
     assert length_ratio(q, "who is x ? who is y ?") == pytest.approx(2.0)
     with pytest.raises(ValueError):
         length_ratio(Question.from_text("q", ""), "who ?")
-
-
-def test_decomposition_report_values():
-    q1 = Question.from_text("a", "who played x and who sang y ?")   # 8 tokens
-    q2 = Question.from_text("b", "what is the z ?")
-    pairs = [
-        (q1, "who played x ? who sang y ?"),
-        (q2, "what is ?"),
-    ]
-    rep = decomposition_report(pairs)
-    assert rep.count == 2
-    d1 = edit_distance(q1, pairs[0][1])
-    d2 = edit_distance(q2, pairs[1][1])
-    assert rep.mean_edit_distance == pytest.approx((d1 + d2) / 2)
-    assert rep.median_edit_distance == pytest.approx((d1 + d2) / 2)
-    assert rep.good_fraction == 0.5  # second has only one mark
-    want_ratio = (length_ratio(q1, pairs[0][1]) + length_ratio(q2, pairs[1][1])) / 2
-    assert rep.mean_length_ratio == pytest.approx(want_ratio)

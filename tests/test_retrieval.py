@@ -470,6 +470,7 @@ def test_dataset_build_equals_per_question_calls(monkeypatch, method, params):
     {"method": "nearest"},
     {"k": 1},
     {"method": "general", "n": 4, "k": 3},
+    {"method": "random", "seed": -1},
 ])
 def test_decompose_config_rejects_bad_values(fields):
     with pytest.raises(ValueError):
