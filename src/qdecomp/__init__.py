@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 from .corpus import (DEFAULT_WH_WORDS, Question, QuestionCorpus,
                      extract_candidate_questions, load_corpus, save_corpus,
                      tokenize, tokenize_cased)
-from .embeddings import (TextEmbedding, VectorTable, cosine, embed_text_sum,
-                         load_vector_table, make_vector_table,
+from .embeddings import (TextEmbedding, VectorTable, cosine, embed_blocks,
+                         embed_text_sum, load_vector_table, make_vector_table,
                          save_vector_table, unit_normalize)
 from .classifier import (LinearTextClassifier, Prediction, TrainingConfig,
                          classify, evaluate_classifier, load_classifier,

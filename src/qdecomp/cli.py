@@ -21,7 +21,7 @@ from .classifier import (TrainingConfig, evaluate_classifier, classify,
 from .corpus import (DEFAULT_WH_WORDS, Question, QuestionCorpus,
                      extract_candidate_questions, load_corpus, save_corpus)
 from .editing import edit_sub_question_texts, split_sub_question_texts
-from .embeddings import load_vector_table
+from .embeddings import load_vector_table, vector_file_dim
 from .metrics import RoundTripRecord, roundtrip_report
 from .noising import NoiseConfig, noise_tokens
 from .recompose import (ensemble_average, predict_answer, read_logits_jsonl,
@@ -73,14 +73,17 @@ def _write_json(payload, path):
         fh.write("\n")
 
 
-def _write_manifest(opts, subcommand, inputs, primary_out):
+def _write_manifest(opts, subcommand, inputs, primary_out, digests=None):
+    """Write the run's manifest; digests holds inputs already hashed."""
+    digests = digests or {}
     payload = {
         "schema_version": 1,
         "tool": "qdecomp",
         "version": __version__,
         "subcommand": subcommand,
         "config": {k: v for k, v in opts.items() if k != "manifest"},
-        "inputs": {p: _digest_path(p) for p in inputs if p},
+        "inputs": {p: digests.get(p) or _digest_path(p)
+                   for p in inputs if p},
     }
     _write_json(payload, opts["manifest"] or f"{primary_out}.manifest.json")
 
@@ -350,30 +353,37 @@ def cmd_route(opts):
           _opt("--max-tokens", 20, type=int),
           _opt("--no-length-filter", False, action="store_true"))
 def cmd_build_index(opts):
+    filters = None if opts["no_length_filter"] else _checked(
+        LengthFilter, min_tokens=opts["min_tokens"],
+        max_tokens=opts["max_tokens"])
     questions = []
     for path in opts["corpus"]:
         questions.extend(load_corpus(path).questions)
     merged = QuestionCorpus(tuple(questions))
     table = load_vector_table(opts["vectors"])
-    filters = None if opts["no_length_filter"] else LengthFilter(
-        min_tokens=opts["min_tokens"], max_tokens=opts["max_tokens"])
+    digest = _digest_file(opts["vectors"])
     index = build_index(merged, table, filters)
-    save_index(index, opts["out"])
+    save_index(index, opts["out"], digest)
     _progress(f"build-index: {len(index)} rows, {index.oov_excluded} without "
               f"vocabulary, {index.filtered_out} outside length bounds")
     inputs = list(opts["corpus"]) + [opts["vectors"]]
-    _write_manifest(opts, "build-index", inputs, opts["out"])
+    _write_manifest(opts, "build-index", inputs, opts["out"],
+                    {opts["vectors"]: digest})
     return 0
 
 
-def _load_query_source(index, opts):
-    table = load_vector_table(opts["vectors"])
-    dim = index.unit_matrix.shape[1]
-    if table.dim != dim:
-        raise ValueError(f"{opts['vectors']}: vectors have dimension "
-                         f"{table.dim}, but index {opts['index']} has "
-                         f"dimension {dim}")
-    return table
+def _load_bound_index(opts):
+    """The --index, with the word vectors stored in it, and the digest of
+    --vectors, which must be the file the index was built from."""
+    digest = _digest_file(opts["vectors"])
+    index = load_index(opts["index"])
+    if digest != index.vectors_sha256:
+        raise ValueError(
+            f"{opts['vectors']} (sha256 {digest}, dimension "
+            f"{vector_file_dim(opts['vectors'])}) is not the word-vector file "
+            f"index {opts['index']} was built from (sha256 "
+            f"{index.vectors_sha256}, dimension {index.vectors.dim})")
+    return index, digest
 
 
 @_command("decompose", "retrieve pseudo-decompositions",
@@ -397,17 +407,18 @@ def cmd_decompose(opts):
                       n=opts["n"], max_n=opts["max_n"],
                       beam_width=opts["beam_width"], seed=opts["seed"],
                       workers=opts["workers"])
-    index = load_index(opts["index"])
-    source = _load_query_source(index, opts)
+    index, digest = _load_bound_index(opts)
     questions = load_corpus(opts["questions"])
-    result = build_pseudo_decomposition_dataset(questions, index, source, config)
+    result = build_pseudo_decomposition_dataset(questions, index,
+                                                index.vectors, config)
     write_dataset_tsv(result.records, opts["out"])
     for qid, reason in result.failures:
         _progress(f"decompose: skipped {qid}: {reason}")
     _progress(f"decompose: wrote {len(result.records)} records, "
               f"skipped {len(result.failures)}")
     inputs = [opts["questions"], opts["index"], opts["vectors"]]
-    _write_manifest(opts, "decompose", inputs, opts["out"])
+    _write_manifest(opts, "decompose", inputs, opts["out"],
+                    {opts["vectors"]: digest})
     return 0
 
 
@@ -440,11 +451,11 @@ def cmd_edit(opts):
           _opt("--mask-token", "<mask>"),
           _opt("--seed", 0, type=int))
 def cmd_noise(opts):
+    config = _checked(NoiseConfig, mask_prob=opts["mask_prob"],
+                      drop_prob=opts["drop_prob"],
+                      shuffle_window=opts["shuffle_window"],
+                      mask_token=opts["mask_token"], seed=opts["seed"])
     corpus = load_corpus(opts["corpus"])
-    config = NoiseConfig(mask_prob=opts["mask_prob"],
-                         drop_prob=opts["drop_prob"],
-                         shuffle_window=opts["shuffle_window"],
-                         mask_token=opts["mask_token"], seed=opts["seed"])
     with open(opts["out"], "w", encoding="utf-8") as fh:
         for pos, q in enumerate(corpus):
             rng = substream(config.seed, "noise", pos)
@@ -509,14 +520,16 @@ def cmd_synth_eval(opts):
                          f"size-{opts['n']} subset of the top K can be ranked")
     if opts["count"] < 1:
         raise UsageError(f"--count must be at least 1, got {opts['count']}")
-    index = load_index(opts["index"])
-    source = _load_query_source(index, opts)
+    if opts["seed"] < 0:
+        raise UsageError(f"--seed must be non-negative, got {opts['seed']}")
+    index, digest = _load_bound_index(opts)
     corpus = load_corpus(opts["corpus"])
     pool = QuestionCorpus(tuple(q for q in corpus if q.id in index),
                           label=corpus.label)
     benchmark = build_synthetic_compositional(pool, opts["n"], opts["count"],
                                               opts["seed"])
-    report = mrr_eval(opts["objective"], benchmark, index, source, opts["k"])
+    report = mrr_eval(opts["objective"], benchmark, index, index.vectors,
+                      opts["k"])
     ranks_path = opts["ranks_out"] or f"{opts['out']}.ranks.json"
     _write_json(list(report.ranks), ranks_path)
     payload = {
@@ -529,7 +542,8 @@ def cmd_synth_eval(opts):
     _write_json(payload, opts["out"])
     print(json.dumps(payload, sort_keys=True))
     inputs = [opts["corpus"], opts["index"], opts["vectors"]]
-    _write_manifest(opts, "synth-eval", inputs, opts["out"])
+    _write_manifest(opts, "synth-eval", inputs, opts["out"],
+                    {opts["vectors"]: digest})
     return 0
 
 

@@ -14,6 +14,7 @@ plus a seeded uniform random baseline.
 import json
 import math
 import os
+import shutil
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,11 +23,16 @@ from itertools import combinations
 import numpy as np
 
 from .corpus import QuestionCorpus
-from .embeddings import embed_text_sum, unit_normalize
+from .embeddings import (VectorTable, embed_blocks, embed_text_sum,
+                         unit_normalize)
 from .rng import child_seed
 
 # the one embedding an index holds, named in its meta.json
 SOURCE_VECTORS = "sum-of-word-vectors"
+
+# The files save_index writes: the candidates, their embeddings, and a copy
+# of the word vectors they were embedded with.
+INDEX_FILES = ("meta.json", "unit.npy", "raw.npy", "vectors.npy", "vocab.json")
 
 METHOD_FIXED = "fixed2"
 METHOD_GENERAL = "general"
@@ -67,6 +73,14 @@ class LengthFilter:
     min_tokens: int = 4
     max_tokens: int = 20
 
+    def __post_init__(self):
+        if self.min_tokens < 0 or self.max_tokens < 0:
+            raise ValueError(f"token bounds must be non-negative, got "
+                             f"{self.min_tokens} and {self.max_tokens}")
+        if self.min_tokens > self.max_tokens:
+            raise ValueError(f"min_tokens {self.min_tokens} is above "
+                             f"max_tokens {self.max_tokens}")
+
 
 @dataclass
 class EmbeddedIndex:
@@ -75,6 +89,9 @@ class EmbeddedIndex:
     unit_matrix rows are unit-normalized float32 (used for similarity
     search); the raw_matrix keeps the pre-normalization embeddings because
     the variable-length objective is defined on un-normalized sums.
+    vectors is the VectorTable the rows were embedded with, and
+    vectors_sha256 the digest of the .vec file it was read from (set by
+    load_index).
     """
 
     ids: tuple
@@ -83,6 +100,8 @@ class EmbeddedIndex:
     raw_matrix: np.ndarray
     oov_excluded: int = 0
     filtered_out: int = 0
+    vectors: VectorTable | None = None
+    vectors_sha256: str | None = None
 
     def __post_init__(self):
         self._row_map = {qid: i for i, qid in enumerate(self.ids)}
@@ -112,6 +131,9 @@ class EmbeddedIndex:
         return math.sqrt(bound) * (1.0 + 2.0 ** -40)
 
 
+_NO_VOCABULARY = "text has no in-vocabulary tokens"
+
+
 def embed_query(source, tokens):
     """(raw float64 vector, unit vector): the summed word vectors of a
     token list under a VectorTable.
@@ -120,7 +142,7 @@ def embed_query(source, tokens):
     """
     emb = embed_text_sum(tokens, source)
     if emb.is_zero:
-        raise ValueError("text has no in-vocabulary tokens")
+        raise ValueError(_NO_VOCABULARY)
     return emb.vector, unit_normalize(emb.vector)
 
 
@@ -128,39 +150,47 @@ def build_index(corpus, source, filters=None):
     """Embed every corpus question that passes the length filters.
 
     Questions whose embedding is zero (all tokens out of vocabulary) are
-    excluded and counted. An index that would be empty is an error.
+    excluded and counted. An index that would be empty is an error. The
+    questions are summed by embed_blocks, block by block, straight into
+    preallocated float32 matrices; each row's unit vector is its sum over
+    its own np.linalg.norm, exactly as embed_query computes it.
     """
-    ids = []
-    texts = []
-    units = []
-    raws = []
-    oov = 0
-    filtered = 0
-    for q in corpus:
-        if filters is not None:
-            n = len(q.tokens)
-            if n < filters.min_tokens or n > filters.max_tokens:
-                filtered += 1
-                continue
-        try:
-            raw, unit = embed_query(source, q.tokens)
-        except ValueError:
-            oov += 1
-            continue
-        ids.append(q.id)
-        texts.append(q.raw_text)
-        units.append(unit.astype(np.float32))
-        raws.append(raw.astype(np.float32))
-    if not ids:
+    kept = [q for q in corpus if filters is None
+            or filters.min_tokens <= len(q.tokens) <= filters.max_tokens]
+    raw = np.empty((len(kept), source.dim), dtype=np.float32)
+    unit = np.empty_like(raw)
+    rows = []  # positions in kept of the embedded questions
+    for start, sums in embed_blocks([q.tokens for q in kept], source):
+        nonzero = np.flatnonzero(sums.any(axis=1))
+        sums = sums[nonzero]
+        norms = np.array([np.linalg.norm(v) for v in sums])
+        at = len(rows)
+        raw[at:at + len(sums)] = sums
+        unit[at:at + len(sums)] = sums / norms[:, None]
+        rows.extend((start + nonzero).tolist())
+    if not rows:
         raise ValueError("index is empty after filtering and vocabulary checks")
-    return EmbeddedIndex(ids=tuple(ids), texts=tuple(texts),
-                         unit_matrix=np.vstack(units), raw_matrix=np.vstack(raws),
-                         oov_excluded=oov, filtered_out=filtered)
+    return EmbeddedIndex(ids=tuple(kept[r].id for r in rows),
+                         texts=tuple(kept[r].raw_text for r in rows),
+                         unit_matrix=unit[:len(rows)],
+                         raw_matrix=raw[:len(rows)],
+                         oov_excluded=len(kept) - len(rows),
+                         filtered_out=len(corpus) - len(kept),
+                         vectors=source)
 
 
-def save_index(index, dirpath):
-    """Write meta.json plus unit.npy / raw.npy into a directory."""
-    os.makedirs(dirpath, exist_ok=True)
+def save_index(index, dirpath, vectors_sha256):
+    """Write meta.json, unit.npy and raw.npy, plus the word vectors the index
+    was embedded with (vectors.npy, vocab.json), into a directory.
+
+    vectors_sha256, the digest of the .vec file those vectors were read
+    from, goes into meta.json with their dimension and word count. The
+    files are written into a new directory beside dirpath, which replaces
+    dirpath only once they are all complete, so a failed write leaves a
+    previous index as it was. An existing dirpath that holds files other
+    than an index's is an error.
+    """
+    table = index.vectors
     meta = {
         "schema_version": 1,
         "source": SOURCE_VECTORS,
@@ -170,12 +200,36 @@ def save_index(index, dirpath):
         "filtered_out": index.filtered_out,
         "ids": list(index.ids),
         "texts": list(index.texts),
+        "vectors": {"dim": table.dim, "sha256": vectors_sha256,
+                    "words": len(table)},
     }
-    with open(os.path.join(dirpath, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, ensure_ascii=False, sort_keys=True)
-        fh.write("\n")
-    np.save(os.path.join(dirpath, "unit.npy"), index.unit_matrix)
-    np.save(os.path.join(dirpath, "raw.npy"), index.raw_matrix)
+    if os.path.isdir(dirpath):
+        foreign = sorted(set(os.listdir(dirpath)) - set(INDEX_FILES))
+        if foreign:
+            raise ValueError(f"{dirpath}: holds files that are not part of "
+                             f"an index ({', '.join(foreign)}); choose "
+                             f"another output directory")
+    parent, base = os.path.split(os.path.abspath(dirpath))
+    fresh = os.path.join(parent, f".{base}.{os.urandom(6).hex()}.tmp")
+    old = f"{fresh}.old"
+    os.mkdir(fresh)
+    try:
+        for name, payload in (("meta.json", meta),
+                              ("vocab.json", list(table.vocab))):
+            with open(os.path.join(fresh, name), "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
+                fh.write("\n")
+        for name, matrix in (("unit.npy", index.unit_matrix),
+                             ("raw.npy", index.raw_matrix),
+                             ("vectors.npy", table.matrix)):
+            np.save(os.path.join(fresh, name), matrix)
+        if os.path.isdir(dirpath):
+            os.rename(dirpath, old)
+        os.rename(fresh, dirpath)
+    except BaseException:
+        shutil.rmtree(fresh, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def _load_matrix(path, shape):
@@ -193,11 +247,14 @@ def _load_matrix(path, shape):
 
 
 def load_index(dirpath):
-    """Read an index written by save_index.
+    """Read an index written by save_index, with its word vectors.
 
     Raises ValueError when meta.json names another source than summed word
-    vectors, when its rows, ids and texts disagree or an id repeats, or when
-    unit.npy or raw.npy is not a finite float32 (rows, dim) matrix.
+    vectors, when its rows, ids and texts disagree or an id repeats, when
+    unit.npy or raw.npy is not a finite float32 (rows, dim) matrix, when it
+    records no word vectors (an index written before they were stored), or
+    when vocab.json does not list the recorded number of distinct words or
+    vectors.npy is not a finite float32 (words, dim) matrix.
     """
     meta_path = os.path.join(dirpath, "meta.json")
     with open(meta_path, encoding="utf-8") as fh:
@@ -214,10 +271,33 @@ def load_index(dirpath):
         raise ValueError(f"{meta_path}: id {repeated!r} is listed more than once")
     unit, raw = (_load_matrix(os.path.join(dirpath, name), (rows, dim))
                  for name in ("unit.npy", "raw.npy"))
+    vectors_path = os.path.join(dirpath, "vectors.npy")
+    vectors = meta.get("vectors")
+    if vectors is None:
+        raise ValueError(f"{vectors_path} is missing: {meta_path} records no "
+                         f"word vectors, so the index was built before "
+                         f"build-index stored them; rebuild it")
+    if vectors["dim"] != dim:
+        raise ValueError(f"{meta_path}: vectors have dimension "
+                         f"{vectors['dim']}, but the index has dimension {dim}")
+    vocab_path = os.path.join(dirpath, "vocab.json")
+    with open(vocab_path, encoding="utf-8") as fh:
+        words = json.load(fh)
+    if len(words) != vectors["words"]:
+        raise ValueError(f"{vocab_path}: lists {len(words)} words, but "
+                         f"{meta_path} records {vectors['words']}")
+    vocab = {word: row for row, word in enumerate(words)}
+    if len(vocab) != len(words):
+        [(repeated, _)] = Counter(words).most_common(1)
+        raise ValueError(f"{vocab_path}: word {repeated!r} is listed more "
+                         f"than once")
+    table = VectorTable(vocab=vocab,
+                        matrix=_load_matrix(vectors_path, (len(words), dim)))
     return EmbeddedIndex(ids=tuple(meta["ids"]), texts=tuple(meta["texts"]),
                          unit_matrix=unit, raw_matrix=raw,
                          oov_excluded=meta["oov_excluded"],
-                         filtered_out=meta["filtered_out"])
+                         filtered_out=meta["filtered_out"],
+                         vectors=table, vectors_sha256=vectors["sha256"])
 
 
 def _topk_rows(index, q_units, k):
@@ -308,24 +388,27 @@ class PseudoDecomposition:
             raise ValueError("fixed2 decompositions have exactly two sub-questions")
 
 
-def _query_rows(index, question, source, k, rows):
+def _query_rows(index, question, source, k, query):
     """Raw and unit embedding of a question and its top-K index rows.
 
-    rows already found by a batched _topk_rows call are used as given.
+    query, when given, is that (raw, unit, rows) triple from the batched
+    dataset build and is used as given.
     """
+    if query is not None:
+        return query
     raw, unit = embed_query(source, question.tokens)
-    if rows is None:
-        [(rows, _)] = _topk_rows(index, [unit], k)
+    [(rows, _)] = _topk_rows(index, [unit], k)
     return raw, unit, rows
 
 
-def pseudo_decompose_fixed(index, question, source, k=1000, rows=None):
+def pseudo_decompose_fixed(index, question, source, k=1000, query=None):
     """Best pair under the pair objective, searched exhaustively in the top-K.
 
     Ties break toward the lexicographically smallest (lower id, higher id)
-    pair. rows, when given, are the question's top-K rows from _topk_rows.
+    pair. query, when given, is the question's (raw, unit, top-K rows)
+    from the batched dataset build.
     """
-    _, unit, rows = _query_rows(index, question, source, k, rows)
+    _, unit, rows = _query_rows(index, question, source, k, query)
     if len(rows) < 2:
         raise ValueError("need at least two candidates to form a pair")
     cand = index.unit_matrix[rows].astype(np.float64)
@@ -362,19 +445,21 @@ def _subset_score(sims, gram, positions):
     return total
 
 
-def pseudo_decompose_general(index, question, source, n, k=1000, rows=None):
+def pseudo_decompose_general(index, question, source, n, k=1000,
+                             query=None):
     """Best size-N subset under the generalized objective.
 
     Exhaustive for N <= 3 while the subset count stays within
     EXHAUSTIVE_SUBSET_CAP; otherwise greedy forward selection (the chosen
     mode is recorded in search_mode). N=2 is exactly the fixed2 search.
-    rows, when given, are the question's top-K rows from _topk_rows.
+    query, when given, is the question's (raw, unit, top-K rows) from the
+    batched dataset build.
     """
     if n < 2:
         raise ValueError("N must be at least 2")
     if n == 2:
-        return pseudo_decompose_fixed(index, question, source, k, rows)
-    _, unit, rows = _query_rows(index, question, source, k, rows)
+        return pseudo_decompose_fixed(index, question, source, k, query)
+    _, unit, rows = _query_rows(index, question, source, k, query)
     m = len(rows)
     if m < n:
         raise ValueError(f"need at least {n} candidates, have {m}")
@@ -451,7 +536,7 @@ def _extensions(beam, m):
 
 
 def pseudo_decompose_variable(index, question, source, max_n, k=1000,
-                              beam_width=100, rows=None):
+                              beam_width=100, query=None):
     """Best subset of size 1..max_N minimizing ||v_q - sum v_s||.
 
     Beam search: states of size m extend by every unused candidate, the
@@ -459,8 +544,8 @@ def pseudo_decompose_variable(index, question, source, max_n, k=1000,
     across sizes wins. Ties prefer fewer sub-questions, then lexicographic
     ids. A state's distance is norm(v_q - raws[key].sum(axis=0)), with key
     its pool positions in ascending order, so identical subsets found along
-    different paths are numerically identical. rows, when given, are the
-    question's top-K rows from _topk_rows.
+    different paths are numerically identical. query, when given, is the
+    question's (raw, unit, top-K rows) from the batched dataset build.
 
     Each size is scored as arrays. The distinct extensions of the beam are
     taken in blocks of _BEAM_BLOCK // (size * d) keys. A block's subset
@@ -486,7 +571,7 @@ def pseudo_decompose_variable(index, question, source, max_n, k=1000,
         raise ValueError("max_N must be at least 1")
     if beam_width < 1:
         raise ValueError("beam width must be at least 1")
-    raw_q, _, rows = _query_rows(index, question, source, k, rows)
+    raw_q, _, rows = _query_rows(index, question, source, k, query)
     if not rows:
         raise ValueError("empty candidate pool")
     m = len(rows)
@@ -600,25 +685,27 @@ class DatasetBuildResult:
 def build_pseudo_decomposition_dataset(questions, index, source, config):
     """Decompose every embeddable question; skip and record failures.
 
-    Every question is embedded first. The scanning methods then find top-K
+    Every question is embedded first, in embed_blocks blocks, each sum
+    normalized as embed_query does. The scanning methods then find top-K
     rows for _SCAN_BLOCK // len(index) questions at a time, with one
     _topk_rows call per chunk: a float32 GEMM whose shortlist keeps every
     row within the proven error margin 2 * delta of the K-th best score,
     rescored in float64 (see _topk_rows), so each question gets exactly
     the rows a float64 scan of the whole index would rank first. Each
-    question's rows go to pseudo_decompose_fixed/general/variable. Records
-    and failures follow input order, and config.workers does not change
-    the output (the build runs on one thread).
+    question's embedding and rows go to pseudo_decompose_fixed, _general or
+    _variable. Records and failures follow input order, and config.workers
+    does not change the output (the build runs on one thread).
     """
+    questions = tuple(questions)
     outcomes = [None] * len(questions)  # a decomposition or a failure reason
-    embedded = []  # (position, question, unit vector)
-    for pos, q in enumerate(questions):
-        try:
-            _, unit = embed_query(source, q.tokens)
-        except ValueError as exc:
-            outcomes[pos] = str(exc)
-        else:
-            embedded.append((pos, q, unit))
+    embedded = []  # (position, question, raw vector, unit vector)
+    for start, sums in embed_blocks([q.tokens for q in questions], source):
+        for pos, raw in enumerate(sums, start):
+            if raw.any():
+                embedded.append((pos, questions[pos], raw,
+                                 unit_normalize(raw)))
+            else:
+                outcomes[pos] = _NO_VOCABULARY
 
     chunk = max(1, _SCAN_BLOCK // len(index))
     for start in range(0, len(embedded), chunk):
@@ -626,19 +713,20 @@ def build_pseudo_decomposition_dataset(questions, index, source, config):
         if config.method == METHOD_RANDOM:
             hits = [(None, None)] * len(part)
         else:
-            hits = _topk_rows(index, [unit for _, _, unit in part], config.k)
-        for (pos, q, _), (rows, _) in zip(part, hits):
+            hits = _topk_rows(index, [unit for *_, unit in part], config.k)
+        for (pos, q, raw, unit), (rows, _) in zip(part, hits):
+            query = (raw, unit, rows)
             try:
                 if config.method == METHOD_FIXED:
                     d = pseudo_decompose_fixed(index, q, source, config.k,
-                                               rows=rows)
+                                               query=query)
                 elif config.method == METHOD_GENERAL:
                     d = pseudo_decompose_general(index, q, source, config.n,
-                                                 config.k, rows=rows)
+                                                 config.k, query=query)
                 elif config.method == METHOD_VARIABLE:
                     d = pseudo_decompose_variable(
                         index, q, source, config.max_n, config.k,
-                        config.beam_width, rows=rows)
+                        config.beam_width, query=query)
                 else:
                     d = _random_from_index(
                         index, q, config.n,

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .corpus import Question, QuestionCorpus
-from .embeddings import VectorTable
+from .embeddings import make_vector_table
 from .retrieval import _topk_rows, embed_query
 from .rng import substream
 
@@ -205,11 +205,7 @@ def synthetic_vector_table(words, dim, seed, function_word_scale=0.2):
     if dim < 1:
         raise ValueError("dim must be at least 1")
     rng = substream(seed, "vector-table")
-    function_words = set(FUNCTION_WORDS)
-    entries = {}
-    for word in words:
-        vec = rng.normal(0.0, 1.0, dim)
-        if word in function_words:
-            vec *= function_word_scale
-        entries[word] = vec.astype(np.float32)
-    return VectorTable(dim=dim, entries=entries)
+    words = list(words)
+    matrix = rng.normal(0.0, 1.0, (len(words), dim))
+    matrix[[w in FUNCTION_WORDS for w in words]] *= function_word_scale
+    return make_vector_table(dict(zip(words, matrix.astype(np.float32))))

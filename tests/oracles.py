@@ -165,3 +165,16 @@ def variable_beam_oracle(q_raw, raw_rows, ids, max_n, beam_width):
         if best is None or (dist, size, key_ids) < best:
             best = (dist, size, key_ids)
     return best[2], best[0]
+
+
+def embed_sum_oracle(tokens, vectors, dim):
+    """Summed word vectors of one token list: a float64 zero vector plus
+    each in-vocabulary token's float32 vector, token by token in order.
+
+    vectors maps words to float32 vectors; other tokens are skipped.
+    """
+    acc = np.zeros(dim, dtype=np.float64)
+    for tok in tokens:
+        if tok in vectors:
+            acc += vectors[tok]
+    return acc

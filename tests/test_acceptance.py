@@ -379,7 +379,8 @@ def test_criterion_8_pipeline_determinism(tmp_path):
                 "records", "report"):
         if first[key].read_bytes() != second[key].read_bytes():
             diffs.append(key)
-    for name in ("meta.json", "unit.npy", "raw.npy"):
+    for name in ("meta.json", "unit.npy", "raw.npy", "vectors.npy",
+                 "vocab.json"):
         if ((first["index"] / name).read_bytes()
                 != (second["index"] / name).read_bytes()):
             diffs.append(f"index/{name}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -245,6 +246,49 @@ def test_vector_dimension_mismatch_is_data_error(indexed, capsys, command):
     assert not out.exists()
 
 
+def _query_argv(indexed, command, vec, out):
+    """A valid decompose or synth-eval run over the indexed workspace."""
+    argv = [command, "--index", str(indexed["idx"]), "--vectors", str(vec),
+            "--out", str(out)]
+    if command == "decompose":
+        return argv + ["--questions", str(indexed["single"])]
+    return argv + ["--corpus", str(indexed["single"]), "--objective",
+                   "sum-distance", "--count", "5", "--k", "20"]
+
+
+@pytest.mark.parametrize("command", ["decompose", "synth-eval"])
+def test_other_vectors_of_the_same_dimension_are_data_error(indexed, capsys,
+                                                            command):
+    other = indexed["tmp"] / "other.vec"
+    save_vector_table(synthetic_vector_table(
+        corpus_vocabulary(indexed["corpus"]), dim=24, seed=43), other)
+    out = indexed["tmp"] / "out"
+    assert main(_query_argv(indexed, command, other, out)) == 2
+    err = capsys.readouterr().err
+    for vec in (other, indexed["vec"]):
+        assert hashlib.sha256(vec.read_bytes()).hexdigest() in err
+    assert "dimension 24" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["decompose", "synth-eval"])
+@pytest.mark.parametrize("older", [False, True],
+                         ids=["deleted", "older-index"])
+def test_index_without_vectors_copy_is_data_error(indexed, capsys, command,
+                                                  older):
+    idx = indexed["idx"]
+    (idx / "vectors.npy").unlink(missing_ok=True)
+    if older:  # an index written before the vectors were stored
+        (idx / "vocab.json").unlink(missing_ok=True)
+        meta = json.loads((idx / "meta.json").read_text())
+        meta.pop("vectors", None)
+        (idx / "meta.json").write_text(json.dumps(meta))
+    out = indexed["tmp"] / "out"
+    assert main(_query_argv(indexed, command, indexed["vec"], out)) == 2
+    assert str(idx / "vectors.npy") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def with_nan(matrix):
     matrix = matrix.copy()
     matrix[7, 3] = np.nan
@@ -374,6 +418,45 @@ def test_train_classifier_bad_flag_is_usage_error(tmp_path, capsys, flags):
     out = tmp_path / "clf.json"
     assert main(["train-classifier", "--labeled", f"a={tmp_path / 'a.jsonl'}",
                  "--labeled", f"b={tmp_path / 'b.jsonl'}", "--out", str(out)]
+                + flags) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_eval_negative_seed_is_usage_error(tmp_path, capsys):
+    # no input exists: the seed must be rejected before any is read
+    out = tmp_path / "mrr.json"
+    assert main(["synth-eval", "--corpus", str(tmp_path / "c.jsonl"),
+                 "--index", str(tmp_path / "idx"),
+                 "--vectors", str(tmp_path / "v.vec"),
+                 "--objective", "sum-distance", "--seed", "-1",
+                 "--out", str(out)]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mask-prob", "2"],
+    ["--shuffle-window", "-1"],
+    ["--mask-token", ""],
+], ids=["mask-prob", "shuffle-window", "mask-token"])
+def test_noise_bad_flag_is_usage_error(tmp_path, capsys, flags):
+    out = tmp_path / "noised.jsonl"
+    assert main(["noise", "--corpus", str(tmp_path / "c.jsonl"),
+                 "--out", str(out)] + flags) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--min-tokens", "10", "--max-tokens", "2"],
+    ["--min-tokens", "-1"],
+], ids=["min-above-max", "negative"])
+def test_build_index_bad_length_bounds_are_usage_error(tmp_path, capsys,
+                                                       flags):
+    out = tmp_path / "idx"
+    assert main(["build-index", "--corpus", str(tmp_path / "c.jsonl"),
+                 "--vectors", str(tmp_path / "v.vec"), "--out", str(out)]
                 + flags) == 1
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()

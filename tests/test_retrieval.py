@@ -28,8 +28,9 @@ from qdecomp.retrieval import (
 )
 
 from conftest import make_corpus
-from oracles import (general_argmax_oracle, pair_argmax_oracle, topk_oracle,
-                     variable_argmin_oracle, variable_beam_oracle)
+from oracles import (embed_sum_oracle, general_argmax_oracle,
+                     pair_argmax_oracle, topk_oracle, variable_argmin_oracle,
+                     variable_beam_oracle)
 
 
 def index_from_rows(rows):
@@ -42,9 +43,20 @@ def index_from_rows(rows):
     return build_index(corpus, table, filters=None), table
 
 
+def add_words(table, words):
+    """Add {word: vector} to a table in place; a word it has is replaced."""
+    for word, vec in words.items():
+        vec = np.asarray(vec, dtype=np.float32)
+        if word in table:
+            table.matrix[table.vocab[word]] = vec
+        else:
+            table.vocab[word] = len(table.matrix)
+            table.matrix = np.vstack([table.matrix, vec])
+
+
 def query_for(table, vec):
     """Question embedding exactly vec, via a dedicated query word."""
-    table.entries["qq"] = np.asarray(vec, dtype=np.float32)
+    add_words(table, {"qq": vec})
     return Question.from_text("query", "qq")
 
 
@@ -346,8 +358,11 @@ def test_index_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     index, _ = index_from_rows(rng.normal(size=(6, 3)))
     d = tmp_path / "idx"
-    save_index(index, d)
+    save_index(index, d, "ab" * 32)
     back = load_index(d)
+    assert back.vectors_sha256 == "ab" * 32
+    assert back.vectors.vocab == index.vectors.vocab
+    np.testing.assert_array_equal(back.vectors.matrix, index.vectors.matrix)
     assert back.ids == index.ids
     assert back.texts == index.texts
     assert back.oov_excluded == index.oov_excluded
@@ -358,7 +373,7 @@ def test_index_save_load_round_trip(tmp_path):
 
 def test_load_index_rejects_meta_rows_that_disagree_with_ids(tmp_path):
     index, _ = index_from_rows(np.eye(3))
-    save_index(index, tmp_path)
+    save_index(index, tmp_path, "ab" * 32)
     meta = json.loads((tmp_path / "meta.json").read_text())
     meta["texts"] = meta["texts"][:2]
     (tmp_path / "meta.json").write_text(json.dumps(meta))
@@ -372,10 +387,120 @@ def test_index_serialization_is_byte_stable(tmp_path):
     index, _ = index_from_rows(rng.normal(size=(5, 3)))
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
-    save_index(index, d1)
-    save_index(index, d2)
-    for name in ("meta.json", "unit.npy", "raw.npy"):
+    save_index(index, d1, "ab" * 32)
+    save_index(index, d2, "ab" * 32)
+    assert sorted(p.name for p in d1.iterdir()) == sorted(retrieval.INDEX_FILES)
+    for name in retrieval.INDEX_FILES:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_build_index_equals_per_question_sums_across_blocks():
+    # 600 questions span three embed_blocks blocks; opposite words make some
+    # sums exactly zero, and those rows are left out as out of vocabulary
+    rng = np.random.default_rng(8)
+    half = rng.normal(size=(4, 6)) * 10.0 ** rng.integers(-3, 4, (4, 1))
+    vectors = dict(zip("abcdefgh", np.vstack([half, -half]).astype(np.float32)))
+    table = make_vector_table(vectors)
+    texts = [" ".join(rng.choice(list("abcdefghxy"), rng.integers(1, 9)))
+             for _ in range(600)]
+    texts[:3] = ["a e", "x y", "b f b"]
+    corpus = make_corpus(texts)
+    index = build_index(corpus, table, filters=LengthFilter(2, 7))
+    kept = [q for q in corpus if 2 <= len(q.tokens) <= 7]
+    sums = [embed_sum_oracle(q.tokens, vectors, 6) for q in kept]
+    embedded = [(q, v) for q, v in zip(kept, sums) if v.any()]
+    assert index.ids == tuple(q.id for q, _ in embedded)
+    assert index.filtered_out == 600 - len(kept)
+    assert index.oov_excluded == len(kept) - len(embedded) >= 3
+    for (_, v), raw, unit in zip(embedded, index.raw_matrix, index.unit_matrix):
+        assert (raw == v.astype(np.float32)).all()
+        assert (unit == (v / np.linalg.norm(v)).astype(np.float32)).all()
+
+
+@pytest.mark.parametrize("bounds", [(5, 2), (-1, 20), (0, -1)])
+def test_length_filter_rejects_bad_bounds(bounds):
+    with pytest.raises(ValueError):
+        LengthFilter(*bounds)
+
+
+def saved_index(path):
+    index, _ = index_from_rows(np.eye(3))
+    save_index(index, path, "ab" * 32)
+    return index
+
+
+@pytest.mark.parametrize("name, corrupt, message", [
+    ("vectors.npy", lambda m: m.astype(np.float64), "float64"),
+    ("vectors.npy", lambda m: m[:-1], r"\(2, 3\)"),
+    ("vectors.npy", lambda m: np.where(m == 1, np.inf, m).astype(np.float32),
+     "NaN or infinite"),
+    ("vocab.json", lambda words: words[:-1], "lists 2 words"),
+    ("vocab.json", lambda words: [words[0]] * len(words), "'w00' is listed"),
+    ("meta.json", lambda meta: dict(meta, vectors=dict(meta["vectors"],
+                                                       words=4)),
+     "lists 3 words"),
+    ("meta.json", lambda meta: dict(meta, vectors=dict(meta["vectors"],
+                                                       dim=4)),
+     "vectors have dimension 4, but the index has dimension 3"),
+], ids=["float64", "missing-row", "inf", "short-vocab", "repeated-word",
+        "meta-word-count", "meta-dim"])
+def test_load_index_rejects_a_bad_vectors_copy(tmp_path, name, corrupt,
+                                               message):
+    saved_index(tmp_path)
+    path = tmp_path / name
+    if name.endswith(".json"):
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    else:
+        np.save(path, corrupt(np.load(path)))
+    with pytest.raises(ValueError, match=message):
+        load_index(tmp_path)
+
+
+def test_load_index_names_the_missing_vectors_copy(tmp_path):
+    saved_index(tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    del meta["vectors"]  # as written before the vectors were stored
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    (tmp_path / "vectors.npy").unlink()
+    (tmp_path / "vocab.json").unlink()
+    with pytest.raises(ValueError, match="vectors.npy is missing"):
+        load_index(tmp_path)
+
+
+def test_failed_save_leaves_the_previous_index(tmp_path, monkeypatch):
+    d = tmp_path / "idx"
+    before = saved_index(d)
+    files = {p.name: p.read_bytes() for p in d.iterdir()}
+    other, _ = index_from_rows(2 * np.eye(4))
+    real_save = np.save
+    calls = []
+
+    def failing_save(path, matrix):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real_save(path, matrix)
+
+    monkeypatch.setattr(retrieval.np, "save", failing_save)
+    with pytest.raises(OSError, match="disk full"):
+        save_index(other, d, "cd" * 32)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["idx"]
+    assert {p.name: p.read_bytes() for p in d.iterdir()} == files
+    back = load_index(d)
+    assert back.ids == before.ids and back.vectors_sha256 == "ab" * 32
+    save_index(other, d, "cd" * 32)  # a complete write replaces it
+    assert load_index(d).ids == other.ids
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["idx"]
+
+
+def test_save_index_keeps_a_directory_that_is_not_an_index(tmp_path):
+    (tmp_path / "notes.txt").write_text("keep me")
+    index, _ = index_from_rows(np.eye(3))
+    with pytest.raises(ValueError, match="notes.txt"):
+        save_index(index, tmp_path, "ab" * 32)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt"]
 
 
 # ---- record validation, random baseline, datasets ----
@@ -407,8 +532,7 @@ def test_dataset_build_worker_count_invariance():
     rng = np.random.default_rng(9)
     rows = nonzero_rows(rng, 30, 4)
     index, table = index_from_rows(rows)
-    for i in range(12):
-        table.entries[f"p{i:02d}"] = rng.normal(size=4).astype(np.float32)
+    add_words(table, {f"p{i:02d}": rng.normal(size=4) for i in range(12)})
     questions = make_corpus([f"p{i:02d}" for i in range(12)], prefix="mq")
     cfg1 = DecomposeConfig(method="fixed2", k=30, n=2, max_n=3, beam_width=50,
                            seed=0, workers=1)
@@ -429,8 +553,7 @@ def test_dataset_build_worker_count_invariance():
 def test_dataset_build_equals_per_question_calls(monkeypatch, method, params):
     rng = np.random.default_rng(21)
     index, table = index_from_rows(nonzero_rows(rng, 40, 5))
-    for i in range(15):
-        table.entries[f"p{i:02d}"] = rng.normal(size=5).astype(np.float32)
+    add_words(table, {f"p{i:02d}": rng.normal(size=5) for i in range(15)})
     questions = make_corpus([f"p{i:02d}" for i in range(15)] + ["unknownword"],
                             prefix="mq")
     scan = retrieval._topk_rows
@@ -487,7 +610,7 @@ def test_decompose_config_checks_only_what_the_method_uses():
 def test_dataset_build_records_failures():
     rng = np.random.default_rng(10)
     index, table = index_from_rows(nonzero_rows(rng, 8, 3))
-    table.entries["pp"] = np.array([1.0, -0.5, 0.25], dtype=np.float32)
+    add_words(table, {"pp": [1.0, -0.5, 0.25]})
     questions = QuestionCorpus(questions=(
         Question.from_text("ok", "pp"),
         Question.from_text("oov", "unknownword"),

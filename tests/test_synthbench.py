@@ -151,12 +151,12 @@ def test_synthetic_vector_table_scales_function_words():
     S = build_synthetic_singlehop_corpus(20, seed=5)
     vocab = corpus_vocabulary(S)
     table = synthetic_vector_table(vocab, dim=16, seed=6, function_word_scale=0.2)
-    assert set(table.entries) == set(vocab)
-    content = np.linalg.norm(table.entries["t094"]) if "t094" in table.entries else None
-    the = np.linalg.norm(table.entries["the"])
-    who = np.linalg.norm(table.entries["what"])
+    assert set(table.vocab) == set(vocab)
+    norms = {w: np.linalg.norm(table.matrix[r]) for w, r in table.vocab.items()}
+    the = norms["the"]
+    who = norms["what"]
     # function words have deliberately small norms
-    assert the < 0.5 * np.mean([np.linalg.norm(v) for w, v in table.entries.items()
+    assert the < 0.5 * np.mean([v for w, v in norms.items()
                                 if w.startswith(("t", "e")) and w not in ("the",)])
     assert who < 1.0
 
