@@ -18,8 +18,7 @@ from .retrieval import (DecomposeConfig, EmbeddedIndex, LengthFilter,
                         load_index, pseudo_decompose_fixed,
                         pseudo_decompose_general, pseudo_decompose_variable,
                         save_index, topk_candidates)
-from .editing import (EntitySpan, detect_entities, edit_pseudo_decomposition,
-                      edit_sub_question_texts)
+from .editing import EntitySpan, detect_entities, edit_sub_question_texts
 from .noising import NoiseConfig, local_shuffle, noise_tokens, word_dropout
 from .metrics import (RoundTripRecord, StoppingState, bleu, edit_distance,
                       is_good_decomposition, length_ratio, roundtrip_report,

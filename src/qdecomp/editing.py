@@ -5,7 +5,7 @@ by same-type entities taken from the question, cycling through the
 question's entities in order. Detection runs on the original cased text.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .corpus import tokenize, tokenize_cased, tokenize_with_spans
 
@@ -113,12 +113,6 @@ def edit_sub_question_texts(question, sub_texts):
             text = text[:start] + surface + text[end:]
         out.append(text)
     return out
-
-
-def edit_pseudo_decomposition(question, decomposition):
-    """Edited copy of a decomposition (sub-question texts rewritten)."""
-    edited = edit_sub_question_texts(question, decomposition.sub_texts)
-    return replace(decomposition, sub_texts=tuple(edited), edited=True)
 
 
 def split_sub_question_texts(text):

@@ -116,6 +116,14 @@ class EmbeddedIndex:
         return qid in self._row_map
 
     @cached_property
+    def id_rank(self):
+        """Each row's position in the ascending order of the ids."""
+        rank = np.empty(len(self.ids), dtype=np.intp)
+        rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = \
+            np.arange(len(self.ids))
+        return rank
+
+    @cached_property
     def row_norm_bound(self):
         """Upper bound on the largest row norm of unit_matrix.
 
@@ -246,12 +254,34 @@ def _load_matrix(path, shape):
     return matrix
 
 
+def _check_unit_rows(path, matrix):
+    """Reject a unit-matrix row whose squared norm is not 1 within rounding.
+
+    build_index stores each row as a float64 sum over its float64 norm,
+    rounded to float32. That float64 quotient has squared norm 1 within a
+    few float64 ulps; rounding each component to float32 moves its square
+    by a factor within (1 +- u32)**2, and the float32 dot product below adds
+    at most gamma_d(u32). Underflow adds at most d * 2**-148, far below
+    u32. So every row build_index writes has |squares - 1| <=
+    gamma_{d+3}(u32), and a row outside that was not written by it.
+    """
+    squares = np.einsum("ij,ij->i", matrix, matrix).astype(np.float64)
+    bad = np.flatnonzero(np.abs(squares - 1.0)
+                         > _gamma(matrix.shape[1] + 3, _U32))
+    if len(bad):
+        row = int(bad[0])
+        raise ValueError(f"{path}: row {row} has squared norm "
+                         f"{squares[row]!r}, not 1 within float32 rounding "
+                         f"({len(bad)} such rows)")
+
+
 def load_index(dirpath):
     """Read an index written by save_index, with its word vectors.
 
     Raises ValueError when meta.json names another source than summed word
     vectors, when its rows, ids and texts disagree or an id repeats, when
-    unit.npy or raw.npy is not a finite float32 (rows, dim) matrix, when it
+    unit.npy or raw.npy is not a finite float32 (rows, dim) matrix, when a
+    unit.npy row does not have unit norm (see _check_unit_rows), when it
     records no word vectors (an index written before they were stored), or
     when vocab.json does not list the recorded number of distinct words or
     vectors.npy is not a finite float32 (words, dim) matrix.
@@ -271,6 +301,7 @@ def load_index(dirpath):
         raise ValueError(f"{meta_path}: id {repeated!r} is listed more than once")
     unit, raw = (_load_matrix(os.path.join(dirpath, name), (rows, dim))
                  for name in ("unit.npy", "raw.npy"))
+    _check_unit_rows(os.path.join(dirpath, "unit.npy"), unit)
     vectors_path = os.path.join(dirpath, "vectors.npy")
     vectors = meta.get("vectors")
     if vectors is None:
@@ -353,9 +384,8 @@ def _topk_rows(index, q_units, k):
             rows = np.flatnonzero(scores32.astype(np.float64) >= floor)
         scores = (np.asarray(matrix[rows], dtype=np.float64, order="C")
                   * q).sum(axis=1)
-        order = sorted(range(len(rows)),
-                       key=lambda i: (-scores[i], index.ids[rows[i]]))[:k_eff]
-        results.append(([int(rows[i]) for i in order], scores[order]))
+        order = np.lexsort((index.id_rank[rows], -scores))[:k_eff]
+        results.append((rows[order].tolist(), scores[order]))
     return results
 
 
@@ -374,7 +404,6 @@ class PseudoDecomposition:
     sub_texts: tuple
     objective_score: float
     method: str
-    edited: bool = False
     search_mode: str | None = None
 
     def __post_init__(self):
@@ -473,22 +502,22 @@ def pseudo_decompose_general(index, question, source, n, k=1000,
     if n == 3 and math.comb(m, n) <= EXHAUSTIVE_SUBSET_CAP:
         search_mode = "exhaustive"
         pair_part = sims[:, None] + sims[None, :] - gram
+        upper = np.triu(np.ones((m, m), dtype=bool), 1)
         best_val = -np.inf
         tie_sets = []
         for i in range(m - 2):
             gi = gram[i, i + 1:]
             sub = pair_part[i + 1:, i + 1:] + (sims[i] - gi[:, None] - gi[None, :])
-            jj, kk = np.triu_indices(m - i - 1, k=1)
-            vals = sub[jj, kk]
-            if vals.size == 0:
-                continue
-            vmax = float(vals.max())
+            pairs = upper[i + 1:, i + 1:]  # j < k
+            vmax = float(sub.max(where=pairs, initial=-np.inf))
             if vmax > best_val:
                 best_val = vmax
                 tie_sets = []
             if vmax == best_val:
-                for t in np.flatnonzero(vals == vmax):
-                    tie_sets.append((i, i + 1 + int(jj[t]), i + 1 + int(kk[t])))
+                # row-major, the order of np.triu_indices
+                jj, kk = np.nonzero((sub == vmax) & pairs)
+                tie_sets.extend(zip([i] * len(jj), (jj + i + 1).tolist(),
+                                    (kk + i + 1).tolist()))
         chosen = min(tie_sets, key=ids_of)
         score = best_val
     else:
@@ -682,66 +711,73 @@ class DatasetBuildResult:
     failures: tuple  # ((question id, reason), ...)
 
 
+def _scan_queries(index, token_lists, source, k):
+    """Embed token lists and find each one's top-K index rows.
+
+    Yields one query per token list, in input order: the (raw, unit, rows)
+    triple that pseudo_decompose_* and decomposition_rank take, or None for
+    a list with no in-vocabulary token. Every list is embedded first, in
+    embed_blocks blocks, each sum normalized as embed_query does. Top-K rows
+    are then found for _SCAN_BLOCK // len(index) lists at a time, with one
+    _topk_rows call per chunk: a float32 GEMM whose shortlist keeps every
+    row within the proven error margin 2 * delta of the K-th best score,
+    rescored in float64 (see _topk_rows), so each list gets exactly the rows
+    a float64 scan of the whole index would rank first. With k None nothing
+    is scanned and rows is None.
+    """
+    queries = []  # (raw, unit), or None when no token is in vocabulary
+    for _, sums in embed_blocks(token_lists, source):
+        queries.extend((raw, unit_normalize(raw)) if raw.any() else None
+                       for raw in sums)
+    chunk = max(1, _SCAN_BLOCK // len(index))
+    for start in range(0, len(queries), chunk):
+        part = queries[start:start + chunk]
+        units = [q[1] for q in part if q is not None]
+        hits = iter(_topk_rows(index, units, k) if k is not None and units
+                    else ())
+        for q in part:
+            if q is None:
+                yield None
+            else:
+                yield (*q, None if k is None else next(hits)[0])
+
+
 def build_pseudo_decomposition_dataset(questions, index, source, config):
     """Decompose every embeddable question; skip and record failures.
 
-    Every question is embedded first, in embed_blocks blocks, each sum
-    normalized as embed_query does. The scanning methods then find top-K
-    rows for _SCAN_BLOCK // len(index) questions at a time, with one
-    _topk_rows call per chunk: a float32 GEMM whose shortlist keeps every
-    row within the proven error margin 2 * delta of the K-th best score,
-    rescored in float64 (see _topk_rows), so each question gets exactly
-    the rows a float64 scan of the whole index would rank first. Each
-    question's embedding and rows go to pseudo_decompose_fixed, _general or
-    _variable. Records and failures follow input order, and config.workers
-    does not change the output (the build runs on one thread).
+    Questions are embedded and scanned by _scan_queries (the random baseline
+    is not scanned), and each question's embedding and top-K rows go to
+    pseudo_decompose_fixed, _general or _variable. Records and failures
+    follow input order, and config.workers does not change the output (the
+    build runs on one thread).
     """
     questions = tuple(questions)
-    outcomes = [None] * len(questions)  # a decomposition or a failure reason
-    embedded = []  # (position, question, raw vector, unit vector)
-    for start, sums in embed_blocks([q.tokens for q in questions], source):
-        for pos, raw in enumerate(sums, start):
-            if raw.any():
-                embedded.append((pos, questions[pos], raw,
-                                 unit_normalize(raw)))
-            else:
-                outcomes[pos] = _NO_VOCABULARY
-
-    chunk = max(1, _SCAN_BLOCK // len(index))
-    for start in range(0, len(embedded), chunk):
-        part = embedded[start:start + chunk]
-        if config.method == METHOD_RANDOM:
-            hits = [(None, None)] * len(part)
-        else:
-            hits = _topk_rows(index, [unit for *_, unit in part], config.k)
-        for (pos, q, raw, unit), (rows, _) in zip(part, hits):
-            query = (raw, unit, rows)
-            try:
-                if config.method == METHOD_FIXED:
-                    d = pseudo_decompose_fixed(index, q, source, config.k,
-                                               query=query)
-                elif config.method == METHOD_GENERAL:
-                    d = pseudo_decompose_general(index, q, source, config.n,
-                                                 config.k, query=query)
-                elif config.method == METHOD_VARIABLE:
-                    d = pseudo_decompose_variable(
-                        index, q, source, config.max_n, config.k,
-                        config.beam_width, query=query)
-                else:
-                    d = _random_from_index(
-                        index, q, config.n,
-                        child_seed(config.seed, "decompose-random", pos))
-                outcomes[pos] = d
-            except ValueError as exc:
-                outcomes[pos] = str(exc)
-
+    k = None if config.method == METHOD_RANDOM else config.k
+    queries = _scan_queries(index, [q.tokens for q in questions], source, k)
     records = []
     failures = []
-    for q, outcome in zip(questions, outcomes):
-        if isinstance(outcome, str):
-            failures.append((q.id, outcome))
+    for pos, (q, query) in enumerate(zip(questions, queries)):
+        try:
+            if query is None:
+                raise ValueError(_NO_VOCABULARY)
+            if config.method == METHOD_FIXED:
+                d = pseudo_decompose_fixed(index, q, source, config.k,
+                                           query=query)
+            elif config.method == METHOD_GENERAL:
+                d = pseudo_decompose_general(index, q, source, config.n,
+                                             config.k, query=query)
+            elif config.method == METHOD_VARIABLE:
+                d = pseudo_decompose_variable(
+                    index, q, source, config.max_n, config.k,
+                    config.beam_width, query=query)
+            else:
+                d = _random_from_index(
+                    index, q, config.n,
+                    child_seed(config.seed, "decompose-random", pos))
+        except ValueError as exc:
+            failures.append((q.id, str(exc)))
         else:
-            records.append((q, outcome))
+            records.append((q, d))
     return DatasetBuildResult(records=tuple(records), failures=tuple(failures))
 
 

@@ -4,18 +4,24 @@ Composites join n sampled single-hop questions with " and " (dropping the
 inner question marks). A decomposition's rank is one plus the number of
 size-n candidate subsets that score strictly better than the gold subset
 under the chosen objective; MRR averages reciprocal ranks.
+
+mrr_eval embeds every composite and finds its top-K pool in one batched
+pass, the dataset builder's. The count scores subsets block by block in
+one fixed operation order, never holding all C(K, n) scores, and skips
+each n = 3 block that a bound, widened by a proven rounding margin, shows
+to hold nothing better than gold; the ranks are those of scoring and
+comparing every subset.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .corpus import Question, QuestionCorpus
 from .embeddings import make_vector_table
-from .retrieval import _topk_rows, embed_query
+from .retrieval import _U64, _gamma, _query_rows, _scan_queries
 from .rng import substream
 
 OBJECTIVE_SIM_DIVERSITY = "sim-diversity"
@@ -64,47 +70,112 @@ def build_synthetic_compositional(corpus, n, count, seed):
     return out
 
 
-@lru_cache(maxsize=8)
-def _subset_columns(m, n):
-    combos = np.array(list(combinations(range(m), n)), dtype=np.intp)
-    return tuple(combos[:, i] for i in range(n))
+def _objective_terms(objective, index, rows, raw_q, unit):
+    """(start, member terms, pair terms) of the objective over a pool.
 
-
-def _scores_sim_diversity(index, rows, unit, cols):
-    cand = index.unit_matrix[rows].astype(np.float64)
-    sims = cand @ unit
-    gram = cand @ cand.T
-    score = sims[cols[0]].copy()
-    for c in cols[1:]:
-        score += sims[c]
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            score -= gram[cols[i], cols[j]]
-    return score
-
-
-def _scores_sum_distance(index, rows, raw_q, cols):
+    A size-n subset of pool positions c_1 < ... < c_n scores start, plus
+    each member's terms in member order, plus pairs[c_a, c_b] for each pair
+    in (1, 2), (1, 3), (2, 3) order, added left to right; higher is better.
+    sim-diversity is sum(sims) - sum(gram) (start -0.0 is the additive
+    identity). sum-distance is the squared distance |q - sum(raws)|**2
+    expanded as qq - 2 q.r + r.r per member + 2 r.r' per pair, negated:
+    round-to-nearest is symmetric, so every step rounds to exactly the
+    negation of the unnegated step.
+    """
+    if objective == OBJECTIVE_SIM_DIVERSITY:
+        cand = index.unit_matrix[rows].astype(np.float64)
+        return -0.0, (cand @ unit,), -(cand @ cand.T)
     raws = index.raw_matrix[rows].astype(np.float64)
-    dots = raws @ raw_q
     gram = raws @ raws.T
-    diag = np.diag(gram)
-    qq = float(raw_q @ raw_q)
-    sq = np.full(cols[0].shape, qq)
-    for c in cols:
-        sq -= 2.0 * dots[c]
-        sq += diag[c]
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            sq += 2.0 * gram[cols[i], cols[j]]
-    return sq
+    return (-float(raw_q @ raw_q), (2.0 * (raws @ raw_q), -np.diag(gram)),
+            -2.0 * gram)
 
 
-def decomposition_rank(objective, composite, gold_sub_ids, index, source, k):
+def _count_better(start, members, pairs, gold):
+    """Subsets of the pool scoring strictly above the gold positions.
+
+    Scores follow _objective_terms exactly, gold's included. n = 2 is one
+    (K, K) block masked to j < k. For n = 3 each first member i has a
+    (K-i-1)**2 block of (j, k), masked the same way, unless its bound
+    proves the block holds nothing above gold.
+
+    The bound of block i is lead_i + (the two largest t_ij, j > i) +
+    (the largest pairs[j, k], i < j < k), where lead_i is start plus i's
+    member terms and t_ij is j's member terms plus pairs[i, j]: every
+    subset of the block is lead_i + t_ij + t_ik + pairs[j, k]. Let W bound
+    the magnitudes of a subset's L terms (L = 1 + 3 * len(members) + 3).
+    A block entry is a recursive sum of its L terms and so lies within
+    gamma_{L-1}(u64) * W of their exact sum (Higham, Accuracy and Stability
+    of Numerical Algorithms, section 3.1). lead_i and t_ij each take
+    len(members) roundings and the bound three more, so the exact sum is
+    within (gamma_{len(members)} + gamma_3) * W of the bound. The block is
+    skipped when bound + gamma_{2L}(u64) * W * (1 + 2**-40) <= gold: the
+    margin exceeds both errors by at least 2 * u64 * W, which covers the
+    rounding of that sum, and the factor covers the rounding of the margin.
+    """
+    lead = start
+    for v in members:
+        lead = lead + v
+    score = start
+    for p in gold:
+        for v in members:
+            score = score + v[p]
+    for a, b in combinations(gold, 2):
+        score = score + pairs[a, b]
+    m = len(lead)
+    upper = np.triu(np.ones((m, m), dtype=bool), 1)
+    if len(gold) == 2:
+        block = lead[:, None] + members[0]
+        for v in members[1:]:
+            block += v
+        block += pairs
+        return int(np.count_nonzero((block > score) & upper))
+
+    own = members[0]
+    for v in members[1:]:
+        own = own + v
+    tails = np.where(upper, own + pairs, -np.inf)
+    top_two = np.partition(tails, m - 2, axis=1)[:, m - 2:].sum(axis=1)
+    row_best = np.where(upper, pairs, -np.inf).max(axis=1)
+    after = np.maximum.accumulate(row_best[::-1])[::-1]  # max over rows >= j
+    bound = top_two[:m - 2] + lead[:m - 2] + after[1:m - 1]
+    terms = 1 + 3 * len(members) + 3
+    scale = (abs(start) + 3 * sum(float(np.abs(v).max()) for v in members)
+             + 3 * float(np.abs(pairs).max()))
+    margin = _gamma(2 * terms, _U64) * scale * (1.0 + 2.0 ** -40)
+    better = 0
+    for i in np.flatnonzero(bound + margin > score).tolist():
+        rest = slice(i + 1, None)
+        acc = lead[i]
+        for v in members:
+            acc = acc + v[rest]
+        block = acc[:, None] + members[0][rest]
+        for v in members[1:]:
+            block += v[rest]
+        block += pairs[i, rest][:, None]
+        block += pairs[i, rest]
+        block += pairs[rest, rest]
+        better += int(np.count_nonzero((block > score) & upper[rest, rest]))
+    return better
+
+
+def decomposition_rank(objective, composite, gold_sub_ids, index, source, k,
+                       query=None):
     """Rank of the gold subset among all size-n subsets of the top-K pool.
 
     Gold ids must exist in the index; gold outside the top-K pool gets the
     worst rank (subset count plus one). Strictly-better scores only. K must
-    be at least n, since below it that worst rank would be 1.
+    be at least n, since below it that worst rank would be 1. query, when
+    given, is the composite's (raw, unit, top-K rows) from mrr_eval's
+    batched scan.
+
+    The count never holds all C(K, n) scores. n = 2 scores one (K, K)
+    block of pairs; n = 3 scores K - 2 blocks, one (K-i-1)**2 block of
+    (j, k) pairs per first member i, and skips a block when its bound plus
+    the rounding margin gamma_{2L}(u64) * W is not above gold (see
+    _count_better for the bound, L and W). Subsets and gold are scored in
+    one fixed operation order, so the rank is that of scoring and
+    comparing every subset.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -116,30 +187,13 @@ def decomposition_rank(objective, composite, gold_sub_ids, index, source, k):
     for gid in gold_sub_ids:
         if gid not in index:
             raise ValueError(f"gold sub-question {gid!r} is not in the index")
-    raw_q, unit = embed_query(source, composite.tokens)
-    [(rows, _)] = _topk_rows(index, [unit], k)
+    raw_q, unit, rows = _query_rows(index, composite, source, k, query)
     pos_of = {r: p for p, r in enumerate(rows)}
     gold_rows = [index.row_of(g) for g in gold_sub_ids]
     if any(r not in pos_of for r in gold_rows):
         return math.comb(len(rows), n) + 1
-    cols = _subset_columns(len(rows), n)
-    if objective == OBJECTIVE_SIM_DIVERSITY:
-        scores = _scores_sim_diversity(index, rows, unit, cols)
-        higher_is_better = True
-    else:
-        scores = _scores_sum_distance(index, rows, raw_q, cols)
-        higher_is_better = False
-    gold_pos = np.array(sorted(pos_of[r] for r in gold_rows), dtype=np.intp)
-    mask = np.ones(scores.shape, dtype=bool)
-    for c, g in zip(cols, gold_pos):
-        mask &= c == g
-    gold_idx = int(np.flatnonzero(mask)[0])
-    gold_score = scores[gold_idx]
-    if higher_is_better:
-        better = scores > gold_score
-    else:
-        better = scores < gold_score
-    return 1 + int(np.count_nonzero(better))
+    terms = _objective_terms(objective, index, rows, raw_q, unit)
+    return 1 + _count_better(*terms, sorted(pos_of[r] for r in gold_rows))
 
 
 @dataclass(frozen=True)
@@ -151,12 +205,21 @@ class MrrReport:
 
 
 def mrr_eval(objective, benchmark, index, source, k):
-    """Mean reciprocal rank over a synthetic benchmark."""
+    """Mean reciprocal rank over a synthetic benchmark.
+
+    The composites are embedded and their top-K rows found in one batched
+    pass (retrieval._scan_queries); each is then ranked by
+    decomposition_rank. A composite with no in-vocabulary token is ranked
+    without a query, so it raises embed_query's error after the rank's own
+    checks.
+    """
     if not benchmark:
         raise ValueError("empty benchmark")
+    queries = _scan_queries(index, [item.composite.tokens
+                                    for item in benchmark], source, k)
     ranks = [decomposition_rank(objective, item.composite, item.gold_sub_ids,
-                                index, source, k)
-             for item in benchmark]
+                                index, source, k, query=query)
+             for item, query in zip(benchmark, queries)]
     mrr = sum(1.0 / r for r in ranks) / len(ranks)
     return MrrReport(objective=objective, k=k, mrr=mrr, ranks=tuple(ranks))
 

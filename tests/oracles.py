@@ -178,3 +178,53 @@ def embed_sum_oracle(tokens, vectors, dim):
         if tok in vectors:
             acc += vectors[tok]
     return acc
+
+
+def rank_oracle(objective, q_raw, q_unit, pool_unit, pool_raw, gold, n):
+    """Rank of the gold subset among every size-n subset of a pool, by full
+    enumeration.
+
+    pool_unit and pool_raw are the pool's float32 rows in pool order; gold
+    holds the gold members' pool positions, or is None when one of them is
+    outside the pool (rank C(m, n) + 1). Each subset of ascending positions
+    c is scored in the package's operation order. sim-diversity:
+    sims[c0] + sims[c1] (+ sims[c2]), then minus gram[a, b] for each pair
+    (a, b) of c in combinations order, with sims = cand @ q_unit and
+    gram = cand @ cand.T over the float64 unit rows; higher is better.
+    sum-distance: q.q, then per member minus 2 q.r and plus r.r, then plus
+    2 r.r' per pair, with dots = raws @ q_raw and gram = raws @ raws.T over
+    the float64 raw rows; lower is better. The rank is one plus the number
+    of subsets strictly better than gold, scored the same way.
+    """
+    m = len(pool_unit)
+    if gold is None:
+        return math.comb(m, n) + 1
+    if objective == "sim-diversity":
+        cand = np.asarray(pool_unit, dtype=np.float64)
+        sims = cand @ np.asarray(q_unit, dtype=np.float64)
+        gram = cand @ cand.T
+
+        def score(c):
+            s = sims[c[0]]
+            for p in c[1:]:
+                s = s + sims[p]
+            for a, b in combinations(c, 2):
+                s = s - gram[a, b]
+            return s
+    else:
+        raws = np.asarray(pool_raw, dtype=np.float64)
+        q = np.asarray(q_raw, dtype=np.float64)
+        dots = raws @ q
+        gram = raws @ raws.T
+        qq = float(q @ q)
+
+        def score(c):
+            s = qq
+            for p in c:
+                s = s - 2.0 * dots[p]
+                s = s + gram[p, p]
+            for a, b in combinations(c, 2):
+                s = s + 2.0 * gram[a, b]
+            return -s  # higher is better from here on
+    target = score(tuple(sorted(gold)))
+    return 1 + sum(1 for c in combinations(range(m), n) if score(c) > target)

@@ -295,17 +295,24 @@ def with_nan(matrix):
     return matrix
 
 
+def with_long_row(matrix):
+    matrix = matrix.copy()
+    matrix[12] *= np.float32(1.0001)
+    return matrix
+
+
 @pytest.mark.parametrize("name, corrupt, shown", [
     ("unit.npy", lambda m: np.vstack([m, m[:5]]), ["(65, 24)", "(60, 24)"]),
     ("unit.npy", lambda m: m[:-5], ["(55, 24)", "(60, 24)"]),
     ("unit.npy", with_nan, ["NaN"]),
+    ("unit.npy", with_long_row, ["row 12 ", "not 1"]),
     ("raw.npy", lambda m: np.ascontiguousarray(m[:, :10]),
      ["(60, 10)", "(60, 24)"]),
     ("meta.json", lambda meta: dict(meta, ids=["dup"] * meta["rows"]),
      ["'dup'"]),
     ("meta.json", lambda meta: dict(meta, source="tfidf"), ["'tfidf'"]),
-], ids=["extra-rows", "missing-rows", "nan", "narrow-raw", "repeated-id",
-        "other-source"])
+], ids=["extra-rows", "missing-rows", "nan", "non-unit-row", "narrow-raw",
+        "repeated-id", "other-source"])
 def test_index_contradicting_meta_is_data_error(indexed, capsys, name,
                                                 corrupt, shown):
     path = indexed["idx"] / name

@@ -6,11 +6,9 @@ from qdecomp.editing import (
     DATE_YEAR,
     NUMBER,
     detect_entities,
-    edit_pseudo_decomposition,
     edit_sub_question_texts,
     split_sub_question_texts,
 )
-from qdecomp.retrieval import PseudoDecomposition
 
 
 def spans_of(text):
@@ -80,18 +78,6 @@ def test_edit_is_idempotent():
     once = edit_sub_question_texts(q, subs)
     twice = edit_sub_question_texts(q, once)
     assert once == twice
-
-
-def test_edit_pseudo_decomposition_flags_record():
-    q = Question.from_text("q1", "Who played Annie Morton?")
-    rec = PseudoDecomposition(question_id="q1", sub_question_ids=("a", "b"),
-                              sub_texts=("who met Barack Obama ?", "who sang ?"),
-                              objective_score=0.5, method="fixed2")
-    edited = edit_pseudo_decomposition(q, rec)
-    assert edited.edited
-    assert edited.sub_texts[0] == "who met Annie Morton ?"
-    assert edited.sub_question_ids == rec.sub_question_ids
-    assert not rec.edited  # original untouched
 
 
 def test_split_sub_question_texts():

@@ -89,6 +89,24 @@ def test_topk_orders_by_score_then_id():
     assert [s for _, s in got] == [pytest.approx(1.0)] * 3
 
 
+def test_topk_breaks_score_ties_by_id_and_signed_zeros_tie():
+    # rows orthogonal to q score 0.0, whose sort key -0.0 must tie with
+    # 0.0 as Python's sorted does, so all ties fall back to id order
+    assert np.lexsort(([1, 0], [-0.0, 0.0])).tolist() == [1, 0]
+    rows = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [0.0, -1.0],
+                     [-0.0, 1.0], [1.0, 0.0], [0.6, 0.8]], dtype=np.float32)
+    ids = ("r5", "r2", "r4", "r0", "r3", "r1", "r6")
+    index = EmbeddedIndex(ids=ids, texts=ids, unit_matrix=rows,
+                          raw_matrix=rows)
+    q = np.array([1.0, -0.0])
+    for k in (7, 5):
+        [(got_rows, got_scores)] = retrieval._topk_rows(index, [q], k)
+        assert got_rows == [5, 2, 6, 3, 1, 4, 0][:k]
+        assert got_rows == topk_oracle(q, rows, ids, k)[0]
+        assert list(got_scores) == [1.0, 1.0, 0.6000000238418579, 0.0, 0.0,
+                                    0.0, 0.0][:k]
+
+
 def test_topk_k_larger_than_index():
     index, table = index_from_rows(np.eye(3))
     q = query_for(table, [1.0, 0.5, 0.0])
@@ -203,6 +221,49 @@ def test_general_matches_brute_force_n3():
         assert got.sub_question_ids == want_ids, f"trial {trial}"
         assert got.objective_score == pytest.approx(want_score, rel=1e-9)
         assert got.search_mode == "exhaustive"
+
+
+def triu_general3(sims, gram):
+    """The n = 3 exhaustive search written with np.triu_indices gathers:
+    every position triple tying the best value, in row-major (i, j, k)
+    order, and that value."""
+    m = len(sims)
+    pair_part = sims[:, None] + sims[None, :] - gram
+    best, ties = -np.inf, []
+    for i in range(m - 2):
+        gi = gram[i, i + 1:]
+        sub = pair_part[i + 1:, i + 1:] + (sims[i] - gi[:, None] - gi[None, :])
+        jj, kk = np.triu_indices(m - i - 1, k=1)
+        vals = sub[jj, kk]
+        vmax = float(vals.max())
+        if vmax > best:
+            best, ties = vmax, []
+        if vmax == best:
+            ties += [(i, i + 1 + int(jj[t]), i + 1 + int(kk[t]))
+                     for t in np.flatnonzero(vals == vmax)]
+    return ties, best
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_general_n3_ties_match_the_triu_search(seed):
+    # axis rows, each several times over, tie many triples exactly
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 5))
+    rows = np.eye(dim)[rng.integers(dim, size=int(rng.integers(5, 13)))]
+    if seed % 2:
+        rows[0] = rng.normal(size=dim)
+    index, table = index_from_rows(rows)
+    query_for(table, rng.integers(1, 4, size=dim).astype(float))
+    question = Question.from_text("q", "qq")
+    got = pseudo_decompose_general(index, question, table, n=3, k=len(rows))
+    _, unit = embed_sum_unit(table, question)
+    pool, _ = topk_oracle(unit, index.unit_matrix, index.ids, len(rows))
+    cand = index.unit_matrix[pool].astype(np.float64)
+    ties, best = triu_general3(cand @ unit, cand @ cand.T)
+    assert len(ties) > 1
+    want = min(tuple(sorted(index.ids[pool[p]] for p in t)) for t in ties)
+    assert got.sub_question_ids == want
+    assert repr(got.objective_score) == repr(best)
 
 
 def test_general_n2_agrees_with_fixed():
@@ -369,6 +430,31 @@ def test_index_save_load_round_trip(tmp_path):
     assert back.filtered_out == index.filtered_out
     np.testing.assert_array_equal(back.unit_matrix, index.unit_matrix)
     np.testing.assert_array_equal(back.raw_matrix, index.raw_matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300),
+       st.sampled_from((1e-30, 1e-3, 1.0, 1e3, 1e30)))
+def test_every_built_index_loads(tmp_path_factory, seed, dim, scale):
+    # unit rows keep unit norm within the bound load_index checks, at any
+    # dimension and magnitude, with rows of mixed scales and near-zero parts
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(6, dim)) * scale * rng.choice([1e-6, 1.0, 1e6],
+                                                          size=(6, 1))
+    rows[rng.random(size=rows.shape) < 0.3] = 0.0
+    rows[~rows.any(axis=1), 0] = scale
+    index, _ = index_from_rows(rows)
+    d = tmp_path_factory.mktemp("idx") / "idx"
+    save_index(index, d, "ab" * 32)
+    np.testing.assert_array_equal(load_index(d).unit_matrix, index.unit_matrix)
+
+
+def test_load_index_rejects_a_row_that_is_not_unit(tmp_path):
+    index, _ = index_from_rows(np.eye(3) + 0.25)
+    index.unit_matrix[2] *= np.float32(1 + 2 ** -14)
+    save_index(index, tmp_path / "idx", "ab" * 32)
+    with pytest.raises(ValueError, match=r"unit\.npy: row 2 has squared norm"):
+        load_index(tmp_path / "idx")
 
 
 def test_load_index_rejects_meta_rows_that_disagree_with_ids(tmp_path):

@@ -3,7 +3,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from qdecomp import retrieval
 from qdecomp.corpus import Question
 from qdecomp.embeddings import make_vector_table
 from qdecomp.retrieval import build_index
@@ -20,6 +22,7 @@ from qdecomp.synthbench import (
 )
 
 from conftest import make_corpus
+from oracles import embed_sum_oracle, rank_oracle, topk_oracle
 
 
 def single_word_index(rows):
@@ -31,8 +34,9 @@ def single_word_index(rows):
     return build_index(corpus, table, filters=None), table
 
 
-def rank_oracle(objective, q_raw, q_unit, index, rows, gold_rows, n):
-    """Count strictly better subsets among the pool, python-loop style."""
+def distance_rank_oracle(objective, q_raw, q_unit, index, rows, gold_rows, n):
+    """Count strictly better subsets among the pool, python-loop style, with
+    sum-distance taken as the norm itself rather than its expansion."""
     unit = index.unit_matrix.astype(np.float64)
     raw = index.raw_matrix.astype(np.float64)
 
@@ -75,8 +79,127 @@ def test_rank_matches_oracle_on_random_instances():
             rows = [index.row_of(g) for g in
                     [i for i, _ in topk_candidates(index, q_unit, m)]]
             gold_rows = [index.row_of(g) for g in gold]
-            want = rank_oracle(objective, q_raw, q_unit, index, rows, gold_rows, 2)
+            want = distance_rank_oracle(objective, q_raw, q_unit, index, rows,
+                                        gold_rows, 2)
             assert got == want, (trial, objective)
+
+
+@st.composite
+def rank_cases(draw):
+    """Single-word index rows, a query vector, gold positions and K.
+
+    Rows are integer-valued (exact ties under sum-distance), Gaussian, or
+    scaled coordinate permutations of one Gaussian row, and some are copies
+    of others, so other subsets score exactly gold's value or differ from
+    it only by rounding. The query is often gold's summed rows, so gold
+    ranks near the top and the bound has blocks to skip.
+    K runs from n to past the index size; below it gold can fall outside
+    the pool.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.sampled_from((2, 3)))
+    m = draw(st.integers(n, 9))
+    dim = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("grid", "normal", "permuted")))
+    grid = kind == "grid"
+    base = rng.normal(size=dim)
+    rows = np.zeros((m, dim))
+    for i in range(m):
+        while not rows[i].any():
+            if kind == "permuted":
+                rows[i] = rng.permutation(base) * rng.choice([0.5, 1.0, 2.0])
+            else:
+                rows[i] = (rng.integers(-3, 4, size=dim) if grid
+                           else rng.normal(size=dim))
+    for dst in rng.choice(m, size=draw(st.integers(0, m - 1)), replace=False):
+        rows[dst] = rows[rng.integers(m)]
+    gold = rng.choice(m, size=n, replace=False)
+    q_vec = rows[gold].sum(axis=0)
+    if draw(st.booleans()) or not q_vec.any():
+        q_vec = (rng.integers(-3, 4, size=dim) if grid
+                 else rng.normal(size=dim))
+        q_vec[0] = q_vec[0] or 1.0
+    return rows, q_vec, gold, draw(st.integers(n, m + 3))
+
+
+def query_index(rows, q_vec):
+    """Index of one single-word question per row, and a table with the word
+    "qq" whose vector is q_vec."""
+    words = {f"w{i:02d}": row for i, row in enumerate(rows)}
+    words["qq"] = q_vec
+    table = make_vector_table(words)
+    corpus = make_corpus([f"w{i:02d}" for i in range(len(rows))], prefix="c")
+    return build_index(corpus, table, filters=None), table
+
+
+# two rows a, b and b / 2, with gold {b / 2, a, a} summing to the query: a
+# block whose bound is exactly gold's score holds a subset that rounds
+# above it, so a block skipped without the rounding margin loses a count
+_A = [-0.7868285179138184, 0.24152354896068573]
+_B = [0.9660941958427429, -3.1473140716552734]
+_H = [0.48304709792137146, -1.5736570358276367]
+
+
+@settings(max_examples=400, deadline=None)
+@given(rank_cases())
+@example((np.array([_A, _B, _H, _B, _A, _A, _H, _A]),
+          np.array([-1.0906100273132324] * 2), np.array([6, 0, 4]), 8))
+def test_rank_equals_full_enumeration(case):
+    rows, q_vec, gold, k = case
+    index, table = query_index(rows, q_vec)
+    composite = Question.from_text("comp", "qq")
+    gold_ids = tuple(index.ids[g] for g in gold)
+    q_raw = embed_sum_oracle(["qq"], {"qq": table.matrix[table.vocab["qq"]]},
+                             table.dim)
+    q_unit = q_raw / np.linalg.norm(q_raw)
+    pool, _ = topk_oracle(q_unit, index.unit_matrix, index.ids, k)
+    in_pool = all(g in pool for g in gold)
+    for objective in (OBJECTIVE_SIM_DIVERSITY, OBJECTIVE_SUM_DISTANCE):
+        want = rank_oracle(objective, q_raw, q_unit, index.unit_matrix[pool],
+                           index.raw_matrix[pool],
+                           [pool.index(g) for g in gold] if in_pool else None,
+                           len(gold))
+        assert decomposition_rank(objective, composite, gold_ids, index, table,
+                                  k) == want
+
+
+def test_mrr_eval_ranks_each_composite_as_decomposition_rank(monkeypatch):
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(12, 4))
+    index, table = single_word_index(rows)
+    words = [f"w{i:02d}" for i in range(12)]
+    bench = [SyntheticComposite(
+        composite=Question.from_text(f"comp{c}", " and ".join(
+            words[g] for g in gold)),
+        gold_sub_ids=tuple(index.ids[g] for g in gold))
+        for c, gold in enumerate(rng.choice(12, size=3, replace=False)
+                                 for _ in range(7))]
+    chunks = []
+    scan = retrieval._topk_rows
+
+    def counted_scan(index, q_units, k):
+        chunks.append(len(q_units))
+        return scan(index, q_units, k)
+
+    monkeypatch.setattr(retrieval, "_SCAN_BLOCK", 3 * len(index))
+    monkeypatch.setattr(retrieval, "_topk_rows", counted_scan)
+    for objective in (OBJECTIVE_SIM_DIVERSITY, OBJECTIVE_SUM_DISTANCE):
+        chunks.clear()
+        rep = mrr_eval(objective, bench, index, table, k=8)
+        assert chunks == [3, 3, 1]
+        assert rep.ranks == tuple(
+            decomposition_rank(objective, item.composite, item.gold_sub_ids,
+                               index, table, k=8) for item in bench)
+
+
+def test_mrr_eval_out_of_vocabulary_composite_is_error():
+    index, table = single_word_index(np.eye(4) + 0.5)
+    bench = [SyntheticComposite(
+        composite=Question.from_text(f"comp{c}", text),
+        gold_sub_ids=("c00000000", "c00000001"))
+        for c, text in enumerate(["w00 and w01", "unknown words"])]
+    with pytest.raises(ValueError, match="no in-vocabulary tokens"):
+        mrr_eval(OBJECTIVE_SIM_DIVERSITY, bench, index, table, k=4)
 
 
 def test_rank_one_when_gold_dominates():
