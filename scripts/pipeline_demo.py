@@ -78,10 +78,12 @@ def run(args):
           "--out-multi", str(d / "routed_multi.jsonl")])
     step(["build-index", "--corpus", str(d / "routed_single.jsonl"),
           "--vectors", str(vec), "--out", str(d / "idx")])
+    # general at its default n = 2 would be fixed2; the demo runs n = 3
+    size = ["--n", "3"] if args.method == "general" else []
     step(["decompose", "--questions", str(d / "routed_multi.jsonl"),
           "--index", str(d / "idx"), "--vectors", str(vec),
           "--out", str(d / "pseudo.tsv"), "--method", args.method,
-          "--k", "100", "--workers", str(args.workers)])
+          "--k", "100", "--workers", str(args.workers)] + size)
     step(["edit", "--decompositions", str(d / "pseudo.tsv"),
           "--out", str(d / "edited.tsv")])
     step(["noise", "--corpus", str(d / "routed_single.jsonl"),

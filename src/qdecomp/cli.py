@@ -29,7 +29,8 @@ from .recompose import (ensemble_average, predict_answer, read_logits_jsonl,
 from .retrieval import (DecomposeConfig, LengthFilter, METHODS,
                         build_index, build_pseudo_decomposition_dataset,
                         load_index, read_dataset_tsv, save_index,
-                        write_dataset_tsv, DATASET_COLUMNS, _tsv_field)
+                        write_dataset_tsv, DATASET_COLUMNS, _read_tsv,
+                        _tsv_field)
 from .rng import substream
 from .synthbench import (OBJECTIVES, build_synthetic_compositional, mrr_eval)
 
@@ -474,20 +475,11 @@ def cmd_noise(opts):
                help="TSV of question, decomposition, round-trip question"),
           _opt("--out", REQUIRED, help="report JSON"))
 def cmd_metrics(opts):
-    records = []
-    with open(opts["records"], encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{opts['records']}:{lineno}: expected 3 "
-                                 f"columns (question, decomposition, round trip)")
-            question = Question.from_text(f"r{lineno:08d}", fields[0])
-            records.append(RoundTripRecord(question=question,
-                                           decomposition_text=fields[1],
-                                           roundtrip_text=fields[2]))
+    # columns: question, decomposition, round trip
+    records = [RoundTripRecord(
+                   question=Question.from_text(f"r{lineno:08d}", fields[0]),
+                   decomposition_text=fields[1], roundtrip_text=fields[2])
+               for lineno, fields in _read_tsv(opts["records"], 3)]
     report = roundtrip_report(records)
     payload = {
         "bleu": report.bleu,

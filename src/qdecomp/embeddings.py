@@ -163,20 +163,6 @@ def embed_blocks(token_lists, table):
         yield start, unsorted
 
 
-@dataclass(frozen=True)
-class TextEmbedding:
-    """Sum of in-vocabulary word vectors; is_zero marks an exactly-zero sum."""
-
-    vector: np.ndarray
-    is_zero: bool
-
-
-def embed_text_sum(tokens, table):
-    """Sum the vectors of in-vocabulary tokens (float64 accumulation)."""
-    [(_, sums)] = embed_blocks([tokens], table)
-    return TextEmbedding(vector=sums[0], is_zero=not sums[0].any())
-
-
 def unit_normalize(vector):
     """Scale to unit L2 norm. Zero vectors are an error."""
     v = np.asarray(vector, dtype=np.float64)

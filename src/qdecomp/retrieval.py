@@ -23,8 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .corpus import QuestionCorpus
-from .embeddings import (VectorTable, embed_blocks, embed_text_sum,
-                         unit_normalize)
+from .embeddings import VectorTable, embed_blocks, unit_normalize
 from .rng import child_seed
 
 # the one embedding an index holds, named in its meta.json
@@ -124,34 +123,28 @@ class EmbeddedIndex:
         return rank
 
     @cached_property
+    def row_squares(self):
+        """Squared norm of each unit_matrix row, summed in the matrix's
+        dtype by one einsum, without a float64 copy of the matrix."""
+        return np.einsum("ij,ij->i", self.unit_matrix, self.unit_matrix)
+
+    @cached_property
     def row_norm_bound(self):
         """Upper bound on the largest row norm of unit_matrix.
 
-        The squared norms are summed in float32, without a float64 copy of
-        the matrix; dividing by 1 - gamma_d covers their rounding.
+        The float32 row_squares are within gamma_d of the true squares, so
+        dividing their largest by 1 - gamma_d covers their rounding.
         """
         matrix = self.unit_matrix
         if matrix.dtype != np.float32:
             raise ValueError(f"index unit matrix must be float32, "
                              f"got {matrix.dtype}")
-        squares = float(np.einsum("ij,ij->i", matrix, matrix).max())
+        squares = float(self.row_squares.max())
         bound = squares / (1.0 - _gamma(matrix.shape[1], _U32))
         return math.sqrt(bound) * (1.0 + 2.0 ** -40)
 
 
 _NO_VOCABULARY = "text has no in-vocabulary tokens"
-
-
-def embed_query(source, tokens):
-    """(raw float64 vector, unit vector): the summed word vectors of a
-    token list under a VectorTable.
-
-    Raises ValueError when no token is in vocabulary.
-    """
-    emb = embed_text_sum(tokens, source)
-    if emb.is_zero:
-        raise ValueError(_NO_VOCABULARY)
-    return emb.vector, unit_normalize(emb.vector)
 
 
 def build_index(corpus, source, filters=None):
@@ -161,7 +154,7 @@ def build_index(corpus, source, filters=None):
     excluded and counted. An index that would be empty is an error. The
     questions are summed by embed_blocks, block by block, straight into
     preallocated float32 matrices; each row's unit vector is its sum over
-    its own np.linalg.norm, exactly as embed_query computes it.
+    its own np.linalg.norm, exactly as _scan_queries normalizes a query.
     """
     kept = [q for q in corpus if filters is None
             or filters.min_tokens <= len(q.tokens) <= filters.max_tokens]
@@ -254,20 +247,21 @@ def _load_matrix(path, shape):
     return matrix
 
 
-def _check_unit_rows(path, matrix):
+def _check_unit_rows(path, index):
     """Reject a unit-matrix row whose squared norm is not 1 within rounding.
 
     build_index stores each row as a float64 sum over its float64 norm,
     rounded to float32. That float64 quotient has squared norm 1 within a
     few float64 ulps; rounding each component to float32 moves its square
-    by a factor within (1 +- u32)**2, and the float32 dot product below adds
-    at most gamma_d(u32). Underflow adds at most d * 2**-148, far below
-    u32. So every row build_index writes has |squares - 1| <=
-    gamma_{d+3}(u32), and a row outside that was not written by it.
+    by a factor within (1 +- u32)**2, and the float32 dot product of
+    row_squares adds at most gamma_d(u32). Underflow adds at most
+    d * 2**-148, far below u32. So every row build_index writes has
+    |squares - 1| <= gamma_{d+3}(u32), and a row outside that was not
+    written by it.
     """
-    squares = np.einsum("ij,ij->i", matrix, matrix).astype(np.float64)
+    squares = index.row_squares.astype(np.float64)
     bad = np.flatnonzero(np.abs(squares - 1.0)
-                         > _gamma(matrix.shape[1] + 3, _U32))
+                         > _gamma(index.unit_matrix.shape[1] + 3, _U32))
     if len(bad):
         row = int(bad[0])
         raise ValueError(f"{path}: row {row} has squared norm "
@@ -301,7 +295,11 @@ def load_index(dirpath):
         raise ValueError(f"{meta_path}: id {repeated!r} is listed more than once")
     unit, raw = (_load_matrix(os.path.join(dirpath, name), (rows, dim))
                  for name in ("unit.npy", "raw.npy"))
-    _check_unit_rows(os.path.join(dirpath, "unit.npy"), unit)
+    index = EmbeddedIndex(ids=tuple(meta["ids"]), texts=tuple(meta["texts"]),
+                          unit_matrix=unit, raw_matrix=raw,
+                          oov_excluded=meta["oov_excluded"],
+                          filtered_out=meta["filtered_out"])
+    _check_unit_rows(os.path.join(dirpath, "unit.npy"), index)
     vectors_path = os.path.join(dirpath, "vectors.npy")
     vectors = meta.get("vectors")
     if vectors is None:
@@ -322,13 +320,10 @@ def load_index(dirpath):
         [(repeated, _)] = Counter(words).most_common(1)
         raise ValueError(f"{vocab_path}: word {repeated!r} is listed more "
                          f"than once")
-    table = VectorTable(vocab=vocab,
-                        matrix=_load_matrix(vectors_path, (len(words), dim)))
-    return EmbeddedIndex(ids=tuple(meta["ids"]), texts=tuple(meta["texts"]),
-                         unit_matrix=unit, raw_matrix=raw,
-                         oov_excluded=meta["oov_excluded"],
-                         filtered_out=meta["filtered_out"],
-                         vectors=table, vectors_sha256=vectors["sha256"])
+    index.vectors = VectorTable(
+        vocab=vocab, matrix=_load_matrix(vectors_path, (len(words), dim)))
+    index.vectors_sha256 = vectors["sha256"]
+    return index
 
 
 def _topk_rows(index, q_units, k):
@@ -421,13 +416,68 @@ def _query_rows(index, question, source, k, query):
     """Raw and unit embedding of a question and its top-K index rows.
 
     query, when given, is that (raw, unit, rows) triple from the batched
-    dataset build and is used as given.
+    dataset build and is used as given; otherwise the question alone goes
+    through _scan_queries. Raises ValueError when no token is in vocabulary.
     """
-    if query is not None:
-        return query
-    raw, unit = embed_query(source, question.tokens)
-    [(rows, _)] = _topk_rows(index, [unit], k)
-    return raw, unit, rows
+    if query is None:
+        query = next(_scan_queries(index, [question.tokens], source, k))
+        if query is None:
+            raise ValueError(_NO_VOCABULARY)
+    return query
+
+
+def _unit_pool(index, rows, unit):
+    """(sims, gram) of a top-K pool in float64: each candidate's similarity
+    to the unit query, and the candidates' pairwise similarities."""
+    cand = index.unit_matrix[rows].astype(np.float64)
+    return cand @ unit, cand @ cand.T
+
+
+def _exhaustive(index, rows, sims, gram, n):
+    """Best size-n subset of pool positions (n is 2 or 3) and its score.
+
+    A subset scores the sum of its sims minus the sum of its pairs' gram
+    entries. n = 2 scores one (K, K) block of pairs (j, k), each as
+    (s_j + s_k) - g_jk; n = 3 scores one (K-i-1)**2 block of (j, k) per
+    first member i, each as that pair's value plus (s_i - g_ij - g_ik). Only
+    j < k counts. Every tie of the best value is listed row-major, as a
+    scan of the upper triangle meets it, and the one with the smallest
+    sorted id tuple wins.
+    """
+    m = len(sims)
+    pair_part = sims[:, None] + sims[None, :] - gram
+    upper = np.triu(np.ones((m, m), dtype=bool), 1)
+
+    def blocks():  # (leading positions, offset of j and k, block)
+        if n == 2:
+            yield (), 0, pair_part
+            return
+        for i in range(m - 2):
+            gi = gram[i, i + 1:]
+            yield ((i,), i + 1, pair_part[i + 1:, i + 1:]
+                   + (sims[i] - gi[:, None] - gi[None, :]))
+
+    best, ties = -np.inf, []
+    for head, at, block in blocks():
+        pairs = upper[at:, at:]
+        vmax = float(block.max(where=pairs, initial=-np.inf))
+        if vmax > best:
+            best, ties = vmax, []
+        if vmax == best:
+            jj, kk = np.nonzero((block == vmax) & pairs)
+            ties.extend(head + (j, k) for j, k in zip((jj + at).tolist(),
+                                                      (kk + at).tolist()))
+    chosen = min(ties, key=lambda t: sorted(index.ids[rows[p]] for p in t))
+    return chosen, best
+
+
+def _decomposition(index, question, rows, positions, score, method,
+                   search_mode=None):
+    """PseudoDecomposition of the chosen pool positions, members by id."""
+    ids, texts = zip(*sorted((index.ids[rows[p]], index.texts[rows[p]])
+                             for p in positions))
+    return PseudoDecomposition(question.id, ids, texts, float(score), method,
+                               search_mode)
 
 
 def pseudo_decompose_fixed(index, question, source, k=1000, query=None):
@@ -440,29 +490,10 @@ def pseudo_decompose_fixed(index, question, source, k=1000, query=None):
     _, unit, rows = _query_rows(index, question, source, k, query)
     if len(rows) < 2:
         raise ValueError("need at least two candidates to form a pair")
-    cand = index.unit_matrix[rows].astype(np.float64)
-    sims = cand @ unit
-    gram = cand @ cand.T
-    iu, ju = np.triu_indices(len(rows), k=1)
-    vals = sims[iu] + sims[ju] - gram[iu, ju]
-    best = float(vals.max())
-    ties = np.flatnonzero(vals == best)
-
-    def pair_key(t):
-        a = index.ids[rows[iu[t]]]
-        b = index.ids[rows[ju[t]]]
-        return (a, b) if a <= b else (b, a)
-
-    chosen = min(ties.tolist(), key=pair_key)
-    pair = sorted((rows[iu[chosen]], rows[ju[chosen]]), key=lambda r: index.ids[r])
-    return PseudoDecomposition(
-        question_id=question.id,
-        sub_question_ids=tuple(index.ids[r] for r in pair),
-        sub_texts=tuple(index.texts[r] for r in pair),
-        objective_score=best,
-        method=METHOD_FIXED,
-        search_mode="exhaustive",
-    )
+    sims, gram = _unit_pool(index, rows, unit)
+    chosen, best = _exhaustive(index, rows, sims, gram, 2)
+    return _decomposition(index, question, rows, chosen, best, METHOD_FIXED,
+                          "exhaustive")
 
 
 def _subset_score(sims, gram, positions):
@@ -480,9 +511,9 @@ def pseudo_decompose_general(index, question, source, n, k=1000,
 
     Exhaustive for N <= 3 while the subset count stays within
     EXHAUSTIVE_SUBSET_CAP; otherwise greedy forward selection (the chosen
-    mode is recorded in search_mode). N=2 is exactly the fixed2 search.
-    query, when given, is the question's (raw, unit, top-K rows) from the
-    batched dataset build.
+    mode is recorded in search_mode). N=2 is exactly the fixed2 search,
+    whatever the cap. query, when given, is the question's (raw, unit,
+    top-K rows) from the batched dataset build.
     """
     if n < 2:
         raise ValueError("N must be at least 2")
@@ -492,34 +523,10 @@ def pseudo_decompose_general(index, question, source, n, k=1000,
     m = len(rows)
     if m < n:
         raise ValueError(f"need at least {n} candidates, have {m}")
-    cand = index.unit_matrix[rows].astype(np.float64)
-    sims = cand @ unit
-    gram = cand @ cand.T
-
-    def ids_of(positions):
-        return tuple(sorted(index.ids[rows[p]] for p in positions))
-
+    sims, gram = _unit_pool(index, rows, unit)
     if n == 3 and math.comb(m, n) <= EXHAUSTIVE_SUBSET_CAP:
         search_mode = "exhaustive"
-        pair_part = sims[:, None] + sims[None, :] - gram
-        upper = np.triu(np.ones((m, m), dtype=bool), 1)
-        best_val = -np.inf
-        tie_sets = []
-        for i in range(m - 2):
-            gi = gram[i, i + 1:]
-            sub = pair_part[i + 1:, i + 1:] + (sims[i] - gi[:, None] - gi[None, :])
-            pairs = upper[i + 1:, i + 1:]  # j < k
-            vmax = float(sub.max(where=pairs, initial=-np.inf))
-            if vmax > best_val:
-                best_val = vmax
-                tie_sets = []
-            if vmax == best_val:
-                # row-major, the order of np.triu_indices
-                jj, kk = np.nonzero((sub == vmax) & pairs)
-                tie_sets.extend(zip([i] * len(jj), (jj + i + 1).tolist(),
-                                    (kk + i + 1).tolist()))
-        chosen = min(tie_sets, key=ids_of)
-        score = best_val
+        chosen, score = _exhaustive(index, rows, sims, gram, n)
     else:
         search_mode = "greedy"
         selected = []
@@ -536,16 +543,8 @@ def pseudo_decompose_general(index, question, source, n, k=1000,
             remaining.remove(pick)
         chosen = tuple(selected)
         score = _subset_score(sims, gram, chosen)
-
-    members = sorted(((index.ids[rows[p]], index.texts[rows[p]]) for p in chosen))
-    return PseudoDecomposition(
-        question_id=question.id,
-        sub_question_ids=tuple(i for i, _ in members),
-        sub_texts=tuple(t for _, t in members),
-        objective_score=float(score),
-        method=METHOD_GENERAL,
-        search_mode=search_mode,
-    )
+    return _decomposition(index, question, rows, chosen, score,
+                          METHOD_GENERAL, search_mode)
 
 
 def _extensions(beam, m):
@@ -638,14 +637,8 @@ def pseudo_decompose_variable(index, question, source, max_n, k=1000,
             best = cand
         beam = np.array([s[2] for s in states], dtype=np.intp)
 
-    members = sorted(((index.ids[rows[p]], index.texts[rows[p]]) for p in best[3]))
-    return PseudoDecomposition(
-        question_id=question.id,
-        sub_question_ids=tuple(i for i, _ in members),
-        sub_texts=tuple(t for _, t in members),
-        objective_score=best[0],
-        method=METHOD_VARIABLE,
-    )
+    return _decomposition(index, question, rows, best[3], best[0],
+                          METHOD_VARIABLE)
 
 
 def _random_from_index(index, question, n, seed):
@@ -717,7 +710,7 @@ def _scan_queries(index, token_lists, source, k):
     Yields one query per token list, in input order: the (raw, unit, rows)
     triple that pseudo_decompose_* and decomposition_rank take, or None for
     a list with no in-vocabulary token. Every list is embedded first, in
-    embed_blocks blocks, each sum normalized as embed_query does. Top-K rows
+    embed_blocks blocks, each sum normalized by unit_normalize. Top-K rows
     are then found for _SCAN_BLOCK // len(index) lists at a time, with one
     _topk_rows call per chunk: a float32 GEMM whose shortlist keeps every
     row within the proven error margin 2 * delta of the K-th best score,
@@ -805,8 +798,12 @@ def write_dataset_tsv(records, path):
             fh.write("\n")
 
 
-def read_dataset_tsv(path):
-    """Rows of the 5-column dataset TSV as lists of strings."""
+def _read_tsv(path, columns):
+    """(line number, fields) of each non-blank line of a headerless TSV.
+
+    Raises ValueError naming path:lineno for a line without exactly
+    `columns` tab-separated fields.
+    """
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -814,9 +811,13 @@ def read_dataset_tsv(path):
             if not line:
                 continue
             fields = line.split("\t")
-            if len(fields) != len(DATASET_COLUMNS):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(DATASET_COLUMNS)} columns, "
-                    f"got {len(fields)}")
-            rows.append(fields)
+            if len(fields) != columns:
+                raise ValueError(f"{path}:{lineno}: expected {columns} "
+                                 f"columns, got {len(fields)}")
+            rows.append((lineno, fields))
     return rows
+
+
+def read_dataset_tsv(path):
+    """Rows of the 5-column dataset TSV as lists of strings."""
+    return [fields for _, fields in _read_tsv(path, len(DATASET_COLUMNS))]

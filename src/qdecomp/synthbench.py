@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import Question, QuestionCorpus
 from .embeddings import make_vector_table
-from .retrieval import _U64, _gamma, _query_rows, _scan_queries
+from .retrieval import _U64, _gamma, _query_rows, _scan_queries, _unit_pool
 from .rng import substream
 
 OBJECTIVE_SIM_DIVERSITY = "sim-diversity"
@@ -83,8 +83,8 @@ def _objective_terms(objective, index, rows, raw_q, unit):
     negation of the unnegated step.
     """
     if objective == OBJECTIVE_SIM_DIVERSITY:
-        cand = index.unit_matrix[rows].astype(np.float64)
-        return -0.0, (cand @ unit,), -(cand @ cand.T)
+        sims, gram = _unit_pool(index, rows, unit)
+        return -0.0, (sims,), -gram
     raws = index.raw_matrix[rows].astype(np.float64)
     gram = raws @ raws.T
     return (-float(raw_q @ raw_q), (2.0 * (raws @ raw_q), -np.diag(gram)),
@@ -210,8 +210,8 @@ def mrr_eval(objective, benchmark, index, source, k):
     The composites are embedded and their top-K rows found in one batched
     pass (retrieval._scan_queries); each is then ranked by
     decomposition_rank. A composite with no in-vocabulary token is ranked
-    without a query, so it raises embed_query's error after the rank's own
-    checks.
+    without a query, so it raises the scan's no-vocabulary error after the
+    rank's own checks.
     """
     if not benchmark:
         raise ValueError("empty benchmark")

@@ -195,6 +195,17 @@ def test_decompose_edit_metrics_flow(workspace, capsys):
     assert rep["scaled"] == pytest.approx(rep["bleu"] * rep["good_fraction"])
 
 
+def test_metrics_names_a_records_line_with_too_few_columns(tmp_path, capsys):
+    records = tmp_path / "records.tsv"
+    records.write_text("Who is t001 of e001?\tWho is t001?\tWho is t001?\n"
+                       "\n"
+                       "Who is t002 of e002?\tWho is t002?\n")
+    out = tmp_path / "report.json"
+    assert main(["metrics", "--records", str(records), "--out", str(out)]) == 2
+    assert f"{records}:3: expected 3 columns, got 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture
 def indexed(workspace):
     """The workspace plus a word-vector index over its single-hop corpus."""

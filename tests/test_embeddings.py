@@ -8,7 +8,6 @@ from qdecomp import embeddings
 from qdecomp.embeddings import (
     cosine,
     embed_blocks,
-    embed_text_sum,
     load_vector_table,
     make_vector_table,
     save_vector_table,
@@ -19,23 +18,28 @@ from qdecomp.embeddings import (
 from oracles import embed_sum_oracle
 
 
-def test_embed_text_sum_adds_known_words(tiny_table):
-    emb = embed_text_sum(["who", "wrote", "hamlet"], tiny_table)
-    assert not emb.is_zero
-    np.testing.assert_allclose(emb.vector, [2.0, 1.0, 1.0, 0.0])
-    assert emb.vector.dtype == np.float64
+def embed_one(tokens, table):
+    """The embed_blocks sum of a single token list."""
+    [(start, sums)] = embed_blocks([tokens], table)
+    assert start == 0 and sums.shape == (1, table.dim)
+    return sums[0]
 
 
-def test_embed_text_sum_skips_unknown_words(tiny_table):
-    a = embed_text_sum(["who", "zzz"], tiny_table)
-    b = embed_text_sum(["who"], tiny_table)
-    np.testing.assert_array_equal(a.vector, b.vector)
+def test_embed_blocks_adds_known_words(tiny_table):
+    vector = embed_one(["who", "wrote", "hamlet"], tiny_table)
+    assert vector.any()
+    np.testing.assert_allclose(vector, [2.0, 1.0, 1.0, 0.0])
+    assert vector.dtype == np.float64
 
 
-def test_embed_text_sum_all_unknown_is_zero(tiny_table):
-    emb = embed_text_sum(["zzz", "yyy"], tiny_table)
-    assert emb.is_zero
-    assert not emb.vector.any()
+def test_embed_blocks_skips_unknown_words(tiny_table):
+    a = embed_one(["who", "zzz"], tiny_table)
+    b = embed_one(["who"], tiny_table)
+    np.testing.assert_array_equal(a, b)
+
+
+def test_embed_blocks_all_unknown_is_zero(tiny_table):
+    assert not embed_one(["zzz", "yyy"], tiny_table).any()
 
 
 def test_unit_normalize():
@@ -103,8 +107,7 @@ def test_repeated_word_keeps_its_last_vector(tmp_path):
     assert len(table) == 3 and table.matrix.shape == (3, 2)
     assert list(table.vocab) == ["a", "b", "c"]  # first positions, in order
     np.testing.assert_array_equal(table.matrix[table.vocab["a"]], [3.0, 4.0])
-    np.testing.assert_array_equal(embed_text_sum(["a", "a"], table).vector,
-                                  [6.0, 8.0])
+    np.testing.assert_array_equal(embed_one(["a", "a"], table), [6.0, 8.0])
 
 
 def test_header_line_is_skipped_only_on_the_first_line(tmp_path):

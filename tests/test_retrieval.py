@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdecomp import retrieval
 from qdecomp.corpus import Question, QuestionCorpus
-from qdecomp.embeddings import embed_text_sum, make_vector_table, unit_normalize
+from qdecomp.embeddings import embed_blocks, make_vector_table, unit_normalize
 from qdecomp.retrieval import (
     DecomposeConfig,
     EXHAUSTIVE_SUBSET_CAP,
@@ -73,8 +73,8 @@ def nonzero_rows(rng, m, dim, grid=False):
 
 
 def embed_sum_unit(table, question):
-    emb = embed_text_sum(question.tokens, table)
-    return emb.vector, unit_normalize(emb.vector)
+    [(_, sums)] = embed_blocks([question.tokens], table)
+    return sums[0], unit_normalize(sums[0])
 
 
 # ---- top-k ----
@@ -264,6 +264,62 @@ def test_general_n3_ties_match_the_triu_search(seed):
     want = min(tuple(sorted(index.ids[pool[p]] for p in t)) for t in ties)
     assert got.sub_question_ids == want
     assert repr(got.objective_score) == repr(best)
+
+
+def triu_fixed2(sims, gram):
+    """The pair search written with np.triu_indices gathers: every position
+    pair tying the best value, in triu_indices order, and that value."""
+    iu, ju = np.triu_indices(len(sims), k=1)
+    vals = sims[iu] + sims[ju] - gram[iu, ju]
+    best = float(vals.max())
+    return [(iu[t], ju[t]) for t in np.flatnonzero(vals == best)], best
+
+
+@st.composite
+def pair_pools(draw):
+    """Nonzero rows, on an integer grid (exact ties) or normal, some of them
+    copies of others; a nonzero query of the same kind; K from 2 to past
+    the pool size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(2, 14))
+    dim = draw(st.integers(1, 5))
+    grid = draw(st.booleans())
+    rows = nonzero_rows(rng, m, dim, grid=grid)
+    copies = draw(st.integers(0, m))
+    rows[rng.integers(m, size=copies)] = rows[rng.integers(m, size=copies)]
+    query = nonzero_rows(rng, 1, dim, grid=grid)[0]
+    return rows, query, draw(st.integers(2, m + 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_pools())
+def test_fixed2_matches_the_triu_pair_search(case):
+    rows, query, k = case
+    index, table = index_from_rows(rows)
+    query_for(table, query)
+    question = Question.from_text("q", "qq")
+    got = pseudo_decompose_fixed(index, question, table, k=k)
+    _, unit = embed_sum_unit(table, question)
+    pool, _ = topk_oracle(unit, index.unit_matrix, index.ids, k)
+    cand = index.unit_matrix[pool].astype(np.float64)
+    ties, best = triu_fixed2(cand @ unit, cand @ cand.T)
+    want = min(tuple(sorted(index.ids[pool[p]] for p in t)) for t in ties)
+    assert got.sub_question_ids == want
+    assert repr(got.objective_score) == repr(best)
+
+
+def test_general_n2_stays_exhaustive_above_the_cap(monkeypatch):
+    rng = np.random.default_rng(17)
+    index, table = index_from_rows(nonzero_rows(rng, 12, 3))
+    query_for(table, rng.normal(size=3))
+    question = Question.from_text("q", "qq")
+    monkeypatch.setattr(retrieval, "EXHAUSTIVE_SUBSET_CAP", 1)
+    got = pseudo_decompose_general(index, question, table, n=2, k=12)
+    assert got == pseudo_decompose_fixed(index, question, table, k=12)
+    assert (got.method, got.search_mode) == ("fixed2", "exhaustive")
+    # the patched cap is in force: n = 3 falls back to greedy under it
+    n3 = pseudo_decompose_general(index, question, table, n=3, k=12)
+    assert n3.search_mode == "greedy"
 
 
 def test_general_n2_agrees_with_fixed():

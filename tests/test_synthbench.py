@@ -70,9 +70,9 @@ def test_rank_matches_oracle_on_random_instances():
         composite = Question.from_text("comp", f"w{i:02d} and w{j:02d}")
         gold = (f"c{i:08d}", f"c{j:08d}")
         from qdecomp.retrieval import topk_candidates
-        from qdecomp.embeddings import embed_text_sum, unit_normalize
-        emb = embed_text_sum(composite.tokens, table)
-        q_raw = emb.vector
+        from qdecomp.embeddings import embed_blocks, unit_normalize
+        [(_, sums)] = embed_blocks([composite.tokens], table)
+        q_raw = sums[0]
         q_unit = unit_normalize(q_raw)
         for objective in (OBJECTIVE_SIM_DIVERSITY, OBJECTIVE_SUM_DISTANCE):
             got = decomposition_rank(objective, composite, gold, index, table, k=m)
