@@ -33,7 +33,7 @@ def run(args):
         bench = build_synthetic_compositional(corpus, n=n, count=args.count,
                                               seed=args.bench_seed)
         for objective in (OBJECTIVE_SUM_DISTANCE, OBJECTIVE_SIM_DIVERSITY):
-            report = mrr_eval(objective, bench, index, table, k=args.k)
+            report = mrr_eval(objective, bench, index, k=args.k)
             cells[f"n{n}/{objective}"] = report.mrr
             print(f"n={n}  {objective:<14} MRR {report.mrr:.4f}")
     for n in sizes:

@@ -410,8 +410,7 @@ def cmd_decompose(opts):
                       workers=opts["workers"])
     index, digest = _load_bound_index(opts)
     questions = load_corpus(opts["questions"])
-    result = build_pseudo_decomposition_dataset(questions, index,
-                                                index.vectors, config)
+    result = build_pseudo_decomposition_dataset(questions, index, config)
     write_dataset_tsv(result.records, opts["out"])
     for qid, reason in result.failures:
         _progress(f"decompose: skipped {qid}: {reason}")
@@ -520,8 +519,7 @@ def cmd_synth_eval(opts):
                           label=corpus.label)
     benchmark = build_synthetic_compositional(pool, opts["n"], opts["count"],
                                               opts["seed"])
-    report = mrr_eval(opts["objective"], benchmark, index, index.vectors,
-                      opts["k"])
+    report = mrr_eval(opts["objective"], benchmark, index, opts["k"])
     ranks_path = opts["ranks_out"] or f"{opts['out']}.ranks.json"
     _write_json(list(report.ranks), ranks_path)
     payload = {

@@ -1,4 +1,4 @@
-"""Word-vector tables, summed bag-of-words embeddings, and cosine.
+"""Word-vector tables and summed bag-of-words embeddings.
 
 A vector table is one float32 matrix with a word -> row vocabulary;
 accumulation happens in 64-bit.
@@ -170,14 +170,3 @@ def unit_normalize(vector):
     if norm == 0.0:
         raise ValueError("cannot normalize a zero vector")
     return v / norm
-
-
-def cosine(v1, v2):
-    """Cosine similarity in [-1, 1]; zero vectors are an error."""
-    a = np.asarray(v1, dtype=np.float64)
-    b = np.asarray(v2, dtype=np.float64)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine is undefined for zero vectors")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))

@@ -65,6 +65,12 @@ def _gamma(n, u):
     return n * u / (1.0 - n * u)
 
 
+def _row_squares(matrix):
+    """Squared norm of each row, summed in the matrix's dtype by one einsum,
+    without a float64 copy of the matrix."""
+    return np.einsum("ij,ij->i", matrix, matrix)
+
+
 @dataclass(frozen=True)
 class LengthFilter:
     """Token-count bounds for index candidates (bounds are inclusive)."""
@@ -88,9 +94,9 @@ class EmbeddedIndex:
     unit_matrix rows are unit-normalized float32 (used for similarity
     search); the raw_matrix keeps the pre-normalization embeddings because
     the variable-length objective is defined on un-normalized sums.
-    vectors is the VectorTable the rows were embedded with, and
+    vectors is the VectorTable the rows, and every query, are embedded with;
     vectors_sha256 the digest of the .vec file it was read from (set by
-    load_index).
+    load_index); row_squares the _row_squares of unit_matrix.
     """
 
     ids: tuple
@@ -101,9 +107,12 @@ class EmbeddedIndex:
     filtered_out: int = 0
     vectors: VectorTable | None = None
     vectors_sha256: str | None = None
+    row_squares: np.ndarray | None = None
 
     def __post_init__(self):
         self._row_map = {qid: i for i, qid in enumerate(self.ids)}
+        if self.row_squares is None:
+            self.row_squares = _row_squares(self.unit_matrix)
 
     def __len__(self):
         return len(self.ids)
@@ -121,12 +130,6 @@ class EmbeddedIndex:
         rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = \
             np.arange(len(self.ids))
         return rank
-
-    @cached_property
-    def row_squares(self):
-        """Squared norm of each unit_matrix row, summed in the matrix's
-        dtype by one einsum, without a float64 copy of the matrix."""
-        return np.einsum("ij,ij->i", self.unit_matrix, self.unit_matrix)
 
     @cached_property
     def row_norm_bound(self):
@@ -247,38 +250,41 @@ def _load_matrix(path, shape):
     return matrix
 
 
-def _check_unit_rows(path, index):
+def _check_unit_rows(path, unit):
     """Reject a unit-matrix row whose squared norm is not 1 within rounding.
 
     build_index stores each row as a float64 sum over its float64 norm,
     rounded to float32. That float64 quotient has squared norm 1 within a
     few float64 ulps; rounding each component to float32 moves its square
     by a factor within (1 +- u32)**2, and the float32 dot product of
-    row_squares adds at most gamma_d(u32). Underflow adds at most
+    _row_squares adds at most gamma_d(u32). Underflow adds at most
     d * 2**-148, far below u32. So every row build_index writes has
     |squares - 1| <= gamma_{d+3}(u32), and a row outside that was not
-    written by it.
+    written by it. Returns the float32 squares.
     """
-    squares = index.row_squares.astype(np.float64)
+    row_squares = _row_squares(unit)
+    squares = row_squares.astype(np.float64)
     bad = np.flatnonzero(np.abs(squares - 1.0)
-                         > _gamma(index.unit_matrix.shape[1] + 3, _U32))
+                         > _gamma(unit.shape[1] + 3, _U32))
     if len(bad):
         row = int(bad[0])
         raise ValueError(f"{path}: row {row} has squared norm "
                          f"{squares[row]!r}, not 1 within float32 rounding "
                          f"({len(bad)} such rows)")
+    return row_squares
 
 
 def load_index(dirpath):
     """Read an index written by save_index, with its word vectors.
 
     Raises ValueError when meta.json names another source than summed word
-    vectors, when its rows, ids and texts disagree or an id repeats, when
-    unit.npy or raw.npy is not a finite float32 (rows, dim) matrix, when a
-    unit.npy row does not have unit norm (see _check_unit_rows), when it
-    records no word vectors (an index written before they were stored), or
-    when vocab.json does not list the recorded number of distinct words or
-    vectors.npy is not a finite float32 (words, dim) matrix.
+    vectors, when its rows, ids and texts disagree, an id repeats or it
+    records no rows, when unit.npy or raw.npy is not a finite float32
+    (rows, dim) matrix, when a unit.npy row does not have unit norm (see
+    _check_unit_rows), when it records no word vectors (an index written
+    before they were stored), or when vocab.json does not list the recorded
+    number of distinct words or vectors.npy is not a finite float32
+    (words, dim) matrix.
     """
     meta_path = os.path.join(dirpath, "meta.json")
     with open(meta_path, encoding="utf-8") as fh:
@@ -290,16 +296,15 @@ def load_index(dirpath):
     if not len(meta["ids"]) == len(meta["texts"]) == rows:
         raise ValueError(f"{meta_path}: rows is {rows}, but it lists "
                          f"{len(meta['ids'])} ids and {len(meta['texts'])} texts")
+    if rows == 0:
+        raise ValueError(f"{meta_path}: rows is 0, but an index holds at "
+                         f"least one candidate")
     if len(set(meta["ids"])) != rows:
         [(repeated, _)] = Counter(meta["ids"]).most_common(1)
         raise ValueError(f"{meta_path}: id {repeated!r} is listed more than once")
     unit, raw = (_load_matrix(os.path.join(dirpath, name), (rows, dim))
                  for name in ("unit.npy", "raw.npy"))
-    index = EmbeddedIndex(ids=tuple(meta["ids"]), texts=tuple(meta["texts"]),
-                          unit_matrix=unit, raw_matrix=raw,
-                          oov_excluded=meta["oov_excluded"],
-                          filtered_out=meta["filtered_out"])
-    _check_unit_rows(os.path.join(dirpath, "unit.npy"), index)
+    row_squares = _check_unit_rows(os.path.join(dirpath, "unit.npy"), unit)
     vectors_path = os.path.join(dirpath, "vectors.npy")
     vectors = meta.get("vectors")
     if vectors is None:
@@ -320,10 +325,14 @@ def load_index(dirpath):
         [(repeated, _)] = Counter(words).most_common(1)
         raise ValueError(f"{vocab_path}: word {repeated!r} is listed more "
                          f"than once")
-    index.vectors = VectorTable(
-        vocab=vocab, matrix=_load_matrix(vectors_path, (len(words), dim)))
-    index.vectors_sha256 = vectors["sha256"]
-    return index
+    matrix = _load_matrix(vectors_path, (len(words), dim))
+    return EmbeddedIndex(ids=tuple(meta["ids"]), texts=tuple(meta["texts"]),
+                         unit_matrix=unit, raw_matrix=raw,
+                         oov_excluded=meta["oov_excluded"],
+                         filtered_out=meta["filtered_out"],
+                         vectors=VectorTable(vocab, matrix),
+                         vectors_sha256=vectors["sha256"],
+                         row_squares=row_squares)
 
 
 def _topk_rows(index, q_units, k):
@@ -384,12 +393,6 @@ def _topk_rows(index, q_units, k):
     return results
 
 
-def topk_candidates(index, q_unit_vector, k):
-    """Ranked (id, cosine) list of the K nearest candidates."""
-    [(rows, scores)] = _topk_rows(index, [q_unit_vector], k)
-    return [(index.ids[r], float(s)) for r, s in zip(rows, scores)]
-
-
 @dataclass(frozen=True)
 class PseudoDecomposition:
     """A selected set of sub-questions for one question."""
@@ -412,7 +415,7 @@ class PseudoDecomposition:
             raise ValueError("fixed2 decompositions have exactly two sub-questions")
 
 
-def _query_rows(index, question, source, k, query):
+def _query_rows(index, question, k, query):
     """Raw and unit embedding of a question and its top-K index rows.
 
     query, when given, is that (raw, unit, rows) triple from the batched
@@ -420,7 +423,7 @@ def _query_rows(index, question, source, k, query):
     through _scan_queries. Raises ValueError when no token is in vocabulary.
     """
     if query is None:
-        query = next(_scan_queries(index, [question.tokens], source, k))
+        query = next(_scan_queries(index, [question.tokens], k))
         if query is None:
             raise ValueError(_NO_VOCABULARY)
     return query
@@ -480,14 +483,14 @@ def _decomposition(index, question, rows, positions, score, method,
                                search_mode)
 
 
-def pseudo_decompose_fixed(index, question, source, k=1000, query=None):
+def pseudo_decompose_fixed(index, question, k=1000, query=None):
     """Best pair under the pair objective, searched exhaustively in the top-K.
 
     Ties break toward the lexicographically smallest (lower id, higher id)
     pair. query, when given, is the question's (raw, unit, top-K rows)
     from the batched dataset build.
     """
-    _, unit, rows = _query_rows(index, question, source, k, query)
+    _, unit, rows = _query_rows(index, question, k, query)
     if len(rows) < 2:
         raise ValueError("need at least two candidates to form a pair")
     sims, gram = _unit_pool(index, rows, unit)
@@ -505,8 +508,7 @@ def _subset_score(sims, gram, positions):
     return total
 
 
-def pseudo_decompose_general(index, question, source, n, k=1000,
-                             query=None):
+def pseudo_decompose_general(index, question, n, k=1000, query=None):
     """Best size-N subset under the generalized objective.
 
     Exhaustive for N <= 3 while the subset count stays within
@@ -518,8 +520,8 @@ def pseudo_decompose_general(index, question, source, n, k=1000,
     if n < 2:
         raise ValueError("N must be at least 2")
     if n == 2:
-        return pseudo_decompose_fixed(index, question, source, k, query)
-    _, unit, rows = _query_rows(index, question, source, k, query)
+        return pseudo_decompose_fixed(index, question, k, query)
+    _, unit, rows = _query_rows(index, question, k, query)
     m = len(rows)
     if m < n:
         raise ValueError(f"need at least {n} candidates, have {m}")
@@ -563,8 +565,8 @@ def _extensions(beam, m):
     return keys[fresh]
 
 
-def pseudo_decompose_variable(index, question, source, max_n, k=1000,
-                              beam_width=100, query=None):
+def pseudo_decompose_variable(index, question, max_n, k=1000, beam_width=100,
+                              query=None):
     """Best subset of size 1..max_N minimizing ||v_q - sum v_s||.
 
     Beam search: states of size m extend by every unused candidate, the
@@ -599,9 +601,7 @@ def pseudo_decompose_variable(index, question, source, max_n, k=1000,
         raise ValueError("max_N must be at least 1")
     if beam_width < 1:
         raise ValueError("beam width must be at least 1")
-    raw_q, _, rows = _query_rows(index, question, source, k, query)
-    if not rows:
-        raise ValueError("empty candidate pool")
+    raw_q, _, rows = _query_rows(index, question, k, query)
     m = len(rows)
     raws = index.raw_matrix[rows].astype(np.float64)
     dim = raws.shape[1]
@@ -704,12 +704,13 @@ class DatasetBuildResult:
     failures: tuple  # ((question id, reason), ...)
 
 
-def _scan_queries(index, token_lists, source, k):
+def _scan_queries(index, token_lists, k):
     """Embed token lists and find each one's top-K index rows.
 
     Yields one query per token list, in input order: the (raw, unit, rows)
     triple that pseudo_decompose_* and decomposition_rank take, or None for
-    a list with no in-vocabulary token. Every list is embedded first, in
+    a list with no in-vocabulary token. Every list is embedded first, with
+    the word vectors the index was built from (index.vectors), in
     embed_blocks blocks, each sum normalized by unit_normalize. Top-K rows
     are then found for _SCAN_BLOCK // len(index) lists at a time, with one
     _topk_rows call per chunk: a float32 GEMM whose shortlist keeps every
@@ -719,7 +720,7 @@ def _scan_queries(index, token_lists, source, k):
     is scanned and rows is None.
     """
     queries = []  # (raw, unit), or None when no token is in vocabulary
-    for _, sums in embed_blocks(token_lists, source):
+    for _, sums in embed_blocks(token_lists, index.vectors):
         queries.extend((raw, unit_normalize(raw)) if raw.any() else None
                        for raw in sums)
     chunk = max(1, _SCAN_BLOCK // len(index))
@@ -735,7 +736,7 @@ def _scan_queries(index, token_lists, source, k):
                 yield (*q, None if k is None else next(hits)[0])
 
 
-def build_pseudo_decomposition_dataset(questions, index, source, config):
+def build_pseudo_decomposition_dataset(questions, index, config):
     """Decompose every embeddable question; skip and record failures.
 
     Questions are embedded and scanned by _scan_queries (the random baseline
@@ -746,7 +747,7 @@ def build_pseudo_decomposition_dataset(questions, index, source, config):
     """
     questions = tuple(questions)
     k = None if config.method == METHOD_RANDOM else config.k
-    queries = _scan_queries(index, [q.tokens for q in questions], source, k)
+    queries = _scan_queries(index, [q.tokens for q in questions], k)
     records = []
     failures = []
     for pos, (q, query) in enumerate(zip(questions, queries)):
@@ -754,15 +755,13 @@ def build_pseudo_decomposition_dataset(questions, index, source, config):
             if query is None:
                 raise ValueError(_NO_VOCABULARY)
             if config.method == METHOD_FIXED:
-                d = pseudo_decompose_fixed(index, q, source, config.k,
-                                           query=query)
+                d = pseudo_decompose_fixed(index, q, config.k, query=query)
             elif config.method == METHOD_GENERAL:
-                d = pseudo_decompose_general(index, q, source, config.n,
-                                             config.k, query=query)
+                d = pseudo_decompose_general(index, q, n=config.n, k=config.k,
+                                             query=query)
             elif config.method == METHOD_VARIABLE:
-                d = pseudo_decompose_variable(
-                    index, q, source, config.max_n, config.k,
-                    config.beam_width, query=query)
+                d = pseudo_decompose_variable(index, q, config.max_n, config.k,
+                                              config.beam_width, query=query)
             else:
                 d = _random_from_index(
                     index, q, config.n,

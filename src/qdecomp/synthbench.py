@@ -159,15 +159,14 @@ def _count_better(start, members, pairs, gold):
     return better
 
 
-def decomposition_rank(objective, composite, gold_sub_ids, index, source, k,
-                       query=None):
+def decomposition_rank(objective, composite, gold_sub_ids, index, query, k):
     """Rank of the gold subset among all size-n subsets of the top-K pool.
 
     Gold ids must exist in the index; gold outside the top-K pool gets the
     worst rank (subset count plus one). Strictly-better scores only. K must
-    be at least n, since below it that worst rank would be 1. query, when
-    given, is the composite's (raw, unit, top-K rows) from mrr_eval's
-    batched scan.
+    be at least n, since below it that worst rank would be 1. query is the
+    composite's (raw, unit, top-K rows) from mrr_eval's batched scan, or
+    None to embed and scan the composite here.
 
     The count never holds all C(K, n) scores. n = 2 scores one (K, K)
     block of pairs; n = 3 scores K - 2 blocks, one (K-i-1)**2 block of
@@ -187,7 +186,7 @@ def decomposition_rank(objective, composite, gold_sub_ids, index, source, k,
     for gid in gold_sub_ids:
         if gid not in index:
             raise ValueError(f"gold sub-question {gid!r} is not in the index")
-    raw_q, unit, rows = _query_rows(index, composite, source, k, query)
+    raw_q, unit, rows = _query_rows(index, composite, k, query)
     pos_of = {r: p for p, r in enumerate(rows)}
     gold_rows = [index.row_of(g) for g in gold_sub_ids]
     if any(r not in pos_of for r in gold_rows):
@@ -204,7 +203,7 @@ class MrrReport:
     ranks: tuple
 
 
-def mrr_eval(objective, benchmark, index, source, k):
+def mrr_eval(objective, benchmark, index, k):
     """Mean reciprocal rank over a synthetic benchmark.
 
     The composites are embedded and their top-K rows found in one batched
@@ -216,9 +215,9 @@ def mrr_eval(objective, benchmark, index, source, k):
     if not benchmark:
         raise ValueError("empty benchmark")
     queries = _scan_queries(index, [item.composite.tokens
-                                    for item in benchmark], source, k)
+                                    for item in benchmark], k)
     ranks = [decomposition_rank(objective, item.composite, item.gold_sub_ids,
-                                index, source, k, query=query)
+                                index, query, k)
              for item, query in zip(benchmark, queries)]
     mrr = sum(1.0 / r for r in ranks) / len(ranks)
     return MrrReport(objective=objective, k=k, mrr=mrr, ranks=tuple(ranks))

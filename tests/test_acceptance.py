@@ -57,7 +57,7 @@ def test_criterion_1_fixed_pair_oracle_equivalence():
         index, table = index_from_rows(nonzero_rows(rng, m, dim))
         q = query_for(table, rng.normal(size=dim))
         question = Question.from_text("q", "qq")
-        got = pseudo_decompose_fixed(index, question, table, k=m)
+        got = pseudo_decompose_fixed(index, question, k=m)
         _, unit = embed_sum_unit(table, question)
         want_ids, _ = pair_argmax_oracle(
             unit, [index.unit_matrix[i].astype(np.float64) for i in range(m)],
@@ -89,7 +89,7 @@ def test_criterion_2_variable_length_oracle_equivalence():
             q_vec[0] = 1.0
         query_for(table, q_vec)
         question = Question.from_text("q", "qq")
-        got = pseudo_decompose_variable(index, question, table, max_n=max_n,
+        got = pseudo_decompose_variable(index, question, max_n=max_n,
                                         k=m, beam_width=400)
         raw_q, _ = embed_sum_unit(table, question)
         want_ids, want_dist = variable_argmin_oracle(
@@ -116,7 +116,7 @@ def test_criterion_3_directional_mrr_gap():
     for n in (3, 2):
         bench = build_synthetic_compositional(corpus, n=n, count=200, seed=13)
         for objective in (OBJECTIVE_SUM_DISTANCE, OBJECTIVE_SIM_DIVERSITY):
-            mrr[(n, objective)] = mrr_eval(objective, bench, index, table,
+            mrr[(n, objective)] = mrr_eval(objective, bench, index,
                                            k=100).mrr
     gap = mrr[(3, OBJECTIVE_SUM_DISTANCE)] - mrr[(3, OBJECTIVE_SIM_DIVERSITY)]
     floor = mrr[(3, OBJECTIVE_SIM_DIVERSITY)]

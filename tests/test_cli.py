@@ -341,6 +341,20 @@ def test_index_contradicting_meta_is_data_error(indexed, capsys, name,
     assert not out.exists()
 
 
+def test_index_with_no_rows_is_data_error(indexed, capsys):
+    idx = indexed["idx"]
+    meta = json.loads((idx / "meta.json").read_text())
+    (idx / "meta.json").write_text(json.dumps(dict(meta, rows=0, ids=[],
+                                                   texts=[])))
+    for name in ("unit.npy", "raw.npy"):
+        np.save(idx / name, np.zeros((0, meta["dim"]), dtype=np.float32))
+    out = indexed["tmp"] / "pseudo.tsv"
+    assert main(_query_argv(indexed, "decompose", indexed["vec"], out)) == 2
+    err = capsys.readouterr().err
+    assert str(idx / "meta.json") in err and "rows is 0" in err
+    assert not out.exists()
+
+
 def test_noise_command(workspace, capsys):
     tmp = workspace["tmp"]
     out = tmp / "noised.jsonl"

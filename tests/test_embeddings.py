@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from qdecomp import embeddings
 from qdecomp.embeddings import (
-    cosine,
     embed_blocks,
     load_vector_table,
     make_vector_table,
@@ -47,24 +46,6 @@ def test_unit_normalize():
     np.testing.assert_allclose(v, [0.6, 0.8])
     with pytest.raises(ValueError):
         unit_normalize(np.zeros(2))
-
-
-def test_cosine_basic():
-    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    assert cosine(np.array([2.0, 0.0]), np.array([5.0, 0.0])) == 1.0
-    with pytest.raises(ValueError):
-        cosine(np.zeros(2), np.array([1.0, 0.0]))
-
-
-@given(st.lists(st.floats(-10, 10), min_size=2, max_size=6),
-       st.floats(0.1, 50.0))
-def test_cosine_scale_invariant_and_bounded(vals, scale):
-    v = np.array(vals)
-    if np.linalg.norm(v) < 1e-9:
-        return
-    c = cosine(v, v * scale)
-    assert -1.0 <= c <= 1.0
-    assert c == pytest.approx(1.0, abs=1e-12)
 
 
 def test_vector_table_file_round_trip(tmp_path):

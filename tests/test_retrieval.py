@@ -23,7 +23,6 @@ from qdecomp.retrieval import (
     pseudo_decompose_variable,
     read_dataset_tsv,
     save_index,
-    topk_candidates,
     write_dataset_tsv,
 )
 
@@ -84,9 +83,10 @@ def test_topk_orders_by_score_then_id():
     index, table = index_from_rows(rows)
     q = query_for(table, [1.0, 0.0])
     _, unit = embed_sum_unit(table, q)
-    got = topk_candidates(index, unit, 3)
-    assert [i for i, _ in got] == ["c00000000", "c00000001", "c00000003"]
-    assert [s for _, s in got] == [pytest.approx(1.0)] * 3
+    [(rows, scores)] = retrieval._topk_rows(index, [unit], 3)
+    assert [index.ids[r] for r in rows] == ["c00000000", "c00000001",
+                                            "c00000003"]
+    assert list(scores) == [pytest.approx(1.0)] * 3
 
 
 def test_topk_breaks_score_ties_by_id_and_signed_zeros_tie():
@@ -111,7 +111,8 @@ def test_topk_k_larger_than_index():
     index, table = index_from_rows(np.eye(3))
     q = query_for(table, [1.0, 0.5, 0.0])
     _, unit = embed_sum_unit(table, q)
-    assert len(topk_candidates(index, unit, 50)) == 3
+    [(rows, scores)] = retrieval._topk_rows(index, [unit], 50)
+    assert len(rows) == len(scores) == 3
 
 
 def test_topk_rejects_bad_k():
@@ -119,7 +120,7 @@ def test_topk_rejects_bad_k():
     q = query_for(table, [1.0, 0.0])
     _, unit = embed_sum_unit(table, q)
     with pytest.raises(ValueError):
-        topk_candidates(index, unit, 0)
+        retrieval._topk_rows(index, [unit], 0)
 
 
 def ulp_neighbour(row, rng):
@@ -186,7 +187,7 @@ def test_fixed_pair_matches_brute_force():
         rows = nonzero_rows(rng, m, dim)
         index, table = index_from_rows(rows)
         q = query_for(table, rng.normal(size=dim))
-        got = pseudo_decompose_fixed(index, Question.from_text("q", "qq"), table, k=m)
+        got = pseudo_decompose_fixed(index, Question.from_text("q", "qq"), k=m)
         unit_rows = [index.unit_matrix[i].astype(np.float64) for i in range(m)]
         _, q_unit = embed_sum_unit(table, Question.from_text("q", "qq"))
         want_ids, want_score = pair_argmax_oracle(q_unit, unit_rows, list(index.ids))
@@ -201,7 +202,7 @@ def test_fixed_pair_tie_breaks_toward_smallest_id_pair():
     rows = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     index, table = index_from_rows(rows)
     q = query_for(table, [3.0, 1.0])
-    got = pseudo_decompose_fixed(index, Question.from_text("q", "qq"), table, k=4)
+    got = pseudo_decompose_fixed(index, Question.from_text("q", "qq"), k=4)
     assert got.sub_question_ids == ("c00000000", "c00000003")
 
 
@@ -213,7 +214,7 @@ def test_general_matches_brute_force_n3():
         rows = nonzero_rows(rng, m, dim)
         index, table = index_from_rows(rows)
         q = query_for(table, rng.normal(size=dim))
-        got = pseudo_decompose_general(index, Question.from_text("q", "qq"), table,
+        got = pseudo_decompose_general(index, Question.from_text("q", "qq"),
                                        n=3, k=m)
         unit_rows = [index.unit_matrix[i].astype(np.float64) for i in range(m)]
         _, q_unit = embed_sum_unit(table, Question.from_text("q", "qq"))
@@ -255,7 +256,7 @@ def test_general_n3_ties_match_the_triu_search(seed):
     index, table = index_from_rows(rows)
     query_for(table, rng.integers(1, 4, size=dim).astype(float))
     question = Question.from_text("q", "qq")
-    got = pseudo_decompose_general(index, question, table, n=3, k=len(rows))
+    got = pseudo_decompose_general(index, question, n=3, k=len(rows))
     _, unit = embed_sum_unit(table, question)
     pool, _ = topk_oracle(unit, index.unit_matrix, index.ids, len(rows))
     cand = index.unit_matrix[pool].astype(np.float64)
@@ -298,7 +299,7 @@ def test_fixed2_matches_the_triu_pair_search(case):
     index, table = index_from_rows(rows)
     query_for(table, query)
     question = Question.from_text("q", "qq")
-    got = pseudo_decompose_fixed(index, question, table, k=k)
+    got = pseudo_decompose_fixed(index, question, k=k)
     _, unit = embed_sum_unit(table, question)
     pool, _ = topk_oracle(unit, index.unit_matrix, index.ids, k)
     cand = index.unit_matrix[pool].astype(np.float64)
@@ -314,11 +315,11 @@ def test_general_n2_stays_exhaustive_above_the_cap(monkeypatch):
     query_for(table, rng.normal(size=3))
     question = Question.from_text("q", "qq")
     monkeypatch.setattr(retrieval, "EXHAUSTIVE_SUBSET_CAP", 1)
-    got = pseudo_decompose_general(index, question, table, n=2, k=12)
-    assert got == pseudo_decompose_fixed(index, question, table, k=12)
+    got = pseudo_decompose_general(index, question, n=2, k=12)
+    assert got == pseudo_decompose_fixed(index, question, k=12)
     assert (got.method, got.search_mode) == ("fixed2", "exhaustive")
     # the patched cap is in force: n = 3 falls back to greedy under it
-    n3 = pseudo_decompose_general(index, question, table, n=3, k=12)
+    n3 = pseudo_decompose_general(index, question, n=3, k=12)
     assert n3.search_mode == "greedy"
 
 
@@ -328,8 +329,8 @@ def test_general_n2_agrees_with_fixed():
     index, table = index_from_rows(rows)
     q = query_for(table, rng.normal(size=4))
     question = Question.from_text("q", "qq")
-    a = pseudo_decompose_fixed(index, question, table, k=20)
-    b = pseudo_decompose_general(index, question, table, n=2, k=20)
+    a = pseudo_decompose_fixed(index, question, k=20)
+    b = pseudo_decompose_general(index, question, n=2, k=20)
     assert a.sub_question_ids == b.sub_question_ids
     assert a.objective_score == b.objective_score
 
@@ -340,7 +341,7 @@ def test_general_falls_back_to_greedy_above_cap():
     index, table = index_from_rows(rows)
     q = query_for(table, rng.normal(size=4))
     assert math.comb(250, 4) > EXHAUSTIVE_SUBSET_CAP
-    got = pseudo_decompose_general(index, Question.from_text("q", "qq"), table,
+    got = pseudo_decompose_general(index, Question.from_text("q", "qq"),
                                    n=4, k=250)
     assert got.search_mode == "greedy"
     assert len(got.sub_question_ids) == 4
@@ -361,7 +362,7 @@ def test_variable_matches_brute_force():
         if not q_vec.any():
             q_vec[0] = 1.0
         q = query_for(table, q_vec)
-        got = pseudo_decompose_variable(index, Question.from_text("q", "qq"), table,
+        got = pseudo_decompose_variable(index, Question.from_text("q", "qq"),
                                         max_n=max_n, k=m, beam_width=400)
         raw_q, _ = embed_sum_unit(table, Question.from_text("q", "qq"))
         raw_rows = index.raw_matrix.astype(np.float64)
@@ -379,7 +380,7 @@ def test_variable_prefers_fewer_members_on_exact_tie():
     rows = np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     index, table = index_from_rows(rows)
     q = query_for(table, [2.0, 0.0])
-    got = pseudo_decompose_variable(index, Question.from_text("q", "qq"), table,
+    got = pseudo_decompose_variable(index, Question.from_text("q", "qq"),
                                     max_n=2, k=3, beam_width=16)
     assert got.sub_question_ids == ("c00000002",)
     assert got.objective_score == 0.0
@@ -389,7 +390,7 @@ def test_variable_tie_on_size_prefers_smaller_ids():
     rows = np.array([[2.0, 0.0], [2.0, 0.0]])
     index, table = index_from_rows(rows)
     q = query_for(table, [2.0, 0.0])
-    got = pseudo_decompose_variable(index, Question.from_text("q", "qq"), table,
+    got = pseudo_decompose_variable(index, Question.from_text("q", "qq"),
                                     max_n=1, k=2, beam_width=4)
     assert got.sub_question_ids == ("c00000000",)
 
@@ -440,7 +441,7 @@ def test_variable_beam_equals_plain_beam(case):
     rows, q_vec, beam_width, max_n = case
     index, table = index_from_rows(rows)
     q = query_for(table, q_vec)
-    got = pseudo_decompose_variable(index, q, table, max_n=max_n, k=len(rows),
+    got = pseudo_decompose_variable(index, q, max_n=max_n, k=len(rows),
                                     beam_width=beam_width)
     raw_q, unit = embed_sum_unit(table, q)
     pool, _ = topk_oracle(unit, index.unit_matrix, index.ids, len(rows))
@@ -680,8 +681,8 @@ def test_dataset_build_worker_count_invariance():
                            seed=0, workers=1)
     cfg4 = DecomposeConfig(method="fixed2", k=30, n=2, max_n=3, beam_width=50,
                            seed=0, workers=4)
-    r1 = build_pseudo_decomposition_dataset(questions, index, table, cfg1)
-    r4 = build_pseudo_decomposition_dataset(questions, index, table, cfg4)
+    r1 = build_pseudo_decomposition_dataset(questions, index, cfg1)
+    r4 = build_pseudo_decomposition_dataset(questions, index, cfg4)
     assert r1.records == r4.records
     assert r1.failures == r4.failures
     assert [q.id for q, _ in r1.records] == list(questions.ids)
@@ -708,17 +709,17 @@ def test_dataset_build_equals_per_question_calls(monkeypatch, method, params):
     monkeypatch.setattr(retrieval, "_SCAN_BLOCK", 4 * len(index))
     monkeypatch.setattr(retrieval, "_topk_rows", counted_scan)
     config = DecomposeConfig(method=method, k=12, **params)
-    result = build_pseudo_decomposition_dataset(questions, index, table, config)
+    result = build_pseudo_decomposition_dataset(questions, index, config)
     assert chunks == [4, 4, 4, 3]
 
     expected = []
     for q in list(questions)[:15]:
         if method == "fixed2":
-            d = pseudo_decompose_fixed(index, q, table, k=12)
+            d = pseudo_decompose_fixed(index, q, k=12)
         elif method == "general":
-            d = pseudo_decompose_general(index, q, table, n=3, k=12)
+            d = pseudo_decompose_general(index, q, n=3, k=12)
         else:
-            d = pseudo_decompose_variable(index, q, table, max_n=3, k=12,
+            d = pseudo_decompose_variable(index, q, max_n=3, k=12,
                                           beam_width=20)
         expected.append((q, d))
     assert result.records == tuple(expected)
@@ -759,7 +760,7 @@ def test_dataset_build_records_failures():
     ))
     cfg = DecomposeConfig(method="fixed2", k=8, n=2, max_n=3, beam_width=10,
                           seed=0, workers=2)
-    result = build_pseudo_decomposition_dataset(questions, index, table, cfg)
+    result = build_pseudo_decomposition_dataset(questions, index, cfg)
     assert [q.id for q, _ in result.records] == ["ok"]
     assert len(result.failures) == 1
     assert result.failures[0][0] == "oov"

@@ -69,15 +69,14 @@ def test_rank_matches_oracle_on_random_instances():
         i, j = rng.choice(m, size=2, replace=False)
         composite = Question.from_text("comp", f"w{i:02d} and w{j:02d}")
         gold = (f"c{i:08d}", f"c{j:08d}")
-        from qdecomp.retrieval import topk_candidates
         from qdecomp.embeddings import embed_blocks, unit_normalize
         [(_, sums)] = embed_blocks([composite.tokens], table)
         q_raw = sums[0]
         q_unit = unit_normalize(q_raw)
         for objective in (OBJECTIVE_SIM_DIVERSITY, OBJECTIVE_SUM_DISTANCE):
-            got = decomposition_rank(objective, composite, gold, index, table, k=m)
-            rows = [index.row_of(g) for g in
-                    [i for i, _ in topk_candidates(index, q_unit, m)]]
+            got = decomposition_rank(objective, composite, gold, index, None,
+                                     k=m)
+            [(rows, _)] = retrieval._topk_rows(index, [q_unit], m)
             gold_rows = [index.row_of(g) for g in gold]
             want = distance_rank_oracle(objective, q_raw, q_unit, index, rows,
                                         gold_rows, 2)
@@ -159,14 +158,14 @@ def test_rank_equals_full_enumeration(case):
                            index.raw_matrix[pool],
                            [pool.index(g) for g in gold] if in_pool else None,
                            len(gold))
-        assert decomposition_rank(objective, composite, gold_ids, index, table,
+        assert decomposition_rank(objective, composite, gold_ids, index, None,
                                   k) == want
 
 
 def test_mrr_eval_ranks_each_composite_as_decomposition_rank(monkeypatch):
     rng = np.random.default_rng(5)
     rows = rng.normal(size=(12, 4))
-    index, table = single_word_index(rows)
+    index, _ = single_word_index(rows)
     words = [f"w{i:02d}" for i in range(12)]
     bench = [SyntheticComposite(
         composite=Question.from_text(f"comp{c}", " and ".join(
@@ -185,61 +184,61 @@ def test_mrr_eval_ranks_each_composite_as_decomposition_rank(monkeypatch):
     monkeypatch.setattr(retrieval, "_topk_rows", counted_scan)
     for objective in (OBJECTIVE_SIM_DIVERSITY, OBJECTIVE_SUM_DISTANCE):
         chunks.clear()
-        rep = mrr_eval(objective, bench, index, table, k=8)
+        rep = mrr_eval(objective, bench, index, k=8)
         assert chunks == [3, 3, 1]
         assert rep.ranks == tuple(
             decomposition_rank(objective, item.composite, item.gold_sub_ids,
-                               index, table, k=8) for item in bench)
+                               index, None, k=8) for item in bench)
 
 
 def test_mrr_eval_out_of_vocabulary_composite_is_error():
-    index, table = single_word_index(np.eye(4) + 0.5)
+    index, _ = single_word_index(np.eye(4) + 0.5)
     bench = [SyntheticComposite(
         composite=Question.from_text(f"comp{c}", text),
         gold_sub_ids=("c00000000", "c00000001"))
         for c, text in enumerate(["w00 and w01", "unknown words"])]
     with pytest.raises(ValueError, match="no in-vocabulary tokens"):
-        mrr_eval(OBJECTIVE_SIM_DIVERSITY, bench, index, table, k=4)
+        mrr_eval(OBJECTIVE_SIM_DIVERSITY, bench, index, k=4)
 
 
 def test_rank_one_when_gold_dominates():
     # gold subs orthogonal, everything else far away
     rows = np.array([[4.0, 0.0], [0.0, 4.0], [-3.0, -3.0], [-4.0, -1.0]])
-    index, table = single_word_index(rows)
+    index, _ = single_word_index(rows)
     composite = Question.from_text("comp", "w00 and w01")
     for objective in (OBJECTIVE_SIM_DIVERSITY, OBJECTIVE_SUM_DISTANCE):
         assert decomposition_rank(objective, composite, ("c00000000", "c00000001"),
-                                  index, table, k=4) == 1
+                                  index, None, k=4) == 1
 
 
 def test_rank_gold_outside_pool_gets_worst_rank():
     rows = np.array([[4.0, 0.0], [0.0, 4.0], [-1.0, -1.0], [-2.0, -1.0],
                      [3.0, 1.0], [1.0, 3.0]])
-    index, table = single_word_index(rows)
+    index, _ = single_word_index(rows)
     composite = Question.from_text("comp", "w00 and w01")
     # k=3 pool cannot contain both negative-quadrant golds
     got = decomposition_rank(OBJECTIVE_SUM_DISTANCE, composite,
-                             ("c00000002", "c00000003"), index, table, k=3)
+                             ("c00000002", "c00000003"), index, None, k=3)
     assert got == math.comb(3, 2) + 1
 
 
 def test_rank_missing_gold_is_error():
-    index, table = single_word_index(np.eye(3))
+    index, _ = single_word_index(np.eye(3))
     composite = Question.from_text("comp", "w00 and w01")
     with pytest.raises(ValueError, match="not in the index"):
         decomposition_rank(OBJECTIVE_SUM_DISTANCE, composite,
-                           ("c00000000", "nope"), index, table, k=3)
+                           ("c00000000", "nope"), index, None, k=3)
 
 
 def test_rank_rejects_bad_subset_size():
-    index, table = single_word_index(np.eye(4))
+    index, _ = single_word_index(np.eye(4))
     composite = Question.from_text("comp", "w00 and w01")
     with pytest.raises(ValueError):
         decomposition_rank(OBJECTIVE_SUM_DISTANCE, composite, ("c00000000",),
-                           index, table, k=4)
+                           index, None, k=4)
     with pytest.raises(ValueError, match="below the subset size"):
         decomposition_rank(OBJECTIVE_SUM_DISTANCE, composite,
-                           ("c00000000", "c00000001"), index, table, k=1)
+                           ("c00000000", "c00000001"), index, None, k=1)
 
 
 def test_synthetic_corpus_is_deterministic_and_question_like():
@@ -286,11 +285,11 @@ def test_synthetic_vector_table_scales_function_words():
 
 def test_mrr_eval_report():
     rows = np.array([[4.0, 0.0], [0.0, 4.0], [-3.0, -3.0], [-4.0, -1.0]])
-    index, table = single_word_index(rows)
+    index, _ = single_word_index(rows)
     bench = [SyntheticComposite(
         composite=Question.from_text("comp", "w00 and w01"),
         gold_sub_ids=("c00000000", "c00000001"))]
-    rep = mrr_eval(OBJECTIVE_SUM_DISTANCE, bench, index, table, k=4)
+    rep = mrr_eval(OBJECTIVE_SUM_DISTANCE, bench, index, k=4)
     assert rep.objective == OBJECTIVE_SUM_DISTANCE
     assert rep.k == 4
     assert rep.ranks == (1,)

@@ -1,0 +1,59 @@
+"""The benchmark tracer (perfbench/tracer.py) labels its spans from the
+positional and keyword arguments of the functions it wraps. This test runs
+the CLI under the tracer, so a signature change that moves one of those
+arguments fails here rather than mislabelling a traced benchmark run."""
+
+import importlib
+from pathlib import Path
+
+from qdecomp import cli
+from qdecomp.corpus import save_corpus
+from qdecomp.embeddings import save_vector_table
+from qdecomp.synthbench import (build_synthetic_singlehop_corpus,
+                                corpus_vocabulary, synthetic_vector_table)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_traced_cli_spans_carry_their_labels(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    corpus = build_synthetic_singlehop_corpus(60, seed=41)
+    table = synthetic_vector_table(corpus_vocabulary(corpus), dim=24, seed=42)
+    vec, single, idx = (tmp_path / "vectors.vec", tmp_path / "single.jsonl",
+                        tmp_path / "idx")
+    save_vector_table(table, vec)
+    save_corpus(corpus, single)
+    assert cli.main(["build-index", "--corpus", str(single), "--vectors",
+                     str(vec), "--out", str(idx), "--no-length-filter"]) == 0
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        assert cli.main(["decompose", "--questions", str(single), "--index",
+                         str(idx), "--vectors", str(vec), "--method",
+                         "general", "--n", "3", "--k", "20",
+                         "--out", str(tmp_path / "pseudo.tsv")]) == 0
+        assert cli.main(["synth-eval", "--corpus", str(single), "--index",
+                         str(idx), "--vectors", str(vec), "--objective",
+                         "sum-distance", "--n", "3", "--count", "8", "--k",
+                         "20", "--out", str(tmp_path / "mrr.json")]) == 0
+    finally:
+        traced.uninstall()
+    capsys.readouterr()
+    spans = {}
+    for span in traced.spans:
+        spans.setdefault(span.name, []).append(span.note)
+
+    # general selections are labelled with their subset size
+    assert spans["retrieval.select"]
+    assert set(spans["retrieval.select"]) == {"general3"}
+    metrics, _ = tracer.layer_metrics(traced.spans)
+    assert "retrieval.select_ms.general3" in metrics
+    # every rank notes its objective and whether gold was in the pool
+    assert len(spans["synthbench.rank"]) == 8
+    for note in spans["synthbench.rank"]:
+        assert note["objective"] == "sum-distance"
+        assert note["in_pool"] in (True, False)
+    # the dataset note counts every attempted question
+    [dataset] = spans["retrieval.dataset"]
+    assert (dataset["attempted"], dataset["failed"]) == (len(corpus), 0)
