@@ -2,9 +2,12 @@
 build-index, decompose, edit, noise, metrics, synth-eval, recompose.
 
 Every run writes a manifest JSON (config snapshot, seed, input digests) next
-to its primary output. Flags can be pre-filled from a JSON config file or a
-previous manifest via --config; explicit flags win. Exit codes: 0 success,
-1 usage error, 2 data or validation error, 3 internal error.
+to its primary output, last. The inputs are hashed on one worker thread while
+the command reads them, and every digest is in hand before the first output
+is opened, so a manifest records each input as it was read. Flags can be
+pre-filled from a JSON config file or a previous manifest via --config;
+explicit flags win. Exit codes: 0 success, 1 usage error, 2 data or
+validation error, 3 internal error.
 """
 
 import argparse
@@ -12,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+import threading
 import traceback
 
 from . import __version__
@@ -48,43 +52,116 @@ def _progress(message):
     print(message, file=sys.stderr)
 
 
-def _digest_file(path):
+class _Stopped(Exception):
+    """A digest abandoned because its run ended first."""
+
+
+def _digest_file(path, stop=None):
+    """sha256 of a file, read through one reused 256 KB buffer (a 1 MB one
+    adds about 1 MB to the peak resident set of a run whose peak falls while
+    its inputs are hashed); raises _Stopped between chunks once the event
+    stop is set."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    buf = bytearray(1 << 18)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            if stop is not None and stop.is_set():
+                raise _Stopped(path)
+            h.update(view[:n])
     return h.hexdigest()
 
 
-def _digest_path(path):
+def _digest_path(path, stop=None):
     if os.path.isdir(path):
         h = hashlib.sha256()
         for name in sorted(os.listdir(path)):
             sub = os.path.join(path, name)
             if os.path.isfile(sub):
                 h.update(name.encode("utf-8"))
-                h.update(_digest_file(sub).encode("ascii"))
+                h.update(_digest_file(sub, stop).encode("ascii"))
         return h.hexdigest()
-    return _digest_file(path)
+    return _digest_file(path, stop)
+
+
+class _InputDigests:
+    """The sha256 of each input of a run, the files in the given order and
+    then the index directory, computed on one worker thread while the main
+    thread reads the inputs (file reads and hashlib release the GIL, so both
+    use a core).
+
+    Use it as a context manager around the reading phase: leaving the block
+    stops a digest still running and joins the thread, so no thread outlives
+    the command. A digest that failed raises its error from get() or all().
+    """
+
+    def __init__(self, *files, index=None):
+        self._jobs = dict.fromkeys(files, _digest_file)
+        if index is not None:
+            self._jobs[index] = _digest_path
+        self._done = {path: threading.Event() for path in self._jobs}
+        self._results = {}
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._run,
+                                        name="qdecomp-digests")
+        self._thread.start()
+
+    def _run(self):
+        for path, digest in self._jobs.items():
+            if self._stop.is_set():
+                return
+            try:
+                self._results[path] = digest(path, self._stop), None
+            except Exception as exc:
+                self._results[path] = None, exc
+            self._done[path].set()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._stop.set()
+        self._thread.join()
+
+    def get(self, path):
+        self._done[path].wait()
+        digest, error = self._results[path]
+        if error is not None:
+            raise error
+        return digest
+
+    def all(self):
+        """{path: digest} of every input, waiting for those not done."""
+        return {path: self.get(path) for path in self._jobs}
 
 
 def _write_json(payload, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
+    """Sorted, indented JSON, written to a temp file beside path and renamed
+    over it, so a failed write leaves a previous file as it was."""
+    parent, base = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(parent, f".{base}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, ensure_ascii=False, sort_keys=True,
+                      indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
-def _write_manifest(opts, subcommand, inputs, primary_out, digests=None):
-    """Write the run's manifest; digests holds inputs already hashed."""
-    digests = digests or {}
+def _write_manifest(opts, subcommand, digests, primary_out):
+    """Write the run's manifest; digests is {input path: sha256}, taken
+    before any output was written."""
     payload = {
         "schema_version": 1,
         "tool": "qdecomp",
         "version": __version__,
         "subcommand": subcommand,
         "config": {k: v for k, v in opts.items() if k != "manifest"},
-        "inputs": {p: digests.get(p) or _digest_path(p)
-                   for p in inputs if p},
+        "inputs": digests,
     }
     _write_json(payload, opts["manifest"] or f"{primary_out}.manifest.json")
 
@@ -216,8 +293,10 @@ def _checked(config_class, **fields):
                help="drop exact duplicate lines"),
           _opt("--label", help="corpus label"))
 def cmd_extract(opts):
-    with open(opts["lines"], encoding="utf-8") as fh:
-        lines = fh.readlines()
+    with _InputDigests(opts["lines"]) as digests:
+        with open(opts["lines"], encoding="utf-8") as fh:
+            lines = fh.readlines()
+        inputs = digests.all()
     wh = frozenset(w.strip().lower() for w in opts["wh_words"].split(",")
                    if w.strip())
     questions = extract_candidate_questions(lines, wh_words=wh,
@@ -226,7 +305,7 @@ def cmd_extract(opts):
     corpus = QuestionCorpus(tuple(questions), label=opts["label"])
     save_corpus(corpus, opts["out"])
     _progress(f"extract: kept {len(questions)} of {len(lines)} lines")
-    _write_manifest(opts, "extract", [opts["lines"]], opts["out"])
+    _write_manifest(opts, "extract", inputs, opts["out"])
     return 0
 
 
@@ -268,8 +347,11 @@ def cmd_train_classifier(opts):
     train_sets = []
     heldout_sets = []
     rng = substream(opts["seed"], "classifier-split")
-    for label, path in pairs:
-        corpus = load_corpus(path, label=label)
+    with _InputDigests(*(path for _, path in pairs)) as digests:
+        corpora = [(label, load_corpus(path, label=label))
+                   for label, path in pairs]
+        inputs = digests.all()
+    for label, corpus in corpora:
         if opts["holdout"] > 0.0:
             train_qs, hold_qs = _split_holdout(corpus, opts["holdout"], rng)
         else:
@@ -293,8 +375,7 @@ def cmd_train_classifier(opts):
     print(json.dumps(report, sort_keys=True))
     _progress(f"train-classifier: {report['train_examples']} train examples, "
               f"heldout accuracy {report['heldout_accuracy']}")
-    _write_manifest(opts, "train-classifier", [p for _, p in pairs],
-                    opts["out"])
+    _write_manifest(opts, "train-classifier", inputs, opts["out"])
     return 0
 
 
@@ -303,8 +384,10 @@ def cmd_train_classifier(opts):
           _opt("--corpus", REQUIRED),
           _opt("--out", REQUIRED, help="predictions JSONL"))
 def cmd_classify(opts):
-    model = load_classifier(opts["model"])
-    corpus = load_corpus(opts["corpus"])
+    with _InputDigests(opts["model"], opts["corpus"]) as digests:
+        model = load_classifier(opts["model"])
+        corpus = load_corpus(opts["corpus"])
+        inputs = digests.all()
     with open(opts["out"], "w", encoding="utf-8") as fh:
         for q in corpus:
             pred = classify(model, q)
@@ -316,8 +399,7 @@ def cmd_classify(opts):
             }, ensure_ascii=False, sort_keys=True))
             fh.write("\n")
     _progress(f"classify: labeled {len(corpus)} questions")
-    _write_manifest(opts, "classify", [opts["model"], opts["corpus"]],
-                    opts["out"])
+    _write_manifest(opts, "classify", inputs, opts["out"])
     return 0
 
 
@@ -329,8 +411,10 @@ def cmd_classify(opts):
           _opt("--out-single", REQUIRED),
           _opt("--out-multi", REQUIRED))
 def cmd_route(opts):
-    model = load_classifier(opts["model"])
-    mined = load_corpus(opts["mined"])
+    with _InputDigests(opts["model"], opts["mined"]) as digests:
+        model = load_classifier(opts["model"])
+        mined = load_corpus(opts["mined"])
+        inputs = digests.all()
     to_single, to_multi = route_mined_questions(model, mined,
                                                 opts["single_label"],
                                                 opts["multi_label"])
@@ -340,8 +424,7 @@ def cmd_route(opts):
               "discarded": len(mined) - len(to_single) - len(to_multi)}
     print(json.dumps(counts, sort_keys=True))
     _progress(f"route: {counts}")
-    _write_manifest(opts, "route", [opts["model"], opts["mined"]],
-                    opts["out_single"])
+    _write_manifest(opts, "route", inputs, opts["out_single"])
     return 0
 
 
@@ -357,34 +440,35 @@ def cmd_build_index(opts):
     filters = None if opts["no_length_filter"] else _checked(
         LengthFilter, min_tokens=opts["min_tokens"],
         max_tokens=opts["max_tokens"])
-    questions = []
-    for path in opts["corpus"]:
-        questions.extend(load_corpus(path).questions)
-    merged = QuestionCorpus(tuple(questions))
-    table = load_vector_table(opts["vectors"])
-    digest = _digest_file(opts["vectors"])
-    index = build_index(merged, table, filters)
-    save_index(index, opts["out"], digest)
+    with _InputDigests(opts["vectors"], *opts["corpus"]) as digests:
+        questions = []
+        for path in opts["corpus"]:
+            questions.extend(load_corpus(path).questions)
+        merged = QuestionCorpus(tuple(questions))
+        table = load_vector_table(opts["vectors"])
+        index = build_index(merged, table, filters)
+        inputs = digests.all()
+    save_index(index, opts["out"], inputs[opts["vectors"]])
     _progress(f"build-index: {len(index)} rows, {index.oov_excluded} without "
               f"vocabulary, {index.filtered_out} outside length bounds")
-    inputs = list(opts["corpus"]) + [opts["vectors"]]
-    _write_manifest(opts, "build-index", inputs, opts["out"],
-                    {opts["vectors"]: digest})
+    _write_manifest(opts, "build-index", inputs, opts["out"])
     return 0
 
 
-def _load_bound_index(opts):
-    """The --index, with the word vectors stored in it, and the digest of
-    --vectors, which must be the file the index was built from."""
-    digest = _digest_file(opts["vectors"])
-    index = load_index(opts["index"])
+def _load_bound_index(opts, digests):
+    """The --index, with the word vectors stored in it; --vectors, hashed by
+    digests, must be the file the index was built from."""
+    try:
+        index = load_index(opts["index"])
+    finally:  # a bad --vectors is reported first, whatever else is wrong
+        digest = digests.get(opts["vectors"])
     if digest != index.vectors_sha256:
         raise ValueError(
             f"{opts['vectors']} (sha256 {digest}, dimension "
             f"{vector_file_dim(opts['vectors'])}) is not the word-vector file "
             f"index {opts['index']} was built from (sha256 "
             f"{index.vectors_sha256}, dimension {index.vectors.dim})")
-    return index, digest
+    return index
 
 
 @_command("decompose", "retrieve pseudo-decompositions",
@@ -402,23 +486,25 @@ def _load_bound_index(opts):
           _opt("--seed", 0, type=int),
           _opt("--workers", 1, type=int,
                help="accepted and checked (at least 1) for existing "
-                    "scripts; decompose runs on one thread"))
+                    "scripts; retrieval runs on the main thread and input "
+                    "digests on one worker thread, whatever the value"))
 def cmd_decompose(opts):
     config = _checked(DecomposeConfig, method=opts["method"], k=opts["k"],
                       n=opts["n"], max_n=opts["max_n"],
                       beam_width=opts["beam_width"], seed=opts["seed"],
                       workers=opts["workers"])
-    index, digest = _load_bound_index(opts)
-    questions = load_corpus(opts["questions"])
-    result = build_pseudo_decomposition_dataset(questions, index, config)
+    with _InputDigests(opts["vectors"], opts["questions"],
+                       index=opts["index"]) as digests:
+        index = _load_bound_index(opts, digests)
+        questions = load_corpus(opts["questions"])
+        result = build_pseudo_decomposition_dataset(questions, index, config)
+        inputs = digests.all()
     write_dataset_tsv(result.records, opts["out"])
     for qid, reason in result.failures:
         _progress(f"decompose: skipped {qid}: {reason}")
     _progress(f"decompose: wrote {len(result.records)} records, "
               f"skipped {len(result.failures)}")
-    inputs = [opts["questions"], opts["index"], opts["vectors"]]
-    _write_manifest(opts, "decompose", inputs, opts["out"],
-                    {opts["vectors"]: digest})
+    _write_manifest(opts, "decompose", inputs, opts["out"])
     return 0
 
 
@@ -427,7 +513,9 @@ def cmd_decompose(opts):
                help="dataset TSV from decompose"),
           _opt("--out", REQUIRED, help="edited TSV"))
 def cmd_edit(opts):
-    rows = read_dataset_tsv(opts["decompositions"])
+    with _InputDigests(opts["decompositions"]) as digests:
+        rows = read_dataset_tsv(opts["decompositions"])
+        inputs = digests.all()
     with open(opts["out"], "w", encoding="utf-8") as fh:
         for fields in rows:
             question = Question.from_text(fields[0], fields[1])
@@ -438,7 +526,7 @@ def cmd_edit(opts):
             fh.write("\t".join(fields))
             fh.write("\n")
     _progress(f"edit: rewrote {len(rows)} decompositions")
-    _write_manifest(opts, "edit", [opts["decompositions"]], opts["out"])
+    _write_manifest(opts, "edit", inputs, opts["out"])
     return 0
 
 
@@ -455,7 +543,9 @@ def cmd_noise(opts):
                       drop_prob=opts["drop_prob"],
                       shuffle_window=opts["shuffle_window"],
                       mask_token=opts["mask_token"], seed=opts["seed"])
-    corpus = load_corpus(opts["corpus"])
+    with _InputDigests(opts["corpus"]) as digests:
+        corpus = load_corpus(opts["corpus"])
+        inputs = digests.all()
     with open(opts["out"], "w", encoding="utf-8") as fh:
         for pos, q in enumerate(corpus):
             rng = substream(config.seed, "noise", pos)
@@ -465,7 +555,7 @@ def cmd_noise(opts):
                                 separators=(",", ":")))
             fh.write("\n")
     _progress(f"noise: rewrote {len(corpus)} questions")
-    _write_manifest(opts, "noise", [opts["corpus"]], opts["out"])
+    _write_manifest(opts, "noise", inputs, opts["out"])
     return 0
 
 
@@ -474,11 +564,14 @@ def cmd_noise(opts):
                help="TSV of question, decomposition, round-trip question"),
           _opt("--out", REQUIRED, help="report JSON"))
 def cmd_metrics(opts):
+    with _InputDigests(opts["records"]) as digests:
+        rows = _read_tsv(opts["records"], 3)
+        inputs = digests.all()
     # columns: question, decomposition, round trip
     records = [RoundTripRecord(
                    question=Question.from_text(f"r{lineno:08d}", fields[0]),
                    decomposition_text=fields[1], roundtrip_text=fields[2])
-               for lineno, fields in _read_tsv(opts["records"], 3)]
+               for lineno, fields in rows]
     report = roundtrip_report(records)
     payload = {
         "bleu": report.bleu,
@@ -489,7 +582,7 @@ def cmd_metrics(opts):
     }
     _write_json(payload, opts["out"])
     print(json.dumps(payload, sort_keys=True))
-    _write_manifest(opts, "metrics", [opts["records"]], opts["out"])
+    _write_manifest(opts, "metrics", inputs, opts["out"])
     return 0
 
 
@@ -513,13 +606,16 @@ def cmd_synth_eval(opts):
         raise UsageError(f"--count must be at least 1, got {opts['count']}")
     if opts["seed"] < 0:
         raise UsageError(f"--seed must be non-negative, got {opts['seed']}")
-    index, digest = _load_bound_index(opts)
-    corpus = load_corpus(opts["corpus"])
-    pool = QuestionCorpus(tuple(q for q in corpus if q.id in index),
-                          label=corpus.label)
-    benchmark = build_synthetic_compositional(pool, opts["n"], opts["count"],
-                                              opts["seed"])
-    report = mrr_eval(opts["objective"], benchmark, index, opts["k"])
+    with _InputDigests(opts["vectors"], opts["corpus"],
+                       index=opts["index"]) as digests:
+        index = _load_bound_index(opts, digests)
+        corpus = load_corpus(opts["corpus"])
+        pool = QuestionCorpus(tuple(q for q in corpus if q.id in index),
+                              label=corpus.label)
+        benchmark = build_synthetic_compositional(pool, opts["n"],
+                                                  opts["count"], opts["seed"])
+        report = mrr_eval(opts["objective"], benchmark, index, opts["k"])
+        inputs = digests.all()
     ranks_path = opts["ranks_out"] or f"{opts['out']}.ranks.json"
     _write_json(list(report.ranks), ranks_path)
     payload = {
@@ -531,9 +627,7 @@ def cmd_synth_eval(opts):
     }
     _write_json(payload, opts["out"])
     print(json.dumps(payload, sort_keys=True))
-    inputs = [opts["corpus"], opts["index"], opts["vectors"]]
-    _write_manifest(opts, "synth-eval", inputs, opts["out"],
-                    {opts["vectors"]: digest})
+    _write_manifest(opts, "synth-eval", inputs, opts["out"])
     return 0
 
 
@@ -542,7 +636,9 @@ def cmd_synth_eval(opts):
                help="paragraph logits JSONL (repeatable)"),
           _opt("--out", REQUIRED, help="ranked spans JSON"))
 def cmd_recompose(opts):
-    sets = [read_logits_jsonl(path) for path in opts["logits"]]
+    with _InputDigests(*opts["logits"]) as digests:
+        sets = [read_logits_jsonl(path) for path in opts["logits"]]
+        inputs = digests.all()
     paragraphs = sets[0] if len(sets) == 1 else ensemble_average(sets)
     ranked = sorted(span_probabilities(paragraphs),
                     key=lambda e: (-e[2], e[0], e[1]))
@@ -554,7 +650,7 @@ def cmd_recompose(opts):
     }
     _write_json(payload, opts["out"])
     print(json.dumps(payload["prediction"], sort_keys=True))
-    _write_manifest(opts, "recompose", list(opts["logits"]), opts["out"])
+    _write_manifest(opts, "recompose", inputs, opts["out"])
     return 0
 
 

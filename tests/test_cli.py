@@ -1,9 +1,11 @@
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
 
+from qdecomp import cli
 from qdecomp.cli import main
 from qdecomp.corpus import load_corpus, save_corpus
 from qdecomp.embeddings import save_vector_table
@@ -267,12 +269,19 @@ def _query_argv(indexed, command, vec, out):
                    "sum-distance", "--count", "5", "--k", "20"]
 
 
-@pytest.mark.parametrize("command", ["decompose", "synth-eval"])
-def test_other_vectors_of_the_same_dimension_are_data_error(indexed, capsys,
-                                                            command):
+def _other_vectors(indexed):
+    """A word-vector file of the index's dimension that it was not built
+    from."""
     other = indexed["tmp"] / "other.vec"
     save_vector_table(synthetic_vector_table(
         corpus_vocabulary(indexed["corpus"]), dim=24, seed=43), other)
+    return other
+
+
+@pytest.mark.parametrize("command", ["decompose", "synth-eval"])
+def test_other_vectors_of_the_same_dimension_are_data_error(indexed, capsys,
+                                                            command):
+    other = _other_vectors(indexed)
     out = indexed["tmp"] / "out"
     assert main(_query_argv(indexed, command, other, out)) == 2
     err = capsys.readouterr().err
@@ -353,6 +362,90 @@ def test_index_with_no_rows_is_data_error(indexed, capsys):
     err = capsys.readouterr().err
     assert str(idx / "meta.json") in err and "rows is 0" in err
     assert not out.exists()
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["build-index", "decompose", "synth-eval"])
+def test_manifest_inputs_are_the_digests_of_their_paths(indexed, capsys,
+                                                        command):
+    out = indexed["tmp"] / "out"
+    argv = (["build-index", "--corpus", str(indexed["single"]),
+             "--vectors", str(indexed["vec"]), "--out", str(out)]
+            if command == "build-index"
+            else _query_argv(indexed, command, indexed["vec"], out))
+    assert main(argv) == 0
+    inputs = json.loads((indexed["tmp"] / "out.manifest.json").read_text()
+                        )["inputs"]
+    expected = {str(indexed["single"]), str(indexed["vec"])}
+    if command != "build-index":
+        expected.add(str(indexed["idx"]))
+    assert set(inputs) == expected
+    for path, digest in inputs.items():
+        assert digest == cli._digest_path(path), path
+    assert inputs[str(indexed["vec"])] == _sha256(indexed["vec"])
+
+
+def test_manifest_records_an_input_as_read_before_out_overwrites_it(
+        workspace, capsys):
+    corpus = workspace["tmp"] / "c.jsonl"
+    corpus.write_bytes(workspace["single"].read_bytes())
+    before = _sha256(corpus)
+    assert main(["noise", "--corpus", str(corpus), "--out", str(corpus)]) == 0
+    assert _sha256(corpus) != before
+    manifest = json.loads((workspace["tmp"] / "c.jsonl.manifest.json"
+                           ).read_text())
+    assert manifest["inputs"] == {str(corpus): before}
+
+
+@pytest.mark.parametrize("case, code", [
+    ("ok", 0), ("other-vectors", 2), ("missing-questions", 2)])
+def test_no_thread_outlives_main(indexed, capsys, case, code):
+    out = indexed["tmp"] / "pseudo.tsv"
+    vec = (_other_vectors(indexed) if case == "other-vectors"
+           else indexed["vec"])
+    argv = _query_argv(indexed, "decompose", vec, out)
+    if case == "missing-questions":
+        argv += ["--questions", str(indexed["tmp"] / "gone.jsonl")]
+    before = threading.active_count()
+    assert main(argv) == code
+    assert threading.active_count() == before
+
+
+def test_vectors_mismatch_leaves_no_tsv_and_no_manifest(indexed, capsys):
+    out = indexed["tmp"] / "other.tsv"
+    assert main(_query_argv(indexed, "decompose", _other_vectors(indexed),
+                            out)) == 2
+    assert not out.exists()
+    assert not (indexed["tmp"] / "other.tsv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["decompose", "synth-eval"])
+def test_missing_vectors_is_named_before_a_missing_index(indexed, capsys,
+                                                         command):
+    gone_vec = indexed["tmp"] / "gone.vec"
+    argv = _query_argv(indexed, command, gone_vec, indexed["tmp"] / "out")
+    argv += ["--index", str(indexed["tmp"] / "gone-idx")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(gone_vec) in err and "gone-idx" not in err
+
+
+def test_failed_json_write_leaves_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    cli._write_json({"a": 1}, path)
+    before = path.read_bytes()
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", fail)
+    with pytest.raises(OSError, match="disk full"):
+        cli._write_json({"a": 2}, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_noise_command(workspace, capsys):
