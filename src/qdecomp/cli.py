@@ -1,10 +1,12 @@
 """Command-line pipeline: extract, train-classifier, classify, route,
 build-index, decompose, edit, noise, metrics, synth-eval, recompose.
 
-Every run writes a manifest JSON (config snapshot, seed, input digests) next
-to its primary output, last. The inputs are hashed on one worker thread while
-the command reads them, and every digest is in hand before the first output
-is opened, so a manifest records each input as it was read. Flags can be
+Every subcommand body runs inside one _Run: the inputs are hashed on a worker
+thread while the command reads them, each output file is written beside its
+target, and only once the body succeeds and every input is hashed are the
+outputs renamed into place, then the manifest JSON (config snapshot, seed,
+input digests) next to the primary output, last. So a failed run changes no
+file and a manifest records each input as it was read. Flags can be
 pre-filled from a JSON config file or a previous manifest via --config;
 explicit flags win. Exit codes: 0 success, 1 usage error, 2 data or
 validation error, 3 internal error.
@@ -33,8 +35,7 @@ from .recompose import (ensemble_average, predict_answer, read_logits_jsonl,
 from .retrieval import (DecomposeConfig, LengthFilter, METHODS,
                         build_index, build_pseudo_decomposition_dataset,
                         load_index, read_dataset_tsv, save_index,
-                        write_dataset_tsv, DATASET_COLUMNS, _read_tsv,
-                        _tsv_field)
+                        write_dataset_tsv, _read_tsv, _tsv_field)
 from .rng import substream
 from .synthbench import (OBJECTIVES, build_synthetic_compositional, mrr_eval)
 
@@ -84,86 +85,97 @@ def _digest_path(path, stop=None):
     return _digest_file(path, stop)
 
 
-class _InputDigests:
-    """The sha256 of each input of a run, the files in the given order and
-    then the index directory, computed on one worker thread while the main
-    thread reads the inputs (file reads and hashlib release the GIL, so both
-    use a core).
+class _Run:
+    """One subcommand run: hashes its inputs, stages its output files and
+    commits them with the manifest.
 
-    Use it as a context manager around the reading phase: leaving the block
-    stops a digest still running and joins the thread, so no thread outlives
-    the command. A digest that failed raises its error from get() or all().
+    The inputs (files or directories) are hashed on one worker thread while
+    the command reads them (file reads and hashlib release the GIL, so both
+    use a core). output(path) gives a temp path beside path for the command
+    to write; two outputs of the run, the manifest included, that resolve to
+    the same file are a usage error. When the block completes, the run waits
+    for every digest, writes the manifest to its own temp file, then renames
+    the outputs over their targets in the order they were opened and the
+    manifest last. No input is touched before that, so the manifest records
+    each input as it was read. When the block fails, the digest thread is
+    stopped and joined and every temp file is removed: no thread outlives the
+    command and no file is changed.
     """
 
-    def __init__(self, *files, index=None):
-        self._jobs = dict.fromkeys(files, _digest_file)
-        if index is not None:
-            self._jobs[index] = _digest_path
-        self._done = {path: threading.Event() for path in self._jobs}
+    def __init__(self, opts, subcommand, primary_out, *inputs):
+        self._opts, self._subcommand = opts, subcommand
+        self._inputs = list(dict.fromkeys(inputs))
+        self._done = {path: threading.Event() for path in self._inputs}
         self._results = {}
         self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run,
+        self._staged = {}  # real path -> (temp file, target), manifest first
+        self.output(opts["manifest"] or f"{primary_out}.manifest.json")
+        self._thread = threading.Thread(target=self._hash,
                                         name="qdecomp-digests")
         self._thread.start()
 
-    def _run(self):
-        for path, digest in self._jobs.items():
+    def _hash(self):
+        for path in self._inputs:
             if self._stop.is_set():
                 return
             try:
-                self._results[path] = digest(path, self._stop), None
+                self._results[path] = _digest_path(path, self._stop), None
             except Exception as exc:
                 self._results[path] = None, exc
             self._done[path].set()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self._stop.set()
-        self._thread.join()
-
     def get(self, path):
+        """The sha256 of input path, once hashed; a failed digest raises its
+        error."""
         self._done[path].wait()
         digest, error = self._results[path]
         if error is not None:
             raise error
         return digest
 
-    def all(self):
-        """{path: digest} of every input, waiting for those not done."""
-        return {path: self.get(path) for path in self._jobs}
+    def output(self, path):
+        """A temp path beside path, renamed over it when the run commits."""
+        real = os.path.realpath(path)
+        if real in self._staged:
+            raise UsageError(f"{path} is the target of two outputs of one run")
+        parent, base = os.path.split(os.path.abspath(path))
+        tmp = os.path.join(parent, f".{base}.{os.urandom(6).hex()}.tmp")
+        self._staged[real] = tmp, path
+        return tmp
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *exc_info):
+        try:
+            if exc_type is None:
+                self._commit()
+        finally:
+            self._stop.set()
+            self._thread.join()
+            for tmp, _ in self._staged.values():
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+
+    def _commit(self):
+        staged = list(self._staged.values())
+        _write_json({
+            "schema_version": 1,
+            "tool": "qdecomp",
+            "version": __version__,
+            "subcommand": self._subcommand,
+            "config": {k: v for k, v in self._opts.items() if k != "manifest"},
+            "inputs": {path: self.get(path) for path in self._inputs},
+        }, staged[0][0])
+        for tmp, path in staged[1:] + staged[:1]:
+            os.replace(tmp, path)
 
 
 def _write_json(payload, path):
-    """Sorted, indented JSON, written to a temp file beside path and renamed
-    over it, so a failed write leaves a previous file as it was."""
-    parent, base = os.path.split(os.path.abspath(path))
-    tmp = os.path.join(parent, f".{base}.{os.urandom(6).hex()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False, sort_keys=True,
-                      indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def _write_manifest(opts, subcommand, digests, primary_out):
-    """Write the run's manifest; digests is {input path: sha256}, taken
-    before any output was written."""
-    payload = {
-        "schema_version": 1,
-        "tool": "qdecomp",
-        "version": __version__,
-        "subcommand": subcommand,
-        "config": {k: v for k, v in opts.items() if k != "manifest"},
-        "inputs": digests,
-    }
-    _write_json(payload, opts["manifest"] or f"{primary_out}.manifest.json")
+    """Sorted, indented JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, ensure_ascii=False, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +305,17 @@ def _checked(config_class, **fields):
                help="drop exact duplicate lines"),
           _opt("--label", help="corpus label"))
 def cmd_extract(opts):
-    with _InputDigests(opts["lines"]) as digests:
-        with open(opts["lines"], encoding="utf-8") as fh:
-            lines = fh.readlines()
-        inputs = digests.all()
     wh = frozenset(w.strip().lower() for w in opts["wh_words"].split(",")
                    if w.strip())
-    questions = extract_candidate_questions(lines, wh_words=wh,
-                                            id_prefix=opts["id_prefix"],
-                                            dedup=opts["dedup"])
-    corpus = QuestionCorpus(tuple(questions), label=opts["label"])
-    save_corpus(corpus, opts["out"])
+    with _Run(opts, "extract", opts["out"], opts["lines"]) as run:
+        with open(opts["lines"], encoding="utf-8") as fh:
+            lines = fh.readlines()
+        questions = extract_candidate_questions(lines, wh_words=wh,
+                                                id_prefix=opts["id_prefix"],
+                                                dedup=opts["dedup"])
+        corpus = QuestionCorpus(tuple(questions), label=opts["label"])
+        save_corpus(corpus, run.output(opts["out"]))
     _progress(f"extract: kept {len(questions)} of {len(lines)} lines")
-    _write_manifest(opts, "extract", inputs, opts["out"])
     return 0
 
 
@@ -347,35 +357,31 @@ def cmd_train_classifier(opts):
     train_sets = []
     heldout_sets = []
     rng = substream(opts["seed"], "classifier-split")
-    with _InputDigests(*(path for _, path in pairs)) as digests:
-        corpora = [(label, load_corpus(path, label=label))
-                   for label, path in pairs]
-        inputs = digests.all()
-    for label, corpus in corpora:
-        if opts["holdout"] > 0.0:
-            train_qs, hold_qs = _split_holdout(corpus, opts["holdout"], rng)
-        else:
-            train_qs, hold_qs = corpus.questions, ()
-        train_sets.append((QuestionCorpus(train_qs, label=label), label))
-        if hold_qs:
-            heldout_sets.append((QuestionCorpus(hold_qs, label=label), label))
-    model = train_classifier(train_sets, config)
-    save_classifier(model, opts["out"])
-    report = {
-        "labels": list(model.labels),
-        "vocabulary_size": len(model.vocab),
-        "train_examples": sum(len(c) for c, _ in train_sets),
-        "heldout_examples": sum(len(c) for c, _ in heldout_sets),
-        "heldout_accuracy": (evaluate_classifier(model, heldout_sets)
-                             if heldout_sets else None),
-        "epoch_losses": list(model.epoch_losses),
-    }
-    if opts["report"]:
-        _write_json(report, opts["report"])
+    with _Run(opts, "train-classifier", opts["out"],
+              *(path for _, path in pairs)) as run:
+        for label, path in pairs:
+            train_qs, hold_qs = _split_holdout(load_corpus(path, label=label),
+                                               opts["holdout"], rng)
+            train_sets.append((QuestionCorpus(train_qs, label=label), label))
+            if hold_qs:
+                heldout_sets.append((QuestionCorpus(hold_qs, label=label),
+                                     label))
+        model = train_classifier(train_sets, config)
+        save_classifier(model, run.output(opts["out"]))
+        report = {
+            "labels": list(model.labels),
+            "vocabulary_size": len(model.vocab),
+            "train_examples": sum(len(c) for c, _ in train_sets),
+            "heldout_examples": sum(len(c) for c, _ in heldout_sets),
+            "heldout_accuracy": (evaluate_classifier(model, heldout_sets)
+                                 if heldout_sets else None),
+            "epoch_losses": list(model.epoch_losses),
+        }
+        if opts["report"]:
+            _write_json(report, run.output(opts["report"]))
     print(json.dumps(report, sort_keys=True))
     _progress(f"train-classifier: {report['train_examples']} train examples, "
               f"heldout accuracy {report['heldout_accuracy']}")
-    _write_manifest(opts, "train-classifier", inputs, opts["out"])
     return 0
 
 
@@ -384,22 +390,21 @@ def cmd_train_classifier(opts):
           _opt("--corpus", REQUIRED),
           _opt("--out", REQUIRED, help="predictions JSONL"))
 def cmd_classify(opts):
-    with _InputDigests(opts["model"], opts["corpus"]) as digests:
+    with _Run(opts, "classify", opts["out"], opts["model"],
+              opts["corpus"]) as run:
         model = load_classifier(opts["model"])
         corpus = load_corpus(opts["corpus"])
-        inputs = digests.all()
-    with open(opts["out"], "w", encoding="utf-8") as fh:
-        for q in corpus:
-            pred = classify(model, q)
-            fh.write(json.dumps({
-                "id": q.id,
-                "label": pred.label,
-                "degenerate": pred.degenerate,
-                "probabilities": [float(p) for p in pred.probabilities],
-            }, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+        with open(run.output(opts["out"]), "w", encoding="utf-8") as fh:
+            for q in corpus:
+                pred = classify(model, q)
+                fh.write(json.dumps({
+                    "id": q.id,
+                    "label": pred.label,
+                    "degenerate": pred.degenerate,
+                    "probabilities": [float(p) for p in pred.probabilities],
+                }, ensure_ascii=False, sort_keys=True))
+                fh.write("\n")
     _progress(f"classify: labeled {len(corpus)} questions")
-    _write_manifest(opts, "classify", inputs, opts["out"])
     return 0
 
 
@@ -411,20 +416,24 @@ def cmd_classify(opts):
           _opt("--out-single", REQUIRED),
           _opt("--out-multi", REQUIRED))
 def cmd_route(opts):
-    with _InputDigests(opts["model"], opts["mined"]) as digests:
+    if opts["single_label"] == opts["multi_label"]:
+        raise UsageError(f"--single-label and --multi-label are both "
+                         f"{opts['single_label']!r}")
+    with _Run(opts, "route", opts["out_single"], opts["model"],
+              opts["mined"]) as run:
         model = load_classifier(opts["model"])
         mined = load_corpus(opts["mined"])
-        inputs = digests.all()
-    to_single, to_multi = route_mined_questions(model, mined,
-                                                opts["single_label"],
-                                                opts["multi_label"])
-    save_corpus(QuestionCorpus(tuple(to_single)), opts["out_single"])
-    save_corpus(QuestionCorpus(tuple(to_multi)), opts["out_multi"])
+        to_single, to_multi = route_mined_questions(model, mined,
+                                                    opts["single_label"],
+                                                    opts["multi_label"])
+        save_corpus(QuestionCorpus(tuple(to_single)),
+                    run.output(opts["out_single"]))
+        save_corpus(QuestionCorpus(tuple(to_multi)),
+                    run.output(opts["out_multi"]))
     counts = {"single": len(to_single), "multi": len(to_multi),
               "discarded": len(mined) - len(to_single) - len(to_multi)}
     print(json.dumps(counts, sort_keys=True))
     _progress(f"route: {counts}")
-    _write_manifest(opts, "route", inputs, opts["out_single"])
     return 0
 
 
@@ -440,28 +449,27 @@ def cmd_build_index(opts):
     filters = None if opts["no_length_filter"] else _checked(
         LengthFilter, min_tokens=opts["min_tokens"],
         max_tokens=opts["max_tokens"])
-    with _InputDigests(opts["vectors"], *opts["corpus"]) as digests:
+    with _Run(opts, "build-index", opts["out"], opts["vectors"],
+              *opts["corpus"]) as run:
         questions = []
         for path in opts["corpus"]:
             questions.extend(load_corpus(path).questions)
         merged = QuestionCorpus(tuple(questions))
         table = load_vector_table(opts["vectors"])
         index = build_index(merged, table, filters)
-        inputs = digests.all()
-    save_index(index, opts["out"], inputs[opts["vectors"]])
+        save_index(index, opts["out"], run.get(opts["vectors"]))
     _progress(f"build-index: {len(index)} rows, {index.oov_excluded} without "
               f"vocabulary, {index.filtered_out} outside length bounds")
-    _write_manifest(opts, "build-index", inputs, opts["out"])
     return 0
 
 
-def _load_bound_index(opts, digests):
+def _load_bound_index(opts, run):
     """The --index, with the word vectors stored in it; --vectors, hashed by
-    digests, must be the file the index was built from."""
+    run, must be the file the index was built from."""
     try:
         index = load_index(opts["index"])
     finally:  # a bad --vectors is reported first, whatever else is wrong
-        digest = digests.get(opts["vectors"])
+        digest = run.get(opts["vectors"])
     if digest != index.vectors_sha256:
         raise ValueError(
             f"{opts['vectors']} (sha256 {digest}, dimension "
@@ -493,18 +501,16 @@ def cmd_decompose(opts):
                       n=opts["n"], max_n=opts["max_n"],
                       beam_width=opts["beam_width"], seed=opts["seed"],
                       workers=opts["workers"])
-    with _InputDigests(opts["vectors"], opts["questions"],
-                       index=opts["index"]) as digests:
-        index = _load_bound_index(opts, digests)
+    with _Run(opts, "decompose", opts["out"], opts["vectors"],
+              opts["questions"], opts["index"]) as run:
+        index = _load_bound_index(opts, run)
         questions = load_corpus(opts["questions"])
         result = build_pseudo_decomposition_dataset(questions, index, config)
-        inputs = digests.all()
-    write_dataset_tsv(result.records, opts["out"])
+        write_dataset_tsv(result.records, run.output(opts["out"]))
     for qid, reason in result.failures:
         _progress(f"decompose: skipped {qid}: {reason}")
     _progress(f"decompose: wrote {len(result.records)} records, "
               f"skipped {len(result.failures)}")
-    _write_manifest(opts, "decompose", inputs, opts["out"])
     return 0
 
 
@@ -513,20 +519,18 @@ def cmd_decompose(opts):
                help="dataset TSV from decompose"),
           _opt("--out", REQUIRED, help="edited TSV"))
 def cmd_edit(opts):
-    with _InputDigests(opts["decompositions"]) as digests:
+    with _Run(opts, "edit", opts["out"], opts["decompositions"]) as run:
         rows = read_dataset_tsv(opts["decompositions"])
-        inputs = digests.all()
-    with open(opts["out"], "w", encoding="utf-8") as fh:
-        for fields in rows:
-            question = Question.from_text(fields[0], fields[1])
-            subs = split_sub_question_texts(fields[2])
-            edited = edit_sub_question_texts(question, subs)
-            fields = list(fields)
-            fields[2] = _tsv_field(" ".join(edited))
-            fh.write("\t".join(fields))
-            fh.write("\n")
+        with open(run.output(opts["out"]), "w", encoding="utf-8") as fh:
+            for fields in rows:
+                question = Question.from_text(fields[0], fields[1])
+                subs = split_sub_question_texts(fields[2])
+                edited = edit_sub_question_texts(question, subs)
+                fields = list(fields)
+                fields[2] = _tsv_field(" ".join(edited))
+                fh.write("\t".join(fields))
+                fh.write("\n")
     _progress(f"edit: rewrote {len(rows)} decompositions")
-    _write_manifest(opts, "edit", inputs, opts["out"])
     return 0
 
 
@@ -543,19 +547,17 @@ def cmd_noise(opts):
                       drop_prob=opts["drop_prob"],
                       shuffle_window=opts["shuffle_window"],
                       mask_token=opts["mask_token"], seed=opts["seed"])
-    with _InputDigests(opts["corpus"]) as digests:
+    with _Run(opts, "noise", opts["out"], opts["corpus"]) as run:
         corpus = load_corpus(opts["corpus"])
-        inputs = digests.all()
-    with open(opts["out"], "w", encoding="utf-8") as fh:
-        for pos, q in enumerate(corpus):
-            rng = substream(config.seed, "noise", pos)
-            noisy = noise_tokens(q.tokens, config, rng)
-            fh.write(json.dumps({"id": q.id, "text": " ".join(noisy)},
-                                ensure_ascii=False, sort_keys=True,
-                                separators=(",", ":")))
-            fh.write("\n")
+        with open(run.output(opts["out"]), "w", encoding="utf-8") as fh:
+            for pos, q in enumerate(corpus):
+                rng = substream(config.seed, "noise", pos)
+                noisy = noise_tokens(q.tokens, config, rng)
+                fh.write(json.dumps({"id": q.id, "text": " ".join(noisy)},
+                                    ensure_ascii=False, sort_keys=True,
+                                    separators=(",", ":")))
+                fh.write("\n")
     _progress(f"noise: rewrote {len(corpus)} questions")
-    _write_manifest(opts, "noise", inputs, opts["out"])
     return 0
 
 
@@ -564,25 +566,23 @@ def cmd_noise(opts):
                help="TSV of question, decomposition, round-trip question"),
           _opt("--out", REQUIRED, help="report JSON"))
 def cmd_metrics(opts):
-    with _InputDigests(opts["records"]) as digests:
-        rows = _read_tsv(opts["records"], 3)
-        inputs = digests.all()
-    # columns: question, decomposition, round trip
-    records = [RoundTripRecord(
-                   question=Question.from_text(f"r{lineno:08d}", fields[0]),
-                   decomposition_text=fields[1], roundtrip_text=fields[2])
-               for lineno, fields in rows]
-    report = roundtrip_report(records)
-    payload = {
-        "bleu": report.bleu,
-        "good_fraction": report.good_fraction,
-        "scaled": report.scaled,
-        "edit_distance_mean": report.edit_distance_mean,
-        "length_ratio_mean": report.length_ratio_mean,
-    }
-    _write_json(payload, opts["out"])
+    with _Run(opts, "metrics", opts["out"], opts["records"]) as run:
+        # columns: question, decomposition, round trip
+        records = [RoundTripRecord(
+                       question=Question.from_text(f"r{lineno:08d}",
+                                                   fields[0]),
+                       decomposition_text=fields[1], roundtrip_text=fields[2])
+                   for lineno, fields in _read_tsv(opts["records"], 3)]
+        report = roundtrip_report(records)
+        payload = {
+            "bleu": report.bleu,
+            "good_fraction": report.good_fraction,
+            "scaled": report.scaled,
+            "edit_distance_mean": report.edit_distance_mean,
+            "length_ratio_mean": report.length_ratio_mean,
+        }
+        _write_json(payload, run.output(opts["out"]))
     print(json.dumps(payload, sort_keys=True))
-    _write_manifest(opts, "metrics", inputs, opts["out"])
     return 0
 
 
@@ -606,28 +606,26 @@ def cmd_synth_eval(opts):
         raise UsageError(f"--count must be at least 1, got {opts['count']}")
     if opts["seed"] < 0:
         raise UsageError(f"--seed must be non-negative, got {opts['seed']}")
-    with _InputDigests(opts["vectors"], opts["corpus"],
-                       index=opts["index"]) as digests:
-        index = _load_bound_index(opts, digests)
+    ranks_path = opts["ranks_out"] or f"{opts['out']}.ranks.json"
+    with _Run(opts, "synth-eval", opts["out"], opts["vectors"],
+              opts["corpus"], opts["index"]) as run:
+        index = _load_bound_index(opts, run)
         corpus = load_corpus(opts["corpus"])
         pool = QuestionCorpus(tuple(q for q in corpus if q.id in index),
                               label=corpus.label)
         benchmark = build_synthetic_compositional(pool, opts["n"],
                                                   opts["count"], opts["seed"])
         report = mrr_eval(opts["objective"], benchmark, index, opts["k"])
-        inputs = digests.all()
-    ranks_path = opts["ranks_out"] or f"{opts['out']}.ranks.json"
-    _write_json(list(report.ranks), ranks_path)
-    payload = {
-        "objective": report.objective,
-        "n": opts["n"],
-        "K": report.k,
-        "mrr": report.mrr,
-        "per_question_ranks_path": ranks_path,
-    }
-    _write_json(payload, opts["out"])
+        _write_json(list(report.ranks), run.output(ranks_path))
+        payload = {
+            "objective": report.objective,
+            "n": opts["n"],
+            "K": report.k,
+            "mrr": report.mrr,
+            "per_question_ranks_path": ranks_path,
+        }
+        _write_json(payload, run.output(opts["out"]))
     print(json.dumps(payload, sort_keys=True))
-    _write_manifest(opts, "synth-eval", inputs, opts["out"])
     return 0
 
 
@@ -636,21 +634,19 @@ def cmd_synth_eval(opts):
                help="paragraph logits JSONL (repeatable)"),
           _opt("--out", REQUIRED, help="ranked spans JSON"))
 def cmd_recompose(opts):
-    with _InputDigests(*opts["logits"]) as digests:
+    with _Run(opts, "recompose", opts["out"], *opts["logits"]) as run:
         sets = [read_logits_jsonl(path) for path in opts["logits"]]
-        inputs = digests.all()
-    paragraphs = sets[0] if len(sets) == 1 else ensemble_average(sets)
-    ranked = sorted(span_probabilities(paragraphs),
-                    key=lambda e: (-e[2], e[0], e[1]))
-    pid, sid = predict_answer(paragraphs)
-    payload = {
-        "prediction": {"paragraph_id": pid, "span_id": sid},
-        "ranked_spans": [{"paragraph_id": p, "span_id": s, "probability": pr}
-                         for p, s, pr in ranked],
-    }
-    _write_json(payload, opts["out"])
+        paragraphs = sets[0] if len(sets) == 1 else ensemble_average(sets)
+        ranked = sorted(span_probabilities(paragraphs),
+                        key=lambda e: (-e[2], e[0], e[1]))
+        pid, sid = predict_answer(paragraphs)
+        payload = {
+            "prediction": {"paragraph_id": pid, "span_id": sid},
+            "ranked_spans": [{"paragraph_id": p, "span_id": s,
+                              "probability": pr} for p, s, pr in ranked],
+        }
+        _write_json(payload, run.output(opts["out"]))
     print(json.dumps(payload["prediction"], sort_keys=True))
-    _write_manifest(opts, "recompose", inputs, opts["out"])
     return 0
 
 

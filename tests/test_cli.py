@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import importlib
 import json
 import threading
 
@@ -433,19 +435,182 @@ def test_missing_vectors_is_named_before_a_missing_index(indexed, capsys,
     assert str(gone_vec) in err and "gone-idx" not in err
 
 
-def test_failed_json_write_leaves_the_previous_file(tmp_path, monkeypatch):
-    path = tmp_path / "report.json"
-    cli._write_json({"a": 1}, path)
-    before = path.read_bytes()
+@pytest.fixture
+def chain(indexed):
+    """The indexed workspace plus composite questions, a mined corpus of
+    single-hop and composite questions, a classifier, a decompositions TSV,
+    round-trip records and span logits: inputs for every subcommand that
+    writes files."""
+    from qdecomp.recompose import ParagraphLogits, write_logits_jsonl
+    tmp, qs = indexed["tmp"], list(indexed["corpus"])
+    paths = {name: tmp / name for name in (
+        "multi.jsonl", "mined.jsonl", "clf.json", "pseudo.tsv", "records.tsv",
+        "logits.jsonl")}
+    save_corpus(make_corpus([qs[i].raw_text.rstrip("?").rstrip() + " and "
+                             + qs[i + 1].raw_text for i in range(0, 40, 2)],
+                            prefix="mh"), paths["multi.jsonl"])
+    paths["mined.jsonl"].write_bytes(indexed["single"].read_bytes()
+                                     + paths["multi.jsonl"].read_bytes())
+    assert main(["train-classifier",
+                 "--labeled", f"single={indexed['single']}",
+                 "--labeled", f"multi={paths['multi.jsonl']}",
+                 "--out", str(paths["clf.json"]), "--dim", "16",
+                 "--epochs", "50", "--learning-rate", "1.0",
+                 "--holdout", "0"]) == 0
+    assert main(["decompose", "--questions", str(paths["multi.jsonl"]),
+                 "--index", str(indexed["idx"]), "--vectors",
+                 str(indexed["vec"]), "--out", str(paths["pseudo.tsv"]),
+                 "--k", "20"]) == 0
+    paths["records.tsv"].write_text("".join(
+        f"{r[1]}\t{r[2]}\t{r[1]}\n"
+        for r in read_dataset_tsv(paths["pseudo.tsv"])))
+    write_logits_jsonl([ParagraphLogits("p1", (("s1", 2.0), ("s2", 0.5)),
+                                        0.1)], paths["logits.jsonl"])
+    return dict(indexed, **{name.split(".")[0]: path
+                            for name, path in paths.items()})
 
-    def fail(*args, **kwargs):
-        raise OSError("disk full")
 
-    monkeypatch.setattr(cli.json, "dump", fail)
-    with pytest.raises(OSError, match="disk full"):
-        cli._write_json({"a": 2}, path)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+def _writer_argv(chain, case):
+    """A valid run over chain that writes tmp/out, and tmp/out2 where it
+    writes a second file."""
+    c = {key: str(value) for key, value in chain.items()}
+    out, out2 = str(chain["tmp"] / "out"), str(chain["tmp"] / "out2")
+    query = ["--index", c["idx"], "--vectors", c["vec"], "--out", out]
+    return {
+        "extract": ["extract", "--lines", c["lines"], "--out", out],
+        "train-classifier": ["train-classifier", "--labeled",
+                             f"single={c['single']}", "--labeled",
+                             f"multi={c['multi']}", "--out", out,
+                             "--report", out2, "--epochs", "1"],
+        "classify": ["classify", "--model", c["clf"], "--corpus", c["single"],
+                     "--out", out],
+        "route": ["route", "--model", c["clf"], "--mined", c["mined"],
+                  "--single-label", "single", "--multi-label", "multi",
+                  "--out-single", out, "--out-multi", out2],
+        "decompose": ["decompose", "--questions", c["multi"], "--k", "20"]
+                     + query,
+        "edit": ["edit", "--decompositions", c["pseudo"], "--out", out],
+        "noise": ["noise", "--corpus", c["single"], "--out", out],
+        "noise-in-place": ["noise", "--corpus", out, "--out", out],
+        "metrics": ["metrics", "--records", c["records"], "--out", out],
+        "synth-eval": ["synth-eval", "--corpus", c["single"], "--objective",
+                       "sum-distance", "--count", "5", "--k", "20",
+                       "--ranks-out", out2] + query,
+        "recompose": ["recompose", "--logits", c["logits"], "--out", out],
+    }[case]
+
+
+class _FullDisk:
+    """A text file that takes one write, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self._fh, self._written = fh, False
+
+    def write(self, text):
+        if self._written:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._written = True
+        return self._fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+
+def _disk_full(module, nth):
+    """A fault: the nth file that qdecomp.<module> opens for writing fails
+    after its first write."""
+    def inject(monkeypatch):
+        opened = []
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            if "w" not in mode:
+                return fh
+            opened.append(path)
+            return _FullDisk(fh) if len(opened) == nth else fh
+
+        monkeypatch.setattr(importlib.import_module(f"qdecomp.{module}"),
+                            "open", failing_open, raising=False)
+    return inject
+
+
+def _noise_fails_on_record_10(monkeypatch):
+    real, calls = cli.noise_tokens, []
+
+    def noise_tokens(tokens, config, rng):
+        calls.append(tokens)
+        if len(calls) == 10:
+            raise RuntimeError("injected fault")
+        return real(tokens, config, rng)
+
+    monkeypatch.setattr(cli, "noise_tokens", noise_tokens)
+
+
+@pytest.mark.parametrize("case, fault, code", [
+    ("extract", _disk_full("corpus", 1), 2),
+    ("extract", _disk_full("cli", 1), 2),
+    ("train-classifier", _disk_full("classifier", 1), 2),
+    ("train-classifier", _disk_full("cli", 1), 2),
+    ("classify", _disk_full("cli", 1), 2),
+    ("route", _disk_full("corpus", 1), 2),
+    ("route", _disk_full("corpus", 2), 2),
+    ("decompose", _disk_full("retrieval", 1), 2),
+    ("edit", _disk_full("cli", 1), 2),
+    ("noise", _disk_full("cli", 1), 2),
+    ("noise-in-place", _noise_fails_on_record_10, 3),
+    ("metrics", _disk_full("cli", 1), 2),
+    ("synth-eval", _disk_full("cli", 1), 2),
+    ("synth-eval", _disk_full("cli", 2), 2),
+    ("recompose", _disk_full("cli", 1), 2),
+], ids=["extract", "extract-manifest", "train-classifier-model",
+        "train-classifier-report", "classify", "route-single", "route-multi",
+        "decompose", "edit", "noise", "noise-in-place", "metrics",
+        "synth-eval-ranks", "synth-eval-report", "recompose"])
+def test_failed_write_changes_no_file(chain, capsys, monkeypatch, case,
+                                      fault, code):
+    tmp = chain["tmp"]
+    (tmp / "out").write_bytes(chain["single"].read_bytes())
+    (tmp / "out2").write_bytes(b"previous second output\n")
+    (tmp / "out.manifest.json").write_bytes(b"{}\n")
+    before = _tree_bytes([tmp])
+    fault(monkeypatch)
+    assert main(_writer_argv(chain, case)) == code
+    assert not list(tmp.rglob(".*.tmp"))
+    assert _tree_bytes([tmp]) == before
+
+
+@pytest.mark.parametrize("case, first, second", [
+    ("route", "--out-single", "--out-multi"),
+    ("synth-eval", "--out", "--ranks-out"),
+    ("train-classifier", "--out", "--report"),
+    ("extract", "--out", "--manifest"),
+])
+def test_two_outputs_at_one_path_are_usage_error(chain, capsys, case, first,
+                                                 second):
+    tmp = chain["tmp"]
+    (tmp / "out").write_bytes(b"previous output\n")
+    before = _tree_bytes([tmp])
+    # the last of a repeated flag wins
+    argv = _writer_argv(chain, case) + [first, str(tmp / "out"),
+                                        second, str(tmp / "." / "out")]
+    assert main(argv) == 1
+    assert "two outputs" in capsys.readouterr().err
+    assert _tree_bytes([tmp]) == before
+
+
+def test_route_to_one_label_is_usage_error(tmp_path, capsys):
+    # no input exists: the labels must be rejected before any is read
+    argv = ["route", "--model", str(tmp_path / "clf.json"),
+            "--mined", str(tmp_path / "mined.jsonl"),
+            "--single-label", "single", "--multi-label", "single",
+            "--out-single", str(tmp_path / "s.jsonl"),
+            "--out-multi", str(tmp_path / "m.jsonl")]
+    assert main(argv) == 1
+    assert "--multi-label" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_noise_command(workspace, capsys):
@@ -647,11 +812,11 @@ def test_config_null_and_list_rules(workspace, capsys):
 
 
 def _tree_bytes(paths):
-    """{path: bytes} of every file in paths, directories expanded."""
+    """{path: bytes} of every file in paths, directories walked."""
     found = {}
     for path in paths:
-        files = sorted(path.iterdir()) if path.is_dir() else [path]
-        found.update((f, f.read_bytes()) for f in files)
+        files = sorted(path.rglob("*")) if path.is_dir() else [path]
+        found.update((f, f.read_bytes()) for f in files if f.is_file())
     return found
 
 
