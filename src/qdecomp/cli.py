@@ -2,20 +2,22 @@
 build-index, decompose, edit, noise, metrics, synth-eval, recompose.
 
 Every subcommand body runs inside one _Run: the inputs are hashed on a worker
-thread while the command reads them, each output file is written beside its
-target, and only once the body succeeds and every input is hashed are the
-outputs renamed into place, then the manifest JSON (config snapshot, seed,
-input digests) next to the primary output, last. So a failed run changes no
-file and a manifest records each input as it was read. Flags can be
-pre-filled from a JSON config file or a previous manifest via --config;
-explicit flags win. Exit codes: 0 success, 1 usage error, 2 data or
-validation error, 3 internal error.
+thread while the command reads them, each output (a file, or build-index's
+directory) is written beside its target, and only once the body succeeds,
+every input is hashed and every target is checked are the outputs renamed
+into place, then the manifest JSON (config snapshot, seed, input digests)
+next to the primary output, last. So a failed run changes no file and a
+manifest records each input as it was read. Flags can be pre-filled from a
+JSON config file or a previous manifest via --config; explicit flags win.
+Exit codes: 0 success, 1 usage error, 2 data or validation error, 3
+internal error.
 """
 
 import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
 import threading
 import traceback
@@ -85,20 +87,30 @@ def _digest_path(path, stop=None):
     return _digest_file(path, stop)
 
 
+def _beside(path):
+    """A fresh hidden temp name in path's directory."""
+    parent, base = os.path.split(os.path.abspath(path))
+    return os.path.join(parent, f".{base}.{os.urandom(6).hex()}.tmp")
+
+
 class _Run:
-    """One subcommand run: hashes its inputs, stages its output files and
-    commits them with the manifest.
+    """One subcommand run: hashes its inputs, stages its outputs and commits
+    them with the manifest.
 
     The inputs (files or directories) are hashed on one worker thread while
     the command reads them (file reads and hashlib release the GIL, so both
     use a core). output(path) gives a temp path beside path for the command
-    to write; two outputs of the run, the manifest included, that resolve to
-    the same file are a usage error. When the block completes, the run waits
-    for every digest, writes the manifest to its own temp file, then renames
-    the outputs over their targets in the order they were opened and the
-    manifest last. No input is touched before that, so the manifest records
-    each input as it was read. When the block fails, the digest thread is
-    stopped and joined and every temp file is removed: no thread outlives the
+    to write a file or a directory to; two outputs of the run, the manifest
+    included, that resolve to the same path are a usage error. When the block
+    completes, the run waits for every digest and checks every target: an
+    existing directory can be replaced only by a staged directory that has
+    every name it has, so a directory holding other files is refused. Then
+    it writes the manifest to its own temp file and renames the outputs over
+    their targets in the order they were opened, the manifest last; an
+    existing directory is first renamed aside, and removed once the run
+    ends. No input is touched before that, so the manifest records each
+    input as it was read. When the block fails, the digest thread is stopped
+    and joined and every staged output is removed: no thread outlives the
     command and no file is changed.
     """
 
@@ -108,7 +120,8 @@ class _Run:
         self._done = {path: threading.Event() for path in self._inputs}
         self._results = {}
         self._stop = threading.Event()
-        self._staged = {}  # real path -> (temp file, target), manifest first
+        self._staged = {}  # real path -> (temp path, target), manifest first
+        self._aside = []  # replaced directories, removed as the run ends
         self.output(opts["manifest"] or f"{primary_out}.manifest.json")
         self._thread = threading.Thread(target=self._hash,
                                         name="qdecomp-digests")
@@ -138,8 +151,7 @@ class _Run:
         real = os.path.realpath(path)
         if real in self._staged:
             raise UsageError(f"{path} is the target of two outputs of one run")
-        parent, base = os.path.split(os.path.abspath(path))
-        tmp = os.path.join(parent, f".{base}.{os.urandom(6).hex()}.tmp")
+        tmp = _beside(path)
         self._staged[real] = tmp, path
         return tmp
 
@@ -153,12 +165,24 @@ class _Run:
         finally:
             self._stop.set()
             self._thread.join()
-            for tmp, _ in self._staged.values():
-                if os.path.exists(tmp):
+            for tmp in [tmp for tmp, _ in self._staged.values()] + self._aside:
+                if os.path.isdir(tmp):
+                    shutil.rmtree(tmp, ignore_errors=True)
+                elif os.path.exists(tmp):
                     os.remove(tmp)
 
     def _commit(self):
         staged = list(self._staged.values())
+        for tmp, path in staged:
+            if os.path.isdir(path):
+                if not os.path.isdir(tmp):
+                    raise ValueError(f"{path} is a directory; choose another "
+                                     f"output path")
+                other = sorted(set(os.listdir(path)) - set(os.listdir(tmp)))
+                if other:
+                    raise ValueError(f"{path}: holds files this run does not "
+                                     f"write ({', '.join(other)}); choose "
+                                     f"another output directory")
         _write_json({
             "schema_version": 1,
             "tool": "qdecomp",
@@ -168,7 +192,13 @@ class _Run:
             "inputs": {path: self.get(path) for path in self._inputs},
         }, staged[0][0])
         for tmp, path in staged[1:] + staged[:1]:
-            os.replace(tmp, path)
+            if os.path.isdir(path):
+                aside = _beside(path)
+                os.rename(path, aside)
+                os.rename(tmp, path)
+                self._aside.append(aside)  # not if the new one failed
+            else:
+                os.replace(tmp, path)
 
 
 def _write_json(payload, path):
@@ -457,7 +487,7 @@ def cmd_build_index(opts):
         merged = QuestionCorpus(tuple(questions))
         table = load_vector_table(opts["vectors"])
         index = build_index(merged, table, filters)
-        save_index(index, opts["out"], run.get(opts["vectors"]))
+        save_index(index, run.output(opts["out"]), run.get(opts["vectors"]))
     _progress(f"build-index: {len(index)} rows, {index.oov_excluded} without "
               f"vocabulary, {index.filtered_out} outside length bounds")
     return 0

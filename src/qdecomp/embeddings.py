@@ -27,9 +27,6 @@ class VectorTable:
     def dim(self):
         return self.matrix.shape[1]
 
-    def __contains__(self, word):
-        return word in self.vocab
-
     def __len__(self):
         return len(self.vocab)
 

@@ -134,15 +134,3 @@ def read_logits_jsonl(path):
         raise ValueError(f"{path}: no paragraph records")
     return out
 
-
-def write_logits_jsonl(paragraphs, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in paragraphs:
-            obj = {
-                "paragraph_id": p.paragraph_id,
-                "no_answer_logit": p.no_answer_logit,
-                "spans": [{"span_id": sid, "logit": logit}
-                          for sid, logit in p.span_entries],
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")

@@ -14,7 +14,6 @@ plus a seeded uniform random baseline.
 import json
 import math
 import os
-import shutil
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,10 +27,6 @@ from .rng import child_seed
 
 # the one embedding an index holds, named in its meta.json
 SOURCE_VECTORS = "sum-of-word-vectors"
-
-# The files save_index writes: the candidates, their embeddings, and a copy
-# of the word vectors they were embedded with.
-INDEX_FILES = ("meta.json", "unit.npy", "raw.npy", "vectors.npy", "vocab.json")
 
 METHOD_FIXED = "fixed2"
 METHOD_GENERAL = "general"
@@ -157,7 +152,8 @@ def build_index(corpus, source, filters=None):
     excluded and counted. An index that would be empty is an error. The
     questions are summed by embed_blocks, block by block, straight into
     preallocated float32 matrices; each row's unit vector is its sum over
-    its own np.linalg.norm, exactly as _scan_queries normalizes a query.
+    its norm, taken as one BLAS dot per row by a stacked matmul, which gives
+    np.linalg.norm bit for bit, exactly as _scan_queries normalizes a query.
     """
     kept = [q for q in corpus if filters is None
             or filters.min_tokens <= len(q.tokens) <= filters.max_tokens]
@@ -167,7 +163,8 @@ def build_index(corpus, source, filters=None):
     for start, sums in embed_blocks([q.tokens for q in kept], source):
         nonzero = np.flatnonzero(sums.any(axis=1))
         sums = sums[nonzero]
-        norms = np.array([np.linalg.norm(v) for v in sums])
+        squares = np.matmul(sums[:, None, :], sums[:, :, None])[:, 0, 0]
+        norms = np.sqrt(squares)
         at = len(rows)
         raw[at:at + len(sums)] = sums
         unit[at:at + len(sums)] = sums / norms[:, None]
@@ -188,11 +185,8 @@ def save_index(index, dirpath, vectors_sha256):
     was embedded with (vectors.npy, vocab.json), into a directory.
 
     vectors_sha256, the digest of the .vec file those vectors were read
-    from, goes into meta.json with their dimension and word count. The
-    files are written into a new directory beside dirpath, which replaces
-    dirpath only once they are all complete, so a failed write leaves a
-    previous index as it was. An existing dirpath that holds files other
-    than an index's is an error.
+    from, goes into meta.json with their dimension and word count. dirpath
+    is created if it is missing.
     """
     table = index.vectors
     meta = {
@@ -207,33 +201,16 @@ def save_index(index, dirpath, vectors_sha256):
         "vectors": {"dim": table.dim, "sha256": vectors_sha256,
                     "words": len(table)},
     }
-    if os.path.isdir(dirpath):
-        foreign = sorted(set(os.listdir(dirpath)) - set(INDEX_FILES))
-        if foreign:
-            raise ValueError(f"{dirpath}: holds files that are not part of "
-                             f"an index ({', '.join(foreign)}); choose "
-                             f"another output directory")
-    parent, base = os.path.split(os.path.abspath(dirpath))
-    fresh = os.path.join(parent, f".{base}.{os.urandom(6).hex()}.tmp")
-    old = f"{fresh}.old"
-    os.mkdir(fresh)
-    try:
-        for name, payload in (("meta.json", meta),
-                              ("vocab.json", list(table.vocab))):
-            with open(os.path.join(fresh, name), "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
-                fh.write("\n")
-        for name, matrix in (("unit.npy", index.unit_matrix),
-                             ("raw.npy", index.raw_matrix),
-                             ("vectors.npy", table.matrix)):
-            np.save(os.path.join(fresh, name), matrix)
-        if os.path.isdir(dirpath):
-            os.rename(dirpath, old)
-        os.rename(fresh, dirpath)
-    except BaseException:
-        shutil.rmtree(fresh, ignore_errors=True)
-        raise
-    shutil.rmtree(old, ignore_errors=True)
+    os.makedirs(dirpath, exist_ok=True)
+    for name, payload in (("meta.json", meta),
+                          ("vocab.json", list(table.vocab))):
+        with open(os.path.join(dirpath, name), "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
+            fh.write("\n")
+    for name, matrix in (("unit.npy", index.unit_matrix),
+                         ("raw.npy", index.raw_matrix),
+                         ("vectors.npy", table.matrix)):
+        np.save(os.path.join(dirpath, name), matrix)
 
 
 def _load_matrix(path, shape):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,20 @@ def make_questions(texts, prefix="q"):
 
 def make_corpus(texts, prefix="q", label=None):
     return QuestionCorpus(questions=tuple(make_questions(texts, prefix)), label=label)
+
+
+def write_logits_jsonl(paragraphs, path):
+    """Paragraph logits in the JSONL form recompose.read_logits_jsonl reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for p in paragraphs:
+            obj = {
+                "paragraph_id": p.paragraph_id,
+                "no_answer_logit": p.no_answer_logit,
+                "spans": [{"span_id": sid, "logit": logit}
+                          for sid, logit in p.span_entries],
+            }
+            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True))
+            fh.write("\n")
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import importlib
 import json
+import shutil
 import threading
 
 import numpy as np
@@ -11,14 +12,14 @@ from qdecomp import cli
 from qdecomp.cli import main
 from qdecomp.corpus import load_corpus, save_corpus
 from qdecomp.embeddings import save_vector_table
-from qdecomp.retrieval import read_dataset_tsv
+from qdecomp.retrieval import load_index, read_dataset_tsv
 from qdecomp.synthbench import (
     build_synthetic_singlehop_corpus,
     corpus_vocabulary,
     synthetic_vector_table,
 )
 
-from conftest import make_corpus
+from conftest import make_corpus, write_logits_jsonl
 
 
 @pytest.fixture
@@ -441,7 +442,7 @@ def chain(indexed):
     single-hop and composite questions, a classifier, a decompositions TSV,
     round-trip records and span logits: inputs for every subcommand that
     writes files."""
-    from qdecomp.recompose import ParagraphLogits, write_logits_jsonl
+    from qdecomp.recompose import ParagraphLogits
     tmp, qs = indexed["tmp"], list(indexed["corpus"])
     paths = {name: tmp / name for name in (
         "multi.jsonl", "mined.jsonl", "clf.json", "pseudo.tsv", "records.tsv",
@@ -471,8 +472,9 @@ def chain(indexed):
 
 
 def _writer_argv(chain, case):
-    """A valid run over chain that writes tmp/out, and tmp/out2 where it
-    writes a second file."""
+    """A valid run over chain that writes tmp/out (build-index: an index
+    over the composites, unlike chain's idx), and tmp/out2 where it writes a
+    second file."""
     c = {key: str(value) for key, value in chain.items()}
     out, out2 = str(chain["tmp"] / "out"), str(chain["tmp"] / "out2")
     query = ["--index", c["idx"], "--vectors", c["vec"], "--out", out]
@@ -484,6 +486,8 @@ def _writer_argv(chain, case):
                              "--report", out2, "--epochs", "1"],
         "classify": ["classify", "--model", c["clf"], "--corpus", c["single"],
                      "--out", out],
+        "build-index": ["build-index", "--corpus", c["multi"], "--vectors",
+                        c["vec"], "--out", out, "--no-length-filter"],
         "route": ["route", "--model", c["clf"], "--mined", c["mined"],
                   "--single-label", "single", "--multi-label", "multi",
                   "--out-single", out, "--out-multi", out2],
@@ -537,6 +541,21 @@ def _disk_full(module, nth):
     return inject
 
 
+def _np_save_fails(nth):
+    """A fault: the nth np.save call fails as a full disk does."""
+    def inject(monkeypatch):
+        real, calls = np.save, []
+
+        def save(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == nth:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "save", save)
+    return inject
+
+
 def _noise_fails_on_record_10(monkeypatch):
     real, calls = cli.noise_tokens, []
 
@@ -555,6 +574,8 @@ def _noise_fails_on_record_10(monkeypatch):
     ("train-classifier", _disk_full("classifier", 1), 2),
     ("train-classifier", _disk_full("cli", 1), 2),
     ("classify", _disk_full("cli", 1), 2),
+    ("build-index", _np_save_fails(2), 2),
+    ("build-index", _disk_full("cli", 1), 2),
     ("route", _disk_full("corpus", 1), 2),
     ("route", _disk_full("corpus", 2), 2),
     ("decompose", _disk_full("retrieval", 1), 2),
@@ -566,13 +587,17 @@ def _noise_fails_on_record_10(monkeypatch):
     ("synth-eval", _disk_full("cli", 2), 2),
     ("recompose", _disk_full("cli", 1), 2),
 ], ids=["extract", "extract-manifest", "train-classifier-model",
-        "train-classifier-report", "classify", "route-single", "route-multi",
+        "train-classifier-report", "classify", "build-index",
+        "build-index-manifest", "route-single", "route-multi",
         "decompose", "edit", "noise", "noise-in-place", "metrics",
         "synth-eval-ranks", "synth-eval-report", "recompose"])
 def test_failed_write_changes_no_file(chain, capsys, monkeypatch, case,
                                       fault, code):
     tmp = chain["tmp"]
-    (tmp / "out").write_bytes(chain["single"].read_bytes())
+    if case == "build-index":  # a previous index, replaced on success
+        shutil.copytree(chain["idx"], tmp / "out")
+    else:
+        (tmp / "out").write_bytes(chain["single"].read_bytes())
     (tmp / "out2").write_bytes(b"previous second output\n")
     (tmp / "out.manifest.json").write_bytes(b"{}\n")
     before = _tree_bytes([tmp])
@@ -587,6 +612,7 @@ def test_failed_write_changes_no_file(chain, capsys, monkeypatch, case,
     ("synth-eval", "--out", "--ranks-out"),
     ("train-classifier", "--out", "--report"),
     ("extract", "--out", "--manifest"),
+    ("build-index", "--out", "--manifest"),
 ])
 def test_two_outputs_at_one_path_are_usage_error(chain, capsys, case, first,
                                                  second):
@@ -598,6 +624,41 @@ def test_two_outputs_at_one_path_are_usage_error(chain, capsys, case, first,
                                         second, str(tmp / "." / "out")]
     assert main(argv) == 1
     assert "two outputs" in capsys.readouterr().err
+    assert _tree_bytes([tmp]) == before
+
+
+def test_build_index_replaces_an_existing_index(chain, capsys):
+    tmp = chain["tmp"]
+    shutil.copytree(chain["idx"], tmp / "out")
+    assert main(_writer_argv(chain, "build-index")) == 0
+    assert load_index(tmp / "out").ids == tuple(
+        q.id for q in load_corpus(chain["multi"]))
+    assert sorted(p.name for p in (tmp / "out").iterdir()) == [
+        "meta.json", "raw.npy", "unit.npy", "vectors.npy", "vocab.json"]
+    assert not list(tmp.rglob(".*.tmp"))
+
+
+def test_build_index_keeps_a_directory_that_is_not_an_index(chain, capsys):
+    tmp = chain["tmp"]
+    shutil.copytree(chain["idx"], tmp / "out")
+    (tmp / "out" / "notes.txt").write_text("keep me")
+    before = _tree_bytes([tmp])
+    assert main(_writer_argv(chain, "build-index")) == 2
+    err = capsys.readouterr().err
+    assert str(tmp / "out") in err and "notes.txt" in err
+    assert not list(tmp.rglob(".*.tmp"))
+    assert _tree_bytes([tmp]) == before
+
+
+def test_output_over_a_directory_changes_no_file(chain, capsys):
+    tmp = chain["tmp"]
+    (tmp / "out").write_bytes(b"previous output\n")
+    (tmp / "out2").mkdir()
+    (tmp / "out2" / "notes.txt").write_text("keep me")
+    before = _tree_bytes([tmp])
+    assert main(_writer_argv(chain, "route")) == 2
+    assert f"{tmp / 'out2'} is a directory" in capsys.readouterr().err
+    assert not list(tmp.rglob(".*.tmp"))
     assert _tree_bytes([tmp]) == before
 
 
@@ -663,7 +724,7 @@ def test_synth_eval_bad_flag_is_usage_error(indexed, capsys, flags):
 
 
 def test_recompose_command(tmp_path, capsys):
-    from qdecomp.recompose import ParagraphLogits, write_logits_jsonl
+    from qdecomp.recompose import ParagraphLogits
     a = [ParagraphLogits("p1", (("s1", 2.0), ("s2", 0.0)), 0.0),
          ParagraphLogits("p2", (("s1", 1.0),), 0.5)]
     b = [ParagraphLogits("p1", (("s1", 0.0), ("s2", 2.0)), 0.0),
@@ -821,7 +882,7 @@ def _tree_bytes(paths):
 
 
 def test_every_manifest_replays_to_identical_outputs(workspace, capsys):
-    from qdecomp.recompose import ParagraphLogits, write_logits_jsonl
+    from qdecomp.recompose import ParagraphLogits
     tmp = workspace["tmp"]
     qs = list(workspace["corpus"])
     multi = tmp / "multi.jsonl"

@@ -10,8 +10,9 @@ from qdecomp.recompose import (
     predict_answer,
     read_logits_jsonl,
     span_probabilities,
-    write_logits_jsonl,
 )
+
+from conftest import write_logits_jsonl
 
 
 def para(pid, spans, na):
