@@ -4,6 +4,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -20,7 +21,7 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("dim", "epochs", "batch_size"):
+        for name in ("dim", "epochs", "batch_size", "min_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, "
                                  f"got {getattr(self, name)}")
@@ -51,14 +52,58 @@ class Prediction:
     degenerate: bool = False
 
 
-def _softmax(logits):
-    z = logits - np.max(logits)
-    e = np.exp(z)
-    return e / e.sum()
+_BLOCK = 1024  # questions scored per numpy pass
 
 
-def _feature_indices(tokens, vocab):
-    return np.array([vocab[t] for t in tokens if t in vocab], dtype=np.intp)
+def _features(questions, vocab):
+    """Each question's in-vocabulary feature indices, concatenated in
+    question order, with each question's start offset and count."""
+    ids = [[vocab[t] for t in q.tokens if t in vocab] for q in questions]
+    lengths = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
+    flat = np.fromiter(chain.from_iterable(ids), dtype=np.intp,
+                       count=int(lengths.sum()))
+    return flat, np.cumsum(lengths) - lengths, lengths
+
+
+def _mean_embeddings(emb, flat, starts, lengths):
+    """Row i is emb[flat[starts[i]:starts[i] + lengths[i]]].mean(axis=0)
+    taken alone, bit for bit, or zeros where lengths[i] is 0.
+
+    mean's summation order depends on the layout (at dim 1 numpy sums the
+    column pairwise), so rows of equal length are stacked and reduced along
+    the same axis by numpy's own reduction."""
+    h = np.zeros((len(lengths), emb.shape[1]))
+    order = np.argsort(lengths, kind="stable")
+    cuts = (np.flatnonzero(np.diff(lengths[order])) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [len(order)]):
+        rows = order[lo:hi]
+        ell = int(lengths[rows[0]])
+        if ell:
+            tokens = flat[starts[rows, None] + np.arange(ell)]
+            h[rows] = np.add.reduce(emb[tokens], axis=1) / ell
+    return h
+
+
+def _probabilities(weight, bias, h):
+    """Row i is softmax(weight @ h[i] + bias). The stacked matmul makes one
+    gemv call per row, as the one-row product does; h @ weight.T is one
+    gemm and rounds differently."""
+    logits = np.matmul(weight[None], h[:, :, None])[:, :, 0] + bias
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _sequential_sum(terms):
+    """terms[0] + terms[1] + ... added in order onto +0.0, as a += loop
+    from zeros does; .sum(axis=0) may sum pairwise."""
+    return 0.0 + np.add.accumulate(terms, axis=0)[-1]
+
+
+def _ragged_take(flat, starts, lengths):
+    """The runs flat[starts[i]:starts[i] + lengths[i]], concatenated."""
+    ends = np.cumsum(lengths)
+    return flat[np.repeat(starts - ends + lengths, lengths)
+                + np.arange(ends[-1])]
 
 
 def train_classifier(labeled, config=TrainingConfig()):
@@ -66,6 +111,9 @@ def train_classifier(labeled, config=TrainingConfig()):
 
     Deterministic given config.seed: initialization and epoch shuffles come
     from named substreams. The learning rate decays linearly to zero.
+    Weights move only between mini-batches, so each batch takes one forward
+    and one backward pass; the result is bit for bit that of scoring and
+    updating one example at a time.
     """
     labels = tuple(lab for _, lab in labeled)
     if len(labels) < 2:
@@ -77,15 +125,19 @@ def train_classifier(labeled, config=TrainingConfig()):
             raise ValueError(f"empty corpus for label {lab!r}")
 
     counts = Counter()
-    examples = []
-    for li, (corpus, _) in enumerate(labeled):
+    questions = []
+    for corpus, _ in labeled:
         for q in corpus:
             counts.update(q.tokens)
-            examples.append((q.tokens, li))
+            questions.append(q)
     terms = sorted(t for t, c in counts.items() if c >= config.min_count)
+    if not terms:
+        raise ValueError(f"no term occurs min_count={config.min_count} times; "
+                         f"the most frequent occurs "
+                         f"{max(counts.values(), default=0)} times")
     vocab = {t: i for i, t in enumerate(terms)}
-    feats = [_feature_indices(toks, vocab) for toks, _ in examples]
-    targets = [li for _, li in examples]
+    flat, starts, lengths = _features(questions, vocab)
+    targets = np.repeat(np.arange(len(labels)), [len(c) for c, _ in labeled])
 
     dim = config.dim
     init_rng = substream(config.seed, "classifier-init")
@@ -93,7 +145,7 @@ def train_classifier(labeled, config=TrainingConfig()):
     weight = np.zeros((len(labels), dim))
     bias = np.zeros(len(labels))
 
-    n = len(examples)
+    n = len(questions)
     n_batches = max(1, math.ceil(n / config.batch_size))
     total_steps = config.epochs * n_batches
     step = 0
@@ -105,28 +157,24 @@ def train_classifier(labeled, config=TrainingConfig()):
             batch = order[start:start + config.batch_size]
             lr = config.learning_rate * (1.0 - step / total_steps)
             step += 1
-            grad_w = np.zeros_like(weight)
-            grad_b = np.zeros_like(bias)
-            emb_updates = []
-            for ex in batch:
-                idx = feats[ex]
-                if idx.size:
-                    h = emb[idx].mean(axis=0)
-                else:
-                    h = np.zeros(dim)
-                probs = _softmax(weight @ h + bias)
-                loss_sum += -math.log(max(probs[targets[ex]], 1e-300))
-                d = probs.copy()
-                d[targets[ex]] -= 1.0
-                grad_w += np.outer(d, h)
-                grad_b += d
-                if idx.size:
-                    emb_updates.append((idx, weight.T @ d))
+            b_starts, b_lengths = starts[batch], lengths[batch]
+            h = _mean_embeddings(emb, flat, b_starts, b_lengths)
+            d = _probabilities(weight, bias, h)
+            target = (np.arange(len(batch)), targets[batch])
+            for p in d[target].tolist():
+                loss_sum += -math.log(max(p, 1e-300))
+            d[target] -= 1.0
+            grad_w = _sequential_sum(d[:, :, None] * h[:, None, :])
+            grad_b = _sequential_sum(d)
+            gh = np.matmul(weight.T[None], d[:, :, None])[:, :, 0]
             scale = lr / len(batch)
             weight -= scale * grad_w
             bias -= scale * grad_b
-            for idx, gh in emb_updates:
-                np.add.at(emb, idx, -(scale / idx.size) * gh)
+            # one row per feature, in example order: a featureless example
+            # is repeated zero times, so its divisor only has to be nonzero
+            updates = -(scale / np.maximum(b_lengths, 1))[:, None] * gh
+            np.add.at(emb, _ragged_take(flat, b_starts, b_lengths),
+                      np.repeat(updates, b_lengths, axis=0))
         epoch_losses.append(loss_sum / n)
 
     return LinearTextClassifier(labels=labels, vocab=vocab, embeddings=emb,
@@ -134,19 +182,30 @@ def train_classifier(labeled, config=TrainingConfig()):
                                 epoch_losses=tuple(epoch_losses))
 
 
-def classify(model, question):
-    """Predict a label. A question with no in-vocabulary tokens has a zero
-    feature vector; it gets uniform probabilities and the degenerate flag."""
-    idx = _feature_indices(question.tokens, model.vocab)
+def predict(model, questions):
+    """Yield (question, Prediction) for each question, in order, scoring
+    blocks of questions in one numpy pass each.
+
+    A question with no in-vocabulary tokens has a zero feature vector; it
+    gets uniform probabilities, the first label and the degenerate flag."""
     k = len(model.labels)
-    if idx.size == 0:
-        probs = np.full(k, 1.0 / k)
-        return Prediction(label=model.labels[0], probabilities=probs,
-                          degenerate=True)
-    h = model.embeddings[idx].mean(axis=0)
-    probs = _softmax(model.weight @ h + model.bias)
-    return Prediction(label=model.labels[int(np.argmax(probs))],
-                      probabilities=probs, degenerate=False)
+    questions = iter(questions)
+    while block := list(islice(questions, _BLOCK)):
+        flat, starts, lengths = _features(block, model.vocab)
+        probs = _probabilities(model.weight, model.bias, _mean_embeddings(
+            model.embeddings, flat, starts, lengths))
+        degenerate = lengths == 0
+        probs[degenerate] = 1.0 / k  # whose argmax is 0, the first label
+        for q, p, best, flag in zip(block, probs,
+                                    np.argmax(probs, axis=1).tolist(),
+                                    degenerate.tolist()):
+            yield q, Prediction(label=model.labels[best], probabilities=p,
+                                degenerate=flag)
+
+
+def classify(model, question):
+    """Predict one question's label: predict over a batch of one."""
+    return next(predict(model, [question]))[1]
 
 
 def evaluate_classifier(model, heldout):
@@ -156,9 +215,9 @@ def evaluate_classifier(model, heldout):
     for corpus, lab in heldout:
         if lab not in model.labels:
             raise ValueError(f"unknown label {lab!r}")
-        for q in corpus:
+        for _, pred in predict(model, corpus):
             total += 1
-            correct += int(classify(model, q).label == lab)
+            correct += int(pred.label == lab)
     if total == 0:
         raise ValueError("empty held-out set")
     return correct / total
@@ -171,11 +230,10 @@ def route_mined_questions(model, mined, single_label, multi_label):
             raise ValueError(f"unknown label {lab!r}")
     to_single = []
     to_multi = []
-    for q in mined:
-        lab = classify(model, q).label
-        if lab == single_label:
+    for q, pred in predict(model, mined):
+        if pred.label == single_label:
             to_single.append(q)
-        elif lab == multi_label:
+        elif pred.label == multi_label:
             to_multi.append(q)
     return to_single, to_multi
 
@@ -197,14 +255,48 @@ def save_classifier(model, path):
 
 
 def load_classifier(path):
+    """Read a model written by save_classifier. A model whose fields do not
+    fit together is a ValueError naming the file and the field, raised
+    before anything is scored."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    return LinearTextClassifier(
-        labels=tuple(payload["labels"]),
-        vocab=payload["vocab"],
-        embeddings=np.array(payload["embeddings"], dtype=np.float64),
-        weight=np.array(payload["weight"], dtype=np.float64),
-        bias=np.array(payload["bias"], dtype=np.float64),
-        config=TrainingConfig(**payload["config"]),
-        epoch_losses=tuple(payload["epoch_losses"]),
-    )
+    fields = {"labels", "vocab", "embeddings", "weight", "bias", "config",
+              "epoch_losses"}
+    if not isinstance(payload, dict) or not fields <= payload.keys():
+        raise ValueError(f"{path}: a model needs the fields {sorted(fields)}")
+    try:
+        config = TrainingConfig(**payload["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: config: {exc}") from None
+    labels = payload["labels"]
+    if not (isinstance(labels, list) and len(labels) >= 2
+            and all(isinstance(lab, str) for lab in labels)
+            and len(set(labels)) == len(labels)):
+        raise ValueError(f"{path}: labels must be two or more distinct "
+                         f"strings, got {labels!r}")
+    vocab = payload["vocab"]
+    if not (isinstance(vocab, dict) and vocab
+            and all(type(i) is int for i in vocab.values())
+            and sorted(vocab.values()) == list(range(len(vocab)))):
+        raise ValueError(f"{path}: vocab must map one or more terms to "
+                         f"the indices 0..len(vocab)-1")
+    arrays = {}
+    for name, shape in (("embeddings", (len(vocab), config.dim)),
+                        ("weight", (len(labels), config.dim)),
+                        ("bias", (len(labels),))):
+        try:
+            array = np.array(payload[name], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: {name} is not an array of numbers") \
+                from None
+        if array.shape != shape:
+            raise ValueError(f"{path}: {name} has shape {array.shape}, "
+                             f"expected {shape}")
+        if not np.isfinite(array).all():
+            raise ValueError(f"{path}: {name} holds a value that is not "
+                             f"finite")
+        arrays[name] = array
+    return LinearTextClassifier(labels=tuple(labels), vocab=vocab,
+                                config=config,
+                                epoch_losses=tuple(payload["epoch_losses"]),
+                                **arrays)

@@ -23,8 +23,8 @@ import threading
 import traceback
 
 from . import __version__
-from .classifier import (TrainingConfig, evaluate_classifier, classify,
-                         load_classifier, route_mined_questions,
+from .classifier import (TrainingConfig, evaluate_classifier,
+                         load_classifier, predict, route_mined_questions,
                          save_classifier, train_classifier)
 from .corpus import (DEFAULT_WH_WORDS, Question, QuestionCorpus,
                      extract_candidate_questions, load_corpus, save_corpus)
@@ -425,8 +425,7 @@ def cmd_classify(opts):
         model = load_classifier(opts["model"])
         corpus = load_corpus(opts["corpus"])
         with open(run.output(opts["out"]), "w", encoding="utf-8") as fh:
-            for q in corpus:
-                pred = classify(model, q)
+            for q, pred in predict(model, corpus):
                 fh.write(json.dumps({
                     "id": q.id,
                     "label": pred.label,

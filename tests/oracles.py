@@ -7,6 +7,7 @@ meaningful.
 """
 
 import math
+import zlib
 from collections import Counter
 from itertools import combinations
 
@@ -228,3 +229,98 @@ def rank_oracle(objective, q_raw, q_unit, pool_unit, pool_raw, gold, n):
             return -s  # higher is better from here on
     target = score(tuple(sorted(gold)))
     return 1 + sum(1 for c in combinations(range(m), n) if score(c) > target)
+
+
+def _classifier_substream(seed, stage, *indices):
+    """The package's named RNG substream, transcribed: a SeedSequence over
+    the seed, the crc32 of the stage name and the indices."""
+    entropy = [int(seed), zlib.crc32(stage.encode("utf-8"))]
+    entropy.extend(int(i) for i in indices)
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def _softmax(logits):
+    z = logits - np.max(logits)
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def classifier_train_oracle(labeled, dim, epochs, learning_rate, batch_size,
+                            min_count, seed):
+    """Mini-batch SGD over [(token tuples, label), ...], one example at a
+    time: the classifier's training loop before it was batched.
+
+    Returns (labels, vocab, embeddings, weight, bias, epoch_losses). Each
+    example's feature vector is emb[idx].mean(axis=0), or zeros when none of
+    its tokens is in the vocabulary; gradients are added onto zeros in
+    example order, and each example's embedding update is its own np.add.at
+    after the weights have moved.
+    """
+    labels = tuple(lab for _, lab in labeled)
+    counts = Counter()
+    examples = []
+    for li, (token_lists, _) in enumerate(labeled):
+        for tokens in token_lists:
+            counts.update(tokens)
+            examples.append((tokens, li))
+    terms = sorted(t for t, c in counts.items() if c >= min_count)
+    vocab = {t: i for i, t in enumerate(terms)}
+    feats = [np.array([vocab[t] for t in toks if t in vocab], dtype=np.intp)
+             for toks, _ in examples]
+    targets = [li for _, li in examples]
+
+    init_rng = _classifier_substream(seed, "classifier-init")
+    emb = init_rng.uniform(-0.5 / dim, 0.5 / dim, size=(len(vocab), dim))
+    weight = np.zeros((len(labels), dim))
+    bias = np.zeros(len(labels))
+
+    n = len(examples)
+    n_batches = max(1, math.ceil(n / batch_size))
+    total_steps = epochs * n_batches
+    step = 0
+    epoch_losses = []
+    for epoch in range(epochs):
+        order = _classifier_substream(seed, "classifier-shuffle",
+                                      epoch).permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, batch_size):
+            batch = order[start:start + batch_size]
+            lr = learning_rate * (1.0 - step / total_steps)
+            step += 1
+            grad_w = np.zeros_like(weight)
+            grad_b = np.zeros_like(bias)
+            emb_updates = []
+            for ex in batch:
+                idx = feats[ex]
+                if idx.size:
+                    h = emb[idx].mean(axis=0)
+                else:
+                    h = np.zeros(dim)
+                probs = _softmax(weight @ h + bias)
+                loss_sum += -math.log(max(probs[targets[ex]], 1e-300))
+                d = probs.copy()
+                d[targets[ex]] -= 1.0
+                grad_w += np.outer(d, h)
+                grad_b += d
+                if idx.size:
+                    emb_updates.append((idx, weight.T @ d))
+            scale = lr / len(batch)
+            weight -= scale * grad_w
+            bias -= scale * grad_b
+            for idx, gh in emb_updates:
+                np.add.at(emb, idx, -(scale / idx.size) * gh)
+        epoch_losses.append(loss_sum / n)
+    return labels, vocab, emb, weight, bias, tuple(epoch_losses)
+
+
+def classify_oracle(tokens, labels, vocab, embeddings, weight, bias):
+    """(label, probabilities, degenerate) for one token tuple, scored alone.
+    No in-vocabulary token: uniform probabilities, the first label and the
+    degenerate flag."""
+    idx = np.array([vocab[t] for t in tokens if t in vocab], dtype=np.intp)
+    k = len(labels)
+    if idx.size == 0:
+        return labels[0], np.full(k, 1.0 / k), True
+    h = embeddings[idx].mean(axis=0)
+    probs = _softmax(weight @ h + bias)
+    return labels[int(np.argmax(probs))], probs, False

@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qdecomp.classifier import (
+    LinearTextClassifier,
     TrainingConfig,
     classify,
     evaluate_classifier,
     load_classifier,
+    predict,
     route_mined_questions,
     save_classifier,
     train_classifier,
 )
-from qdecomp.corpus import Question
+from qdecomp.corpus import Question, QuestionCorpus
 
 from conftest import make_corpus, synthetic_labeled_split
+from oracles import classifier_train_oracle, classify_oracle
 
 CFG = TrainingConfig(dim=16, epochs=20, learning_rate=0.5, seed=3)
 
@@ -76,6 +80,13 @@ def test_min_count_prunes_vocabulary():
     assert "alpha" in m.vocab
 
 
+def test_empty_vocabulary_rejected():
+    labeled = [(make_corpus(["alpha beta ?"] * 3, prefix="a"), "a"),
+               (make_corpus(["gamma ?"] * 2, prefix="b"), "b")]
+    with pytest.raises(ValueError, match=r"min_count=6\b.* occurs 5 times"):
+        train_classifier(labeled, TrainingConfig(dim=4, min_count=6))
+
+
 def test_empty_training_rejected():
     with pytest.raises(ValueError):
         train_classifier([], CFG)
@@ -90,6 +101,7 @@ def test_empty_training_rejected():
     {"learning_rate": float("nan")},
     {"learning_rate": float("inf")},
     {"seed": -1},
+    {"min_count": 0},
 ])
 def test_training_config_rejects_bad_values(fields):
     with pytest.raises(ValueError):
@@ -121,3 +133,111 @@ def test_save_load_round_trip_exact(tmp_path):
     q = Question.from_text("x", "alpha the azure ?")
     np.testing.assert_array_equal(classify(back, q).probabilities,
                                   classify(m, q).probabilities)
+
+
+def _saved_bytes(model, path):
+    save_classifier(model, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(1, 8), min_size=2, max_size=12),
+       dim=st.sampled_from([1, 2, 3, 16, 33]),
+       epochs=st.integers(1, 3),
+       learning_rate=st.sampled_from([0.5, 1.0, 4.0]),
+       batch_size=st.integers(1, 40),
+       min_count=st.integers(1, 3),
+       seed=st.integers(0, 2**16),
+       text_seed=st.integers(0, 2**16))
+# dim 1 (pairwise token means), more than 8 labels (pairwise softmax sum)
+# and a batch size that does not divide the 27 examples
+@example(sizes=[3] * 9, dim=1, epochs=2, learning_rate=1.0, batch_size=5,
+         min_count=1, seed=0, text_seed=1)
+@example(sizes=[4, 7], dim=16, epochs=3, learning_rate=4.0, batch_size=3,
+         min_count=2, seed=5, text_seed=2)
+def test_batched_classifier_equals_per_example_oracle(
+        tmp_path_factory, sizes, dim, epochs, learning_rate, batch_size,
+        min_count, seed, text_seed):
+    rng = np.random.default_rng(text_seed)
+    words = [f"w{i}" for i in range(10)]
+    labeled = []
+    for li, size in enumerate(sizes):
+        token_lists = [tuple(rng.choice(words, size=rng.integers(0, 25)))
+                       for _ in range(size)]
+        if li == 0:
+            token_lists[0] = ()  # an example with no features
+        labeled.append((QuestionCorpus(tuple(
+            Question(f"l{li}q{j}", " ".join(toks), toks)
+            for j, toks in enumerate(token_lists))), f"label{li}"))
+    config = TrainingConfig(dim=dim, epochs=epochs,
+                            learning_rate=learning_rate,
+                            batch_size=batch_size, min_count=min_count,
+                            seed=seed)
+    labels, vocab, emb, weight, bias, losses = classifier_train_oracle(
+        [([q.tokens for q in corpus], lab) for corpus, lab in labeled],
+        dim, epochs, learning_rate, batch_size, min_count, seed)
+    if not vocab:
+        with pytest.raises(ValueError, match="min_count"):
+            train_classifier(labeled, config)
+        return
+    model = train_classifier(labeled, config)
+    oracle = LinearTextClassifier(labels=labels, vocab=vocab, embeddings=emb,
+                                  weight=weight, bias=bias, config=config,
+                                  epoch_losses=losses)
+    tmp = tmp_path_factory.mktemp("clf")
+    assert (_saved_bytes(model, tmp / "batched.json")
+            == _saved_bytes(oracle, tmp / "oracle.json"))
+
+    questions = [q for corpus, _ in labeled for q in corpus]
+    questions.append(Question("unseen", "zzz ?", ("zzz",)))
+    for q, pred in predict(model, questions):
+        label, probs, degenerate = classify_oracle(
+            q.tokens, model.labels, model.vocab, model.embeddings,
+            model.weight, model.bias)
+        assert (pred.label, pred.degenerate) == (label, degenerate)
+        assert pred.probabilities.tobytes() == probs.tobytes()
+
+
+# The batched classifier repeats the per-example arithmetic only because
+# numpy and BLAS behave as the pins below state; a numpy or BLAS change that
+# breaks one fails here by name.
+
+@pytest.mark.parametrize("k, dim", [(2, 1), (2, 16), (3, 48), (9, 1),
+                                    (12, 33)])
+def test_stacked_matmul_is_one_gemv_per_row(k, dim):
+    rng = np.random.default_rng(k * 100 + dim)
+    w = rng.normal(size=(k, dim))
+    h = rng.normal(size=(50, dim)) * 10.0 ** rng.integers(-4, 5, (50, dim))
+    d = rng.normal(size=(50, k)) * 10.0 ** rng.integers(-4, 5, (50, k))
+    forward = np.matmul(w[None], h[:, :, None])[:, :, 0]
+    backward = np.matmul(w.T[None], d[:, :, None])[:, :, 0]
+    for i in range(50):
+        assert forward[i].tobytes() == (w @ h[i]).tobytes()
+        assert backward[i].tobytes() == (w.T @ d[i]).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16])
+def test_equal_length_reduce_is_per_row_mean(dim):
+    # at dim 1 a row's mean sums its column pairwise from 8 tokens on
+    rng = np.random.default_rng(dim)
+    for ell in (1, 2, 7, 8, 9, 16, 17, 40, 130):
+        rows = (rng.normal(size=(6, ell, dim))
+                * 10.0 ** rng.integers(-6, 7, (6, ell, 1)))
+        grouped = np.add.reduce(rows, axis=1) / ell
+        for g in range(6):
+            assert grouped[g].tobytes() == rows[g].mean(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (8, 2, 16), (40, 9, 1), (300, 5)])
+def test_accumulate_is_the_sequential_sum(shape):
+    rng = np.random.default_rng(len(shape) * 1000 + shape[0])
+    terms = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, shape)
+    terms[0, ...] = -0.0  # a leading -0.0 row: the += loop starts at +0.0
+    total = np.zeros(shape[1:])
+    for row in terms:
+        total += row
+    assert (0.0 + np.add.accumulate(terms, axis=0)[-1]).tobytes() == \
+        total.tobytes()
+    zeros = np.full(shape, -0.0)
+    assert (0.0 + np.add.accumulate(zeros, axis=0)[-1]).tobytes() == \
+        np.zeros(shape[1:]).tobytes()

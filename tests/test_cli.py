@@ -662,6 +662,69 @@ def test_output_over_a_directory_changes_no_file(chain, capsys):
     assert _tree_bytes([tmp]) == before
 
 
+def _drop_last(rows):
+    return rows[:-1]
+
+
+def _narrow(rows):
+    return [row[:-1] for row in rows]
+
+
+def _first_not_finite(value):
+    """Sets the first number of a vector or a matrix to value."""
+    def corrupt(rows):
+        first = rows[0] if isinstance(rows[0], list) else rows
+        first[0] = value
+        return rows
+    return corrupt
+
+
+def _gap_in_vocab(vocab):
+    term = next(iter(vocab))
+    return dict(vocab, **{term: len(vocab)})
+
+
+@pytest.mark.parametrize("field, corrupt", [
+    ("labels", lambda labels: labels[:1]),
+    ("labels", lambda labels: [labels[0]] * len(labels)),
+    ("vocab", _gap_in_vocab),
+    ("embeddings", _drop_last),
+    ("embeddings", _narrow),
+    ("weight", _narrow),
+    ("weight", _drop_last),
+    ("bias", _drop_last),
+    ("embeddings", _first_not_finite(float("nan"))),
+    ("weight", _first_not_finite(float("inf"))),
+    ("bias", _first_not_finite(float("-inf"))),
+], ids=["one-label", "repeated-label", "vocab-gap", "embeddings-rows",
+        "embeddings-width", "weight-width", "weight-rows", "bias-short",
+        "nan-embedding", "inf-weight", "inf-bias"])
+@pytest.mark.parametrize("command", ["route", "classify"])
+def test_malformed_model_is_data_error(chain, capsys, command, field,
+                                       corrupt):
+    tmp = chain["tmp"]
+    payload = json.loads(chain["clf"].read_text())
+    payload[field] = corrupt(payload[field])
+    bad = tmp / "bad.json"
+    bad.write_text(json.dumps(payload))
+    before = _tree_bytes([tmp])
+    argv = _writer_argv(chain, command)
+    argv[argv.index("--model") + 1] = str(bad)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: {field}" in err
+    assert _tree_bytes([tmp]) == before
+
+
+def test_empty_vocabulary_is_data_error(chain, capsys):
+    tmp = chain["tmp"]
+    before = _tree_bytes([tmp])
+    assert main(_writer_argv(chain, "train-classifier")
+                + ["--min-count", "100000"]) == 2
+    assert "min_count=100000" in capsys.readouterr().err
+    assert _tree_bytes([tmp]) == before
+
+
 def test_route_to_one_label_is_usage_error(tmp_path, capsys):
     # no input exists: the labels must be rejected before any is read
     argv = ["route", "--model", str(tmp_path / "clf.json"),
@@ -763,7 +826,9 @@ def test_internal_error_exit_code(tmp_path, capsys):
     ["--learning-rate", "0"],
     ["--learning-rate", "nan"],
     ["--seed", "-1"],
-], ids=["dim", "epochs", "batch-size", "learning-rate", "nan-rate", "seed"])
+    ["--min-count", "0"],
+], ids=["dim", "epochs", "batch-size", "learning-rate", "nan-rate", "seed",
+        "min-count"])
 def test_train_classifier_bad_flag_is_usage_error(tmp_path, capsys, flags):
     # the corpora do not exist: a bad value must fail before they are read
     out = tmp_path / "clf.json"
