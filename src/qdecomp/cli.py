@@ -26,12 +26,12 @@ from . import __version__
 from .classifier import (TrainingConfig, evaluate_classifier,
                          load_classifier, predict, route_mined_questions,
                          save_classifier, train_classifier)
-from .corpus import (DEFAULT_WH_WORDS, Question, QuestionCorpus,
+from .corpus import (COMPACT_JSON, DEFAULT_WH_WORDS, Question, QuestionCorpus,
                      extract_candidate_questions, load_corpus, save_corpus)
 from .editing import edit_sub_question_texts, split_sub_question_texts
 from .embeddings import load_vector_table, vector_file_dim
 from .metrics import RoundTripRecord, roundtrip_report
-from .noising import NoiseConfig, noise_tokens
+from .noising import NoiseConfig, noise_corpus
 from .recompose import (ensemble_average, predict_answer, read_logits_jsonl,
                         span_probabilities)
 from .retrieval import (DecomposeConfig, LengthFilter, METHODS,
@@ -579,12 +579,10 @@ def cmd_noise(opts):
     with _Run(opts, "noise", opts["out"], opts["corpus"]) as run:
         corpus = load_corpus(opts["corpus"])
         with open(run.output(opts["out"]), "w", encoding="utf-8") as fh:
-            for pos, q in enumerate(corpus):
-                rng = substream(config.seed, "noise", pos)
-                noisy = noise_tokens(q.tokens, config, rng)
-                fh.write(json.dumps({"id": q.id, "text": " ".join(noisy)},
-                                    ensure_ascii=False, sort_keys=True,
-                                    separators=(",", ":")))
+            for q, noisy in zip(corpus, noise_corpus(
+                    (q.tokens for q in corpus), config)):
+                fh.write(COMPACT_JSON.encode({"id": q.id,
+                                              "text": " ".join(noisy)}))
                 fh.write("\n")
     _progress(f"noise: rewrote {len(corpus)} questions")
     return 0

@@ -8,6 +8,10 @@ from dataclasses import dataclass, field
 # punctuation character from the fixed set below.
 _TOKEN_RE = re.compile(r"""[^\s?.,;:!"'()]+|[?.,;:!"'()]""")
 
+# One encoder for every compact JSONL record: non-ASCII kept, keys sorted.
+COMPACT_JSON = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
+                                separators=(",", ":"))
+
 DEFAULT_WH_WORDS = frozenset(
     {"who", "what", "when", "where", "why", "which", "whom", "whose"}
 )
@@ -101,7 +105,8 @@ def extract_candidate_questions(lines, wh_words=DEFAULT_WH_WORDS, id_prefix="",
         if not toks:
             continue
         if toks[0] in wh_words or text.endswith("?"):
-            kept.append(Question.from_text(f"{id_prefix}{counter:08d}", text))
+            kept.append(Question(id=f"{id_prefix}{counter:08d}",
+                                 raw_text=text, tokens=tuple(toks)))
             counter += 1
     return kept
 
@@ -136,7 +141,5 @@ def save_corpus(corpus, path):
     """Write a corpus as JSONL; inverse of load_corpus for id/text content."""
     with open(path, "w", encoding="utf-8") as fh:
         for q in corpus:
-            fh.write(json.dumps({"id": q.id, "text": q.raw_text},
-                                ensure_ascii=False, sort_keys=True,
-                                separators=(",", ":")))
+            fh.write(COMPACT_JSON.encode({"id": q.id, "text": q.raw_text}))
             fh.write("\n")

@@ -6,6 +6,7 @@ this module imports from qdecomp, so agreement between the two code paths is
 meaningful.
 """
 
+import json
 import math
 import zlib
 from collections import Counter
@@ -231,7 +232,7 @@ def rank_oracle(objective, q_raw, q_unit, pool_unit, pool_raw, gold, n):
     return 1 + sum(1 for c in combinations(range(m), n) if score(c) > target)
 
 
-def _classifier_substream(seed, stage, *indices):
+def _substream(seed, stage, *indices):
     """The package's named RNG substream, transcribed: a SeedSequence over
     the seed, the crc32 of the stage name and the indices."""
     entropy = [int(seed), zlib.crc32(stage.encode("utf-8"))]
@@ -269,7 +270,7 @@ def classifier_train_oracle(labeled, dim, epochs, learning_rate, batch_size,
              for toks, _ in examples]
     targets = [li for _, li in examples]
 
-    init_rng = _classifier_substream(seed, "classifier-init")
+    init_rng = _substream(seed, "classifier-init")
     emb = init_rng.uniform(-0.5 / dim, 0.5 / dim, size=(len(vocab), dim))
     weight = np.zeros((len(labels), dim))
     bias = np.zeros(len(labels))
@@ -280,8 +281,7 @@ def classifier_train_oracle(labeled, dim, epochs, learning_rate, batch_size,
     step = 0
     epoch_losses = []
     for epoch in range(epochs):
-        order = _classifier_substream(seed, "classifier-shuffle",
-                                      epoch).permutation(n)
+        order = _substream(seed, "classifier-shuffle", epoch).permutation(n)
         loss_sum = 0.0
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
@@ -324,3 +324,38 @@ def classify_oracle(tokens, labels, vocab, embeddings, weight, bias):
     h = embeddings[idx].mean(axis=0)
     probs = _softmax(weight @ h + bias)
     return labels[int(np.argmax(probs))], probs, False
+
+
+def noise_tokens_oracle(tokens, mask_prob, drop_prob, shuffle_window,
+                        mask_token, rng):
+    """One token list noised as a per-record loop: a local shuffle (stable
+    sort of i + uniform(0, window)), then word dropout, then masking, each
+    drawing from ``rng`` only where it can change the list."""
+    out = list(tokens)
+    if shuffle_window > 0 and len(out) >= 2:
+        keys = (np.arange(len(out), dtype=np.float64)
+                + rng.uniform(0.0, shuffle_window, len(out)))
+        out = [out[i] for i in np.argsort(keys, kind="stable")]
+    if drop_prob > 0.0 and out:
+        keep = rng.random(len(out)) >= drop_prob
+        out = [t for t, k in zip(out, keep) if k]
+    if mask_prob > 0.0 and out:
+        masked = rng.random(len(out)) < mask_prob
+        out = [mask_token if m else t for t, m in zip(out, masked)]
+    return out
+
+
+def noise_jsonl_oracle(records, mask_prob, drop_prob, shuffle_window,
+                       mask_token, seed):
+    """The `noise` subcommand's output for [(id, tokens), ...]: record i is
+    noised from its own substream (seed, "noise", i) and written as one
+    compact JSON line."""
+    lines = []
+    for pos, (qid, tokens) in enumerate(records):
+        out = noise_tokens_oracle(tokens, mask_prob, drop_prob,
+                                  shuffle_window, mask_token,
+                                  _substream(seed, "noise", pos))
+        lines.append(json.dumps({"id": qid, "text": " ".join(out)},
+                                ensure_ascii=False, sort_keys=True,
+                                separators=(",", ":")) + "\n")
+    return "".join(lines)

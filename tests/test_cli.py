@@ -557,15 +557,15 @@ def _np_save_fails(nth):
 
 
 def _noise_fails_on_record_10(monkeypatch):
-    real, calls = cli.noise_tokens, []
+    real = cli.noise_corpus
 
-    def noise_tokens(tokens, config, rng):
-        calls.append(tokens)
-        if len(calls) == 10:
-            raise RuntimeError("injected fault")
-        return real(tokens, config, rng)
+    def noise_corpus(token_lists, config):
+        for count, noisy in enumerate(real(token_lists, config), start=1):
+            if count == 10:
+                raise RuntimeError("injected fault")
+            yield noisy
 
-    monkeypatch.setattr(cli, "noise_tokens", noise_tokens)
+    monkeypatch.setattr(cli, "noise_corpus", noise_corpus)
 
 
 @pytest.mark.parametrize("case, fault, code", [
@@ -855,12 +855,15 @@ def test_synth_eval_negative_seed_is_usage_error(tmp_path, capsys):
     ["--mask-prob", "2"],
     ["--shuffle-window", "-1"],
     ["--mask-token", ""],
-], ids=["mask-prob", "shuffle-window", "mask-token"])
+    ["--seed", "-1"],
+], ids=["mask-prob", "shuffle-window", "mask-token", "seed"])
 def test_noise_bad_flag_is_usage_error(tmp_path, capsys, flags):
     out = tmp_path / "noised.jsonl"
     assert main(["noise", "--corpus", str(tmp_path / "c.jsonl"),
                  "--out", str(out)] + flags) == 1
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    assert flags[0][2:].replace("-", "_") in err
     assert not out.exists()
 
 
