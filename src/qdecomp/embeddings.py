@@ -158,12 +158,3 @@ def embed_blocks(token_lists, table):
         unsorted = np.empty_like(sums)
         unsorted[order] = sums
         yield start, unsorted
-
-
-def unit_normalize(vector):
-    """Scale to unit L2 norm. Zero vectors are an error."""
-    v = np.asarray(vector, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    return v / norm

@@ -94,8 +94,8 @@ class RoundTripRecord:
     roundtrip_text: str
 
 
-def scaled_roundtrip_bleu(records):
-    """BLEU of reconstructions against questions, scaled by the fraction of
+def _bleu_and_good_fraction(records):
+    """BLEU of reconstructions against questions, and the fraction of
     well-formed decompositions."""
     if not records:
         raise ValueError("no records")
@@ -103,7 +103,14 @@ def scaled_roundtrip_bleu(records):
     refs = [list(r.question.tokens) for r in records]
     good = sum(is_good_decomposition(r.question, r.decomposition_text)
                for r in records)
-    return bleu(hyps, refs) * (good / len(records))
+    return bleu(hyps, refs), good / len(records)
+
+
+def scaled_roundtrip_bleu(records):
+    """BLEU of reconstructions against questions, scaled by the fraction of
+    well-formed decompositions."""
+    b, good = _bleu_and_good_fraction(records)
+    return b * good
 
 
 @dataclass
@@ -169,13 +176,7 @@ def roundtrip_report(records):
 
     scaled is exactly bleu times good_fraction.
     """
-    if not records:
-        raise ValueError("no records")
-    hyps = [tokenize(r.roundtrip_text) for r in records]
-    refs = [list(r.question.tokens) for r in records]
-    b = bleu(hyps, refs)
-    good = sum(is_good_decomposition(r.question, r.decomposition_text)
-               for r in records) / len(records)
+    b, good = _bleu_and_good_fraction(records)
     dists = [edit_distance(r.question, r.decomposition_text) for r in records]
     ratios = [length_ratio(r.question, r.decomposition_text) for r in records]
     return RoundTripReport(

@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .corpus import QuestionCorpus
-from .embeddings import VectorTable, embed_blocks, unit_normalize
+from .embeddings import VectorTable, embed_blocks
 from .rng import child_seed
 
 # the one embedding an index holds, named in its meta.json
@@ -58,6 +58,12 @@ def _gamma(n, u):
     product evaluated in any order with unit roundoff u (Higham, Accuracy
     and Stability of Numerical Algorithms, section 3.1)."""
     return n * u / (1.0 - n * u)
+
+
+def _norms(rows):
+    """Euclidean norm of each row of a 2-D array, as one BLAS dot per row by
+    a stacked matmul, so each equals np.linalg.norm of that row bit for bit."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
 def _row_squares(matrix):
@@ -152,8 +158,7 @@ def build_index(corpus, source, filters=None):
     excluded and counted. An index that would be empty is an error. The
     questions are summed by embed_blocks, block by block, straight into
     preallocated float32 matrices; each row's unit vector is its sum over
-    its norm, taken as one BLAS dot per row by a stacked matmul, which gives
-    np.linalg.norm bit for bit, exactly as _scan_queries normalizes a query.
+    its _norms, exactly as _scan_queries normalizes a query.
     """
     kept = [q for q in corpus if filters is None
             or filters.min_tokens <= len(q.tokens) <= filters.max_tokens]
@@ -163,11 +168,9 @@ def build_index(corpus, source, filters=None):
     for start, sums in embed_blocks([q.tokens for q in kept], source):
         nonzero = np.flatnonzero(sums.any(axis=1))
         sums = sums[nonzero]
-        squares = np.matmul(sums[:, None, :], sums[:, :, None])[:, 0, 0]
-        norms = np.sqrt(squares)
         at = len(rows)
         raw[at:at + len(sums)] = sums
-        unit[at:at + len(sums)] = sums / norms[:, None]
+        unit[at:at + len(sums)] = sums / _norms(sums)[:, None]
         rows.extend((start + nonzero).tolist())
     if not rows:
         raise ValueError("index is empty after filtering and vocabulary checks")
@@ -557,22 +560,11 @@ def pseudo_decompose_variable(index, question, max_n, k=1000, beam_width=100,
     Each size is scored as arrays. The distinct extensions of the beam are
     taken in blocks of _BEAM_BLOCK // (size * d) keys. A block's subset
     sums come from raws[keys].sum(axis=1), the same reduction over the same
-    rows in the same order as the exact distance, so its residuals are
-    bitwise the exact ones; their squared norms a are taken with einsum.
-    einsum and the BLAS dot inside np.linalg.norm add the same d
-    non-negative terms, each in its own order, so each is within
-    gamma_d(u64) = d*u / (1 - d*u) of the true square, plus at most
-    d * 2**-1074 from underflow. With tau the beam_width-th smallest a, at
-    least beam_width states have a <= tau, and their exact distances bound
-    the beam's cut, so every state of the exact beam has
-
-        a <= (tau + d * 2**-1072) * ((1 + gamma_d) / (1 - gamma_d))**2
-             * (1 + 2**-40)
-
-    where the last factor covers the rounding of the square root and of
-    the bound itself. Only the states within it get their exact distance
-    and sorted id tuple and are sorted by (distance, ids), which makes the
-    surviving beam identical to sorting every extension exactly.
+    rows in the same order as raws[list(key)].sum(axis=0), and their
+    residuals' _norms are np.linalg.norm's bit for bit, so every extension
+    gets its exact distance. The beam keeps the states at or below the
+    beam_width-th smallest distance, ordered by (distance, sorted ids)
+    through their members' id ranks, and cuts them to beam_width.
     """
     if max_n < 1:
         raise ValueError("max_N must be at least 1")
@@ -581,40 +573,29 @@ def pseudo_decompose_variable(index, question, max_n, k=1000, beam_width=100,
     raw_q, _, rows = _query_rows(index, question, k, query)
     m = len(rows)
     raws = index.raw_matrix[rows].astype(np.float64)
-    dim = raws.shape[1]
-    gamma = _gamma(dim, _U64)
-    widen = ((1.0 + gamma) / (1.0 - gamma)) ** 2 * (1.0 + 2.0 ** -40)
-
-    def stats(key):
-        vec = raws[list(key)].sum(axis=0)
-        dist = float(np.linalg.norm(raw_q - vec))
-        ids_t = tuple(sorted(index.ids[rows[p]] for p in key))
-        return dist, ids_t
-
-    best = None  # (dist, size, ids_tuple, key)
+    ranks = index.id_rank[rows]
+    best_dist, best_key = np.inf, None
     beam = np.zeros((1, 0), dtype=np.intp)
     for size in range(1, max_n + 1):
         keys = _extensions(beam, m)
         if not len(keys):
             break
+        dists = np.empty(len(keys))
+        step = max(1, _BEAM_BLOCK // (size * raws.shape[1]))
+        for start in range(0, len(keys), step):
+            dists[start:start + step] = _norms(
+                raw_q - raws[keys[start:start + step]].sum(axis=1))
         if len(keys) > beam_width:
-            approx = np.empty(len(keys))
-            step = max(1, _BEAM_BLOCK // (size * dim))
-            for start in range(0, len(keys), step):
-                resid = raw_q - raws[keys[start:start + step]].sum(axis=1)
-                approx[start:start + step] = np.einsum("ij,ij->i", resid, resid)
-            tau = np.partition(approx, beam_width - 1)[beam_width - 1]
-            keys = keys[approx <= (tau + dim * 2.0 ** -1072) * widen]
-        states = [stats(key) + (key,) for key in map(tuple, keys.tolist())]
-        states.sort(key=lambda s: (s[0], s[1]))
-        states = states[:beam_width]
-        head = states[0]
-        cand = (head[0], size, head[1], head[2])
-        if best is None or cand[:3] < best[:3]:
-            best = cand
-        beam = np.array([s[2] for s in states], dtype=np.intp)
+            near = dists <= np.partition(dists, beam_width - 1)[beam_width - 1]
+            keys, dists = keys[near], dists[near]
+        member_ranks = np.sort(ranks[keys], axis=1)
+        order = np.lexsort((*member_ranks.T[::-1], dists))[:beam_width]
+        beam = keys[order]
+        # a later size replaces the best only on a strictly smaller distance
+        if dists[order[0]] < best_dist:
+            best_dist, best_key = dists[order[0]], beam[0]
 
-    return _decomposition(index, question, rows, best[3], best[0],
+    return _decomposition(index, question, rows, best_key.tolist(), best_dist,
                           METHOD_VARIABLE)
 
 
@@ -688,7 +669,7 @@ def _scan_queries(index, token_lists, k):
     triple that pseudo_decompose_* and decomposition_rank take, or None for
     a list with no in-vocabulary token. Every list is embedded first, with
     the word vectors the index was built from (index.vectors), in
-    embed_blocks blocks, each sum normalized by unit_normalize. Top-K rows
+    embed_blocks blocks, each sum divided by its _norms. Top-K rows
     are then found for _SCAN_BLOCK // len(index) lists at a time, with one
     _topk_rows call per chunk: a float32 GEMM whose shortlist keeps every
     row within the proven error margin 2 * delta of the K-th best score,
@@ -698,8 +679,10 @@ def _scan_queries(index, token_lists, k):
     """
     queries = []  # (raw, unit), or None when no token is in vocabulary
     for _, sums in embed_blocks(token_lists, index.vectors):
-        queries.extend((raw, unit_normalize(raw)) if raw.any() else None
-                       for raw in sums)
+        live = sums.any(axis=1)
+        normalized = iter(sums[live] / _norms(sums[live])[:, None])
+        queries.extend((raw, next(normalized)) if ok else None
+                       for raw, ok in zip(sums, live.tolist()))
     chunk = max(1, _SCAN_BLOCK // len(index))
     for start in range(0, len(queries), chunk):
         part = queries[start:start + chunk]

@@ -10,7 +10,6 @@ from qdecomp.embeddings import (
     load_vector_table,
     make_vector_table,
     save_vector_table,
-    unit_normalize,
     vector_file_dim,
 )
 
@@ -39,13 +38,6 @@ def test_embed_blocks_skips_unknown_words(tiny_table):
 
 def test_embed_blocks_all_unknown_is_zero(tiny_table):
     assert not embed_one(["zzz", "yyy"], tiny_table).any()
-
-
-def test_unit_normalize():
-    v = unit_normalize(np.array([3.0, 4.0]))
-    np.testing.assert_allclose(v, [0.6, 0.8])
-    with pytest.raises(ValueError):
-        unit_normalize(np.zeros(2))
 
 
 def test_vector_table_file_round_trip(tmp_path):

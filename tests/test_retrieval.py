@@ -1,13 +1,14 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdecomp import retrieval
+from qdecomp import embeddings, retrieval
 from qdecomp.corpus import Question, QuestionCorpus
-from qdecomp.embeddings import embed_blocks, make_vector_table, unit_normalize
+from qdecomp.embeddings import embed_blocks, make_vector_table
 from qdecomp.retrieval import (
     DecomposeConfig,
     EXHAUSTIVE_SUBSET_CAP,
@@ -73,7 +74,7 @@ def nonzero_rows(rng, m, dim, grid=False):
 
 def embed_sum_unit(table, question):
     [(_, sums)] = embed_blocks([question.tokens], table)
-    return sums[0], unit_normalize(sums[0])
+    return sums[0], sums[0] / np.linalg.norm(sums[0])
 
 
 # ---- top-k ----
@@ -397,9 +398,10 @@ def test_variable_tie_on_size_prefers_smaller_ids():
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 48])
 def test_blocked_subset_sums_are_bitwise_the_per_state_sums(dim):
-    # the variable search's margin assumes raws[keys].sum(axis=1) adds rows
-    # exactly as raws[list(key)].sum(axis=0) does; chained adds would not
-    # for d = 1 and 8 or more rows, where numpy sums pairwise
+    # the variable beam's distances are exact only if raws[keys].sum(axis=1)
+    # adds rows exactly as the plain beam's raws[list(key)].sum(axis=0)
+    # does; chained adds would not for d = 1 and 8 or more rows, where numpy
+    # sums pairwise
     rng = np.random.default_rng(dim)
     raws = rng.normal(size=(30, dim)) * rng.choice([1e-8, 1.0, 1e8], size=(30, 1))
     for size in (1, 3, 8, 9, 17):
@@ -441,15 +443,19 @@ def test_variable_beam_equals_plain_beam(case):
     rows, q_vec, beam_width, max_n = case
     index, table = index_from_rows(rows)
     q = query_for(table, q_vec)
-    got = pseudo_decompose_variable(index, q, max_n=max_n, k=len(rows),
-                                    beam_width=beam_width)
     raw_q, unit = embed_sum_unit(table, q)
     pool, _ = topk_oracle(unit, index.unit_matrix, index.ids, len(rows))
     want_ids, want_dist = variable_beam_oracle(
         raw_q, index.raw_matrix[pool], [index.ids[p] for p in pool], max_n,
         beam_width)
-    assert got.sub_question_ids == want_ids
-    assert got.objective_score == want_dist
+    # the whole pool fits in one _BEAM_BLOCK; a block of a few keys splits
+    # every size into several
+    for block in (retrieval._BEAM_BLOCK, 5 * rows.shape[1]):
+        with mock.patch.object(retrieval, "_BEAM_BLOCK", block):
+            got = pseudo_decompose_variable(index, q, max_n=max_n,
+                                            k=len(rows), beam_width=beam_width)
+        assert got.sub_question_ids == want_ids
+        assert got.objective_score == want_dist
 
 
 # ---- index construction and persistence ----
@@ -561,16 +567,45 @@ def test_build_index_equals_per_question_sums_across_blocks():
         assert (unit == (v / np.linalg.norm(v)).astype(np.float32)).all()
 
 
-@pytest.mark.parametrize("dim", [7, 48, 300, 1000])
-def test_stacked_matmul_norms_equal_per_row_norms(dim):
-    # build_index takes its row norms as one stacked matmul; each item is
-    # one BLAS dot, as np.linalg.norm's is, so a numpy or BLAS change that
-    # breaks the bit-for-bit match fails here
+@pytest.mark.parametrize("dim, spread", [
+    *(pytest.param(d, "rows", id=str(d)) for d in (1, 2, 7, 16, 48, 300, 1000)),
+    *(pytest.param(d, "entries", id=f"{d}-entries") for d in (2, 16, 300))])
+def test_stacked_matmul_norms_equal_per_row_norms(dim, spread):
+    # build_index, _scan_queries and the variable beam take their row norms
+    # from _norms, one stacked matmul whose items are one BLAS dot each, as
+    # np.linalg.norm's is, so a numpy or BLAS change that breaks the
+    # bit-for-bit match fails here; magnitudes span 1e-8 to 1e8 across rows,
+    # or within each row
     rng = np.random.default_rng(dim)
-    sums = rng.normal(size=(5000, dim)) * 10.0 ** rng.integers(-8, 9, (5000, 1))
-    stacked = np.sqrt(np.matmul(sums[:, None, :], sums[:, :, None])[:, 0, 0])
+    shape = (5000, 1) if spread == "rows" else (5000, dim)
+    sums = rng.normal(size=(5000, dim)) * 10.0 ** rng.integers(-8, 9, shape)
     per_row = np.array([np.linalg.norm(v) for v in sums])
-    assert stacked.tobytes() == per_row.tobytes()
+    assert retrieval._norms(sums).tobytes() == per_row.tobytes()
+
+
+def test_scan_queries_divides_each_sum_by_its_norm_across_blocks():
+    # lists span three embed_blocks blocks; lists with no in-vocabulary
+    # word sit at the start, middle and end of a block and yield None there
+    block = embeddings.EMBED_BLOCK
+    empty = {0, block // 2, block - 1, block, 2 * block - 1, 2 * block + 40}
+    rng = np.random.default_rng(256)
+    scaled = rng.normal(size=(6, 5)) * 10.0 ** rng.integers(-8, 9, (6, 5))
+    vectors = dict(zip("abcdef", scaled.astype(np.float32)))
+    table = make_vector_table(vectors)
+    index = build_index(make_corpus(list("abcdef")), table)
+    token_lists = [["x", "y"] if i in empty
+                   else rng.choice(list("abcdefx"), rng.integers(0, 8)).tolist()
+                   + ["abcdef"[i % 6]] for i in range(2 * block + 60)]
+    queries = list(retrieval._scan_queries(index, token_lists, None))
+    assert len(queries) == len(token_lists)
+    for i, (tokens, query) in enumerate(zip(token_lists, queries)):
+        if i in empty:
+            assert query is None
+            continue
+        raw, unit, rows = query
+        assert raw.tobytes() == embed_sum_oracle(tokens, vectors, 5).tobytes()
+        assert unit.tobytes() == (raw / np.linalg.norm(raw)).tobytes()
+        assert rows is None
 
 
 @pytest.mark.parametrize("bounds", [(5, 2), (-1, 20), (0, -1)])

@@ -69,10 +69,10 @@ def test_rank_matches_oracle_on_random_instances():
         i, j = rng.choice(m, size=2, replace=False)
         composite = Question.from_text("comp", f"w{i:02d} and w{j:02d}")
         gold = (f"c{i:08d}", f"c{j:08d}")
-        from qdecomp.embeddings import embed_blocks, unit_normalize
+        from qdecomp.embeddings import embed_blocks
         [(_, sums)] = embed_blocks([composite.tokens], table)
         q_raw = sums[0]
-        q_unit = unit_normalize(q_raw)
+        q_unit = q_raw / np.linalg.norm(q_raw)
         for objective in (OBJECTIVE_SIM_DIVERSITY, OBJECTIVE_SUM_DISTANCE):
             got = decomposition_rank(objective, composite, gold, index, None,
                                      k=m)
