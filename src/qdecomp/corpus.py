@@ -23,8 +23,15 @@ def tokenize_cased(text):
 
 
 def tokenize(text):
-    """Lowercase tokens of ``text``. Deterministic; produces no empty tokens."""
-    return [t.lower() for t in _TOKEN_RE.findall(text)]
+    """Lowercase tokens of ``text``. Deterministic; produces no empty tokens.
+
+    The tokens are lowered in one call, joined by spaces: a space ends the
+    context that lowercasing a Greek final sigma reads, no character lowers
+    to a string holding a space, and no token holds one, so this equals
+    lowering each token on its own.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    return " ".join(tokens).lower().split(" ") if tokens else []
 
 
 def tokenize_with_spans(text):

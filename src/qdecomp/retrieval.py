@@ -21,7 +21,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .corpus import QuestionCorpus
 from .embeddings import VectorTable, embed_blocks
 from .rng import child_seed
 

@@ -8,6 +8,7 @@ meaningful.
 
 import json
 import math
+import re
 import zlib
 from collections import Counter
 from itertools import combinations
@@ -167,6 +168,62 @@ def variable_beam_oracle(q_raw, raw_rows, ids, max_n, beam_width):
         if best is None or (dist, size, key_ids) < best:
             best = (dist, size, key_ids)
     return best[2], best[0]
+
+
+def _parses_as_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def load_vector_table_oracle(path):
+    """Row-by-row .vec parse: (vocab, float32 matrix) with the words in
+    first-seen order, a repeated word taking its last vector.
+
+    Lines are read in text mode; blank lines are skipped; the first
+    non-blank line is a header when it is two integers; each component is
+    float32(float(token)). Errors are the ValueErrors load_vector_table
+    raises, with their line numbers.
+    """
+    vectors = {}
+    dim = None
+    first = True
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            if first:
+                first = False
+                if len(parts) == 2 and all(map(_parses_as_int, parts)):
+                    continue
+            word, comps = parts[0], parts[1:]
+            if not comps:
+                raise ValueError(f"{path}:{lineno}: row has no vector components")
+            if dim is not None and len(comps) != dim:
+                raise ValueError(f"{path}:{lineno}: expected {dim} "
+                                 f"components, got {len(comps)}")
+            dim = len(comps)
+            try:
+                vec = np.array([float(t) for t in comps], dtype=np.float32)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: non-numeric vector component") from exc
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}:{lineno}: non-finite vector component")
+            vectors[word] = vec
+    if not vectors:
+        raise ValueError(f"{path}: no vector rows found")
+    return ({word: row for row, word in enumerate(vectors)},
+            np.array(list(vectors.values())))
+
+
+def tokenize_oracle(text):
+    """Lowercase tokens: the tokenizer's pattern, each token lowered alone."""
+    return [t.lower() for t in re.findall(r"""[^\s?.,;:!"'()]+|[?.,;:!"'()]""",
+                                          text)]
 
 
 def embed_sum_oracle(tokens, vectors, dim):

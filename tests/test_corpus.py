@@ -16,6 +16,7 @@ from qdecomp.corpus import (
 )
 
 from conftest import make_corpus
+from oracles import tokenize_oracle
 
 
 def test_tokenize_lowercases_and_splits_punctuation():
@@ -29,6 +30,34 @@ def test_tokenize_keeps_intra_word_characters():
     # hyphens and digits stay inside tokens
     assert tokenize("spider-man 2") == ["spider-man", "2"]
     assert tokenize("it's") == ["it", "'", "s"]
+
+
+def test_only_the_space_lowers_to_a_string_with_a_space():
+    # tokenize lowers its tokens joined by spaces, then splits at spaces;
+    # no token holds a space
+    assert [i for i in range(0x110000) if " " in chr(i).lower()] == [0x20]
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("\u0391\u03a3'\u0391", ["\u03b1\u03c2", "'", "\u03b1"]),
+    ("\u03a3\u0391\u03a3.\u03a3", ["\u03c3\u03b1\u03c2", ".", "\u03c3"]),
+    ("\u039f\u0394\u03a5\u03a3\u03a3\u0395\u03a5\u03a3?",
+     ["\u03bf\u03b4\u03c5\u03c3\u03c3\u03b5\u03c5\u03c2", "?"]),
+    ("\u0130stanbul", ["i\u0307stanbul"]),
+    ("", []),
+    (" \t\n\u3000", []),
+])
+def test_tokenize_lowers_each_token_on_its_own(text, tokens):
+    """Greek final sigma depends on the letters around it, so lowering
+    the whole text would differ; İ lowers to two characters."""
+    assert tokenize(text) == tokens == tokenize_oracle(text)
+
+
+@given(st.text(alphabet=st.sampled_from(
+    "\u03a3\u0391\u03c3\u0130I i'.?!,;: \t\u00a0\u0345\u00ad\u1e9e\u0149aZ"),
+    max_size=40) | st.text(max_size=40))
+def test_tokenize_equals_per_token_lowering(text):
+    assert tokenize(text) == tokenize_oracle(text)
 
 
 def test_tokenize_cased_preserves_case():
