@@ -14,6 +14,7 @@ internal error.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -21,6 +22,7 @@ import shutil
 import sys
 import threading
 import traceback
+from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .classifier import (TrainingConfig, evaluate_classifier,
@@ -97,54 +99,38 @@ class _Run:
     """One subcommand run: hashes its inputs, stages its outputs and commits
     them with the manifest.
 
-    The inputs (files or directories) are hashed on one worker thread while
-    the command reads them (file reads and hashlib release the GIL, so both
-    use a core). output(path) gives a temp path beside path for the command
-    to write a file or a directory to; two outputs of the run, the manifest
-    included, that resolve to the same path are a usage error. When the block
-    completes, the run waits for every digest and checks every target: an
-    existing directory can be replaced only by a staged directory that has
-    every name it has, so a directory holding other files is refused. Then
-    it writes the manifest to its own temp file and renames the outputs over
-    their targets in the order they were opened, the manifest last; an
-    existing directory is first renamed aside, and removed once the run
-    ends. No input is touched before that, so the manifest records each
-    input as it was read. When the block fails, the digest thread is stopped
-    and joined and every staged output is removed: no thread outlives the
+    The inputs (files or directories) are hashed in order, one future each, on
+    a one-thread executor while the command reads them (file reads and hashlib
+    release the GIL, so both use a core). output(path) gives a temp path beside
+    path for the command to write a file or a directory to; two outputs of the
+    run, the manifest included, that resolve to the same path are a usage
+    error. When the block completes, the run waits for every digest and checks
+    every target: an existing directory can be replaced only by a staged
+    directory that has every name it has, so a directory holding other files is
+    refused. Then it writes the manifest to its own temp file and renames the
+    outputs over their targets in the order they were opened, the manifest
+    last; an existing directory is first renamed aside, and removed once the
+    run ends. No input is touched before that, so the manifest records each
+    input as it was read. When the block fails, the digests are stopped, the
+    worker is joined and every staged output is removed: no thread outlives the
     command and no file is changed.
     """
 
     def __init__(self, opts, subcommand, primary_out, *inputs):
         self._opts, self._subcommand = opts, subcommand
-        self._inputs = list(dict.fromkeys(inputs))
-        self._done = {path: threading.Event() for path in self._inputs}
-        self._results = {}
         self._stop = threading.Event()
         self._staged = {}  # real path -> (temp path, target), manifest first
         self._aside = []  # replaced directories, removed as the run ends
         self.output(opts["manifest"] or f"{primary_out}.manifest.json")
-        self._thread = threading.Thread(target=self._hash,
-                                        name="qdecomp-digests")
-        self._thread.start()
-
-    def _hash(self):
-        for path in self._inputs:
-            if self._stop.is_set():
-                return
-            try:
-                self._results[path] = _digest_path(path, self._stop), None
-            except Exception as exc:
-                self._results[path] = None, exc
-            self._done[path].set()
+        self._pool = pool = ThreadPoolExecutor(
+            1, thread_name_prefix="qdecomp-digests")
+        self._digests = {path: pool.submit(_digest_path, path, self._stop)
+                         for path in dict.fromkeys(inputs)}
 
     def get(self, path):
         """The sha256 of input path, once hashed; a failed digest raises its
         error."""
-        self._done[path].wait()
-        digest, error = self._results[path]
-        if error is not None:
-            raise error
-        return digest
+        return self._digests[path].result()
 
     def output(self, path):
         """A temp path beside path, renamed over it when the run commits."""
@@ -164,7 +150,7 @@ class _Run:
                 self._commit()
         finally:
             self._stop.set()
-            self._thread.join()
+            self._pool.shutdown(cancel_futures=True)
             for tmp in [tmp for tmp, _ in self._staged.values()] + self._aside:
                 if os.path.isdir(tmp):
                     shutil.rmtree(tmp, ignore_errors=True)
@@ -189,7 +175,7 @@ class _Run:
             "version": __version__,
             "subcommand": self._subcommand,
             "config": {k: v for k, v in self._opts.items() if k != "manifest"},
-            "inputs": {path: self.get(path) for path in self._inputs},
+            "inputs": {path: self.get(path) for path in self._digests},
         }, staged[0][0])
         for tmp, path in staged[1:] + staged[:1]:
             if os.path.isdir(path):
@@ -227,6 +213,20 @@ def _dest(flag):
 
 _COMMON = (_opt("--config", help="JSON config file or previous manifest"),
            _opt("--manifest", help="manifest output path"))
+
+
+def _field_options(config_class, **extras):
+    """One option row per field of config_class: flag --field-name, the
+    field's default, type= its type for a number, and the argparse keywords
+    extras[field name] (choices, help)."""
+    rows = []
+    for field in dataclasses.fields(config_class):
+        keywords = dict(extras.get(field.name, {}))
+        if isinstance(field.default, (int, float)):
+            keywords["type"] = type(field.default)
+        rows.append(_opt(f"--{field.name.replace('_', '-')}", field.default,
+                         **keywords))
+    return tuple(rows)
 
 
 def _command(name, help_text, *options):
@@ -313,10 +313,12 @@ def _resolve(parser, args):
     return opts
 
 
-def _checked(config_class, **fields):
-    """A validated config object; a value it rejects is a usage error."""
+def _checked(config_class, opts):
+    """config_class built from the options named like its fields; a value it
+    rejects is a usage error."""
     try:
-        return config_class(**fields)
+        return config_class(**{field.name: opts[field.name]
+                               for field in dataclasses.fields(config_class)})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -363,14 +365,9 @@ def _split_holdout(corpus, fraction, rng):
                help="labeled corpus (repeatable)"),
           _opt("--out", REQUIRED, help="model output path"),
           _opt("--report", help="training report JSON path"),
-          _opt("--dim", 32, type=int),
-          _opt("--epochs", 5, type=int),
-          _opt("--learning-rate", 0.1, type=float),
-          _opt("--batch-size", 8, type=int),
-          _opt("--min-count", 1, type=int),
+          *_field_options(TrainingConfig),
           _opt("--holdout", 0.1, type=float,
-               help="held-out fraction per corpus for evaluation"),
-          _opt("--seed", 0, type=int))
+               help="held-out fraction per corpus for evaluation"))
 def cmd_train_classifier(opts):
     pairs = []
     for spec in opts["labeled"]:
@@ -380,10 +377,7 @@ def cmd_train_classifier(opts):
         pairs.append((label, path))
     if not 0.0 <= opts["holdout"] < 1.0:
         raise UsageError("--holdout must be in [0, 1)")
-    config = _checked(TrainingConfig, dim=opts["dim"], epochs=opts["epochs"],
-                      learning_rate=opts["learning_rate"],
-                      batch_size=opts["batch_size"],
-                      min_count=opts["min_count"], seed=opts["seed"])
+    config = _checked(TrainingConfig, opts)
     train_sets = []
     heldout_sets = []
     rng = substream(opts["seed"], "classifier-split")
@@ -471,13 +465,11 @@ def cmd_route(opts):
                help="corpus JSONL (repeatable)"),
           _opt("--vectors", REQUIRED, help="word-vector text file"),
           _opt("--out", REQUIRED, help="index output directory"),
-          _opt("--min-tokens", 4, type=int),
-          _opt("--max-tokens", 20, type=int),
+          *_field_options(LengthFilter),
           _opt("--no-length-filter", False, action="store_true"))
 def cmd_build_index(opts):
-    filters = None if opts["no_length_filter"] else _checked(
-        LengthFilter, min_tokens=opts["min_tokens"],
-        max_tokens=opts["max_tokens"])
+    filters = (None if opts["no_length_filter"]
+               else _checked(LengthFilter, opts))
     with _Run(opts, "build-index", opts["out"], opts["vectors"],
               *opts["corpus"]) as run:
         questions = []
@@ -514,22 +506,16 @@ def _load_bound_index(opts, run):
           _opt("--vectors", REQUIRED,
                help="word-vector file the index was built from"),
           _opt("--out", REQUIRED, help="output TSV"),
-          _opt("--method", "fixed2", choices=METHODS),
-          _opt("--k", 1000, type=int),
-          _opt("--n", 2, type=int, help="subset size for general/random"),
-          _opt("--max-n", 3, type=int,
-               help="largest subset size for variable"),
-          _opt("--beam-width", 100, type=int),
-          _opt("--seed", 0, type=int),
-          _opt("--workers", 1, type=int,
-               help="accepted and checked (at least 1) for existing "
-                    "scripts; retrieval runs on the main thread and input "
-                    "digests on one worker thread, whatever the value"))
+          *_field_options(
+              DecomposeConfig, method={"choices": METHODS},
+              n={"help": "subset size for general/random"},
+              max_n={"help": "largest subset size for variable"},
+              workers={"help": "accepted and checked (at least 1) for "
+                               "existing scripts; retrieval runs on the main "
+                               "thread and input digests on one worker "
+                               "thread, whatever the value"}))
 def cmd_decompose(opts):
-    config = _checked(DecomposeConfig, method=opts["method"], k=opts["k"],
-                      n=opts["n"], max_n=opts["max_n"],
-                      beam_width=opts["beam_width"], seed=opts["seed"],
-                      workers=opts["workers"])
+    config = _checked(DecomposeConfig, opts)
     with _Run(opts, "decompose", opts["out"], opts["vectors"],
               opts["questions"], opts["index"]) as run:
         index = _load_bound_index(opts, run)
@@ -566,16 +552,9 @@ def cmd_edit(opts):
 @_command("noise", "apply token noise to a corpus",
           _opt("--corpus", REQUIRED),
           _opt("--out", REQUIRED),
-          _opt("--mask-prob", 0.15, type=float),
-          _opt("--drop-prob", 0.1, type=float),
-          _opt("--shuffle-window", 3, type=int),
-          _opt("--mask-token", "<mask>"),
-          _opt("--seed", 0, type=int))
+          *_field_options(NoiseConfig))
 def cmd_noise(opts):
-    config = _checked(NoiseConfig, mask_prob=opts["mask_prob"],
-                      drop_prob=opts["drop_prob"],
-                      shuffle_window=opts["shuffle_window"],
-                      mask_token=opts["mask_token"], seed=opts["seed"])
+    config = _checked(NoiseConfig, opts)
     with _Run(opts, "noise", opts["out"], opts["corpus"]) as run:
         corpus = load_corpus(opts["corpus"])
         with open(run.output(opts["out"]), "w", encoding="utf-8") as fh:
@@ -663,7 +642,7 @@ def cmd_synth_eval(opts):
 def cmd_recompose(opts):
     with _Run(opts, "recompose", opts["out"], *opts["logits"]) as run:
         sets = [read_logits_jsonl(path) for path in opts["logits"]]
-        paragraphs = sets[0] if len(sets) == 1 else ensemble_average(sets)
+        paragraphs = ensemble_average(sets)
         ranked = sorted(span_probabilities(paragraphs),
                         key=lambda e: (-e[2], e[0], e[1]))
         pid, sid = predict_answer(paragraphs)

@@ -81,9 +81,11 @@ def _is_header(parts):
 
 
 def _vector_rows(fh):
-    """(line number, word, components) of each vector row of a .vec file,
-    skipping blank lines and an optional "count dim" header line."""
-    first = True
+    """(line number, word, components, dim) of each vector row of a .vec
+    file, skipping blank lines and an optional "count dim" header line; dim
+    is the component count every row must have: the header's dim, or the
+    first row's count when there is no header."""
+    dim, first = None, True
     for lineno, line in enumerate(fh, start=1):
         parts = line.split()
         if not parts:
@@ -91,15 +93,18 @@ def _vector_rows(fh):
         if first:
             first = False
             if _is_header(parts):
+                dim = int(parts[1])
                 continue
-        yield lineno, parts[0], parts[1:]
+        if dim is None:
+            dim = len(parts) - 1
+        yield lineno, parts[0], parts[1:], dim
 
 
 def vector_file_dim(path):
     """Component count of the first vector row of a .vec file (None when it
     has no rows), read without parsing the rest of the file."""
     with open(path, encoding="utf-8") as fh:
-        for _, _, comps in _vector_rows(fh):
+        for _, _, comps, _ in _vector_rows(fh):
             return len(comps)
     return None
 
@@ -108,7 +113,8 @@ def load_vector_table(path):
     """Parse a text vector file: ``word c1 ... cd`` rows, optional count/dim header.
 
     A word listed twice keeps its last vector. Raises ValueError naming the
-    line number for dimension mismatches and non-numeric or non-finite
+    line number for a row whose component count is not the header's dim
+    (the first row's without a header) and for non-numeric or non-finite
     components. Every component is ``float32(float(token))``; files of
     plain decimal rows are converted in bulk (see _bulk_rows), and any
     other file is read row by row.
@@ -124,11 +130,11 @@ def _text_rows(path):
     words = []
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, word, comps in _vector_rows(fh):
+        for lineno, word, comps, dim in _vector_rows(fh):
             if not comps:
                 raise ValueError(f"{path}:{lineno}: row has no vector components")
-            if rows and len(comps) != len(rows[0]):
-                raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} "
+            if len(comps) != dim:
+                raise ValueError(f"{path}:{lineno}: expected {dim} "
                                  f"components, got {len(comps)}")
             try:
                 vec = np.array(list(map(float, comps)), dtype=np.float32)
@@ -165,7 +171,8 @@ def _bulk_rows(path):
 
     A block with a blank line or a space ending a line (fastText writes
     one on every row) is tried again without them, as the row split
-    ignores both; the first line left is the header when it is one.
+    ignores both; the first line left is the header when it is one, and
+    then every row must have its dim components.
     """
     words, blocks, dim, first = [], [], None, True
     with open(path, "rb") as fh:
@@ -183,7 +190,7 @@ def _bulk_rows(path):
                 except UnicodeDecodeError:
                     return None
                 if _is_header(parts):
-                    block = rest
+                    dim, block = int(parts[1]), rest
                     if not block:
                         continue
             parsed = _bulk_block(block, dim)
@@ -248,7 +255,8 @@ def _bulk_block(block, dim):
     words = names.split("\n")
     if names.split() != words:
         return None  # an empty word, or Unicode whitespace in one
-    width = 1 + (dim or block.count(b" ", 0, block.index(b"\n")))
+    width = 1 + (block.count(b" ", 0, block.index(b"\n")) if dim is None
+                 else dim)
 
     # Every byte but a digit is a mark. A newline or space mark starts a
     # token (a newline a row's word), and digits[m] digits follow mark m.
@@ -325,11 +333,10 @@ def _ranges(starts, ends):
     return np.repeat(starts - offsets, sizes) + np.arange(sizes.sum())
 
 
-def save_vector_table(table, path, header=True):
+def save_vector_table(table, path):
     """Write a table in the text format load_vector_table reads."""
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"{len(table)} {table.dim}\n")
+        fh.write(f"{len(table)} {table.dim}\n")
         for word, row in table.vocab.items():
             comps = " ".join(map(repr, table.matrix[row].tolist()))
             fh.write(f"{word} {comps}\n")

@@ -183,8 +183,9 @@ def load_vector_table_oracle(path):
     first-seen order, a repeated word taking its last vector.
 
     Lines are read in text mode; blank lines are skipped; the first
-    non-blank line is a header when it is two integers; each component is
-    float32(float(token)). Errors are the ValueErrors load_vector_table
+    non-blank line is a header when it is two integers, and then every row
+    must have its second integer of components (the first row's count
+    without a header); each component is float32(float(token)). Errors are the ValueErrors load_vector_table
     raises, with their line numbers.
     """
     vectors = {}
@@ -198,6 +199,7 @@ def load_vector_table_oracle(path):
             if first:
                 first = False
                 if len(parts) == 2 and all(map(_parses_as_int, parts)):
+                    dim = int(parts[1])
                     continue
             word, comps = parts[0], parts[1:]
             if not comps:

@@ -417,6 +417,35 @@ def test_no_thread_outlives_main(indexed, capsys, case, code):
     assert threading.active_count() == before
 
 
+def test_failed_run_stops_the_digests_it_has_not_finished(tmp_path,
+                                                          monkeypatch):
+    """The body fails while the first input is being hashed: the later
+    input's digest never completes, the body's own error propagates and the
+    digest worker is gone."""
+    first, later = tmp_path / "first.txt", tmp_path / "later.bin"
+    first.write_text("first\n")
+    later.write_bytes(b"x" * (3 << 18))  # three 256 KB digest chunks
+    digest_path, stopped, completed = cli._digest_path, [], []
+
+    def digest_after_stop(path, stop=None):
+        if path == str(first):
+            stopped.append(stop.wait(10))
+        digest = digest_path(path, stop)
+        completed.append(path)
+        return digest
+
+    monkeypatch.setattr(cli, "_digest_path", digest_after_stop)
+    before = threading.active_count()
+    with pytest.raises(KeyError, match="body failed"):
+        with cli._Run({"manifest": None}, "test", str(tmp_path / "out"),
+                      str(first), str(later)):
+            raise KeyError("body failed")
+    assert stopped == [True] and completed == []
+    assert threading.active_count() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.txt",
+                                                          "later.bin"]
+
+
 def test_vectors_mismatch_leaves_no_tsv_and_no_manifest(indexed, capsys):
     out = indexed["tmp"] / "other.tsv"
     assert main(_query_argv(indexed, "decompose", _other_vectors(indexed),
@@ -938,6 +967,54 @@ def test_config_null_and_list_rules(workspace, capsys):
     assert config["corpus"] == [str(workspace["single"])]
     assert (config["min_tokens"], config["max_tokens"]) == (2, 20)
     assert config["no_length_filter"] is False
+
+
+def _golden_run(chain, command):
+    """argv of command with only its required flags, over the chain
+    workspace, and the manifest "config" it must record."""
+    tmp = chain["tmp"]
+    single, vec, idx = (str(chain[k]) for k in ("single", "vec", "idx"))
+    if command == "train-classifier":
+        labeled = [f"single={single}", f"multi={chain['multi']}"]
+        out = str(tmp / "clf2.json")
+        return (["train-classifier", "--labeled", labeled[0], "--labeled",
+                 labeled[1], "--out", out],
+                {"labeled": labeled, "out": out, "report": None, "dim": 32,
+                 "epochs": 5, "learning_rate": 0.1, "batch_size": 8,
+                 "min_count": 1, "holdout": 0.1, "seed": 0})
+    if command == "build-index":
+        out = str(tmp / "idx2")
+        return (["build-index", "--corpus", single, "--vectors", vec,
+                 "--out", out],
+                {"corpus": [single], "vectors": vec, "out": out,
+                 "min_tokens": 4, "max_tokens": 20,
+                 "no_length_filter": False})
+    if command == "decompose":
+        out = str(tmp / "pseudo2.tsv")
+        return (["decompose", "--questions", single, "--index", idx,
+                 "--vectors", vec, "--out", out],
+                {"questions": single, "index": idx, "vectors": vec,
+                 "out": out, "method": "fixed2", "k": 1000, "n": 2,
+                 "max_n": 3, "beam_width": 100, "seed": 0, "workers": 1})
+    out = str(tmp / "noised.jsonl")
+    return (["noise", "--corpus", single, "--out", out],
+            {"corpus": single, "out": out, "mask_prob": 0.15,
+             "drop_prob": 0.1, "shuffle_window": 3, "mask_token": "<mask>",
+             "seed": 0})
+
+
+@pytest.mark.parametrize("command", ["train-classifier", "build-index",
+                                     "decompose", "noise"])
+def test_manifest_config_of_required_flags_only(chain, capsys, command):
+    """Every default a run records, with its JSON type: an int stays an
+    int and a float a float."""
+    argv, expected = _golden_run(chain, command)
+    assert main(argv) == 0
+    manifest = json.loads(open(argv[argv.index("--out") + 1]
+                               + ".manifest.json").read())
+    assert manifest["config"] == expected
+    assert ({k: type(v) for k, v in manifest["config"].items()}
+            == {k: type(v) for k, v in expected.items()})
 
 
 def _tree_bytes(paths):

@@ -227,6 +227,12 @@ VEC_CASES = {
     "repeated": "a 1 2\nb 3 4\na 5 6\nc 7 8\nb 9 10\n",
     "word-like-number": "1.5 2.5 3.5\n-7 1 2\n",
     "header-like-row": "1 2\n3 4\n",
+    "header-dim-above": "5 300\na 1.0 2.0\nb 3.0 4.0\n",
+    "header-dim-below": "3 2\n" + _ROW,
+    "header-dim-zero": "1 0\na 1.0\n",
+    "header-dim-negative": "1 -2\na 1.0 2.0\n",
+    "header-dim-trailing-spaces": "2 3 \na 1.0 2.0 \nb 3.0 4.0 \n",
+    "header-dim-later-block": "2 3\n" + "\n" * 40 + "a 1.0 2.0\nb 3.0 4.0\n",
     "two-int-rows": "1 2 3\n4 5 6\n",
     "unicode-words": "caf\u00e9 1.0\n\u0391\u03a3 2.0\n\ud55c 3.0\n",
     "empty": "",
