@@ -14,7 +14,7 @@ import pathlib
 import sys
 
 from qdecomp.cli import main as cli
-from qdecomp.corpus import save_corpus
+from qdecomp.corpus import QuestionCorpus, save_corpus
 from qdecomp.embeddings import save_vector_table
 from qdecomp.synthbench import (build_synthetic_compositional,
                                 build_synthetic_singlehop_corpus,
@@ -31,7 +31,7 @@ def generate_inputs(d, n_questions, seed):
     composites = build_synthetic_compositional(corpus, n=2,
                                                count=max(50, n_questions // 20),
                                                seed=seed + 2)
-    lines = [q.raw_text for q in corpus]
+    lines = list(corpus.texts)
     for i, item in enumerate(composites):
         lines.insert(31 * i % len(lines), item.composite.raw_text)
     for i in range(n_questions // 50):
@@ -40,16 +40,15 @@ def generate_inputs(d, n_questions, seed):
     mined.write_text("\n".join(lines) + "\n")
 
     # small labeled seed sets for the router
-    singles = [q.raw_text for q in list(corpus)[:200]]
+    singles = corpus.texts[:200]
     multis = [m.composite.raw_text for m in
               build_synthetic_compositional(corpus, n=2, count=200,
                                             seed=seed + 3)]
-    from qdecomp.corpus import Question, QuestionCorpus
     sp, mp = d / "label_single.jsonl", d / "label_multi.jsonl"
-    save_corpus(QuestionCorpus(tuple(
-        Question.from_text(f"ls{i:06d}", t) for i, t in enumerate(singles))), sp)
-    save_corpus(QuestionCorpus(tuple(
-        Question.from_text(f"lm{i:06d}", t) for i, t in enumerate(multis))), mp)
+    save_corpus(QuestionCorpus((f"ls{i:06d}" for i in range(len(singles))),
+                               singles), sp)
+    save_corpus(QuestionCorpus((f"lm{i:06d}" for i in range(len(multis))),
+                               multis), mp)
     return vec, mined, sp, mp
 
 

@@ -55,10 +55,10 @@ class Prediction:
 _BLOCK = 1024  # questions scored per numpy pass
 
 
-def _features(questions, vocab):
-    """Each question's in-vocabulary feature indices, concatenated in
-    question order, with each question's start offset and count."""
-    ids = [[vocab[t] for t in q.tokens if t in vocab] for q in questions]
+def _features(token_lists, vocab):
+    """Each token list's in-vocabulary feature indices, concatenated in
+    order, with each list's start offset and count."""
+    ids = [[vocab[t] for t in tokens if t in vocab] for tokens in token_lists]
     lengths = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
     flat = np.fromiter(chain.from_iterable(ids), dtype=np.intp,
                        count=int(lengths.sum()))
@@ -124,19 +124,15 @@ def train_classifier(labeled, config=TrainingConfig()):
         if len(corpus) == 0:
             raise ValueError(f"empty corpus for label {lab!r}")
 
-    counts = Counter()
-    questions = []
-    for corpus, _ in labeled:
-        for q in corpus:
-            counts.update(q.tokens)
-            questions.append(q)
+    token_lists = [tokens for corpus, _ in labeled for tokens in corpus.tokens]
+    counts = Counter(chain.from_iterable(token_lists))
     terms = sorted(t for t, c in counts.items() if c >= config.min_count)
     if not terms:
         raise ValueError(f"no term occurs min_count={config.min_count} times; "
                          f"the most frequent occurs "
                          f"{max(counts.values(), default=0)} times")
     vocab = {t: i for i, t in enumerate(terms)}
-    flat, starts, lengths = _features(questions, vocab)
+    flat, starts, lengths = _features(token_lists, vocab)
     targets = np.repeat(np.arange(len(labels)), [len(c) for c, _ in labeled])
 
     dim = config.dim
@@ -145,7 +141,7 @@ def train_classifier(labeled, config=TrainingConfig()):
     weight = np.zeros((len(labels), dim))
     bias = np.zeros(len(labels))
 
-    n = len(questions)
+    n = len(token_lists)
     n_batches = max(1, math.ceil(n / config.batch_size))
     total_steps = config.epochs * n_batches
     step = 0
@@ -182,30 +178,29 @@ def train_classifier(labeled, config=TrainingConfig()):
                                 epoch_losses=tuple(epoch_losses))
 
 
-def predict(model, questions):
-    """Yield (question, Prediction) for each question, in order, scoring
-    blocks of questions in one numpy pass each.
+def predict(model, token_lists):
+    """Yield the Prediction of each token list, in order, scoring blocks of
+    lists in one numpy pass each.
 
-    A question with no in-vocabulary tokens has a zero feature vector; it
-    gets uniform probabilities, the first label and the degenerate flag."""
+    A list with no in-vocabulary tokens has a zero feature vector; it gets
+    uniform probabilities, the first label and the degenerate flag."""
     k = len(model.labels)
-    questions = iter(questions)
-    while block := list(islice(questions, _BLOCK)):
+    token_lists = iter(token_lists)
+    while block := list(islice(token_lists, _BLOCK)):
         flat, starts, lengths = _features(block, model.vocab)
         probs = _probabilities(model.weight, model.bias, _mean_embeddings(
             model.embeddings, flat, starts, lengths))
         degenerate = lengths == 0
         probs[degenerate] = 1.0 / k  # whose argmax is 0, the first label
-        for q, p, best, flag in zip(block, probs,
-                                    np.argmax(probs, axis=1).tolist(),
-                                    degenerate.tolist()):
-            yield q, Prediction(label=model.labels[best], probabilities=p,
-                                degenerate=flag)
+        for p, best, flag in zip(probs, np.argmax(probs, axis=1).tolist(),
+                                 degenerate.tolist()):
+            yield Prediction(label=model.labels[best], probabilities=p,
+                             degenerate=flag)
 
 
 def classify(model, question):
     """Predict one question's label: predict over a batch of one."""
-    return next(predict(model, [question]))[1]
+    return next(predict(model, [question.tokens]))
 
 
 def evaluate_classifier(model, heldout):
@@ -215,7 +210,7 @@ def evaluate_classifier(model, heldout):
     for corpus, lab in heldout:
         if lab not in model.labels:
             raise ValueError(f"unknown label {lab!r}")
-        for _, pred in predict(model, corpus):
+        for pred in predict(model, corpus.tokens):
             total += 1
             correct += int(pred.label == lab)
     if total == 0:
@@ -224,17 +219,19 @@ def evaluate_classifier(model, heldout):
 
 
 def route_mined_questions(model, mined, single_label, multi_label):
-    """Partition mined questions by predicted label; other labels are dropped."""
+    """Partition a mined corpus by predicted label: (row positions labelled
+    single, row positions labelled multi); rows with other labels are
+    dropped."""
     for lab in (single_label, multi_label):
         if lab not in model.labels:
             raise ValueError(f"unknown label {lab!r}")
     to_single = []
     to_multi = []
-    for q, pred in predict(model, mined):
+    for row, pred in enumerate(predict(model, mined.tokens)):
         if pred.label == single_label:
-            to_single.append(q)
+            to_single.append(row)
         elif pred.label == multi_label:
-            to_multi.append(q)
+            to_multi.append(row)
     return to_single, to_multi
 
 

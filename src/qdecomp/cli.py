@@ -28,7 +28,7 @@ from . import __version__
 from .classifier import (TrainingConfig, evaluate_classifier,
                          load_classifier, predict, route_mined_questions,
                          save_classifier, train_classifier)
-from .corpus import (COMPACT_JSON, DEFAULT_WH_WORDS, Question, QuestionCorpus,
+from .corpus import (COMPACT_JSON, DEFAULT_WH_WORDS, Question,
                      extract_candidate_questions, load_corpus, save_corpus)
 from .editing import edit_sub_question_texts, split_sub_question_texts
 from .embeddings import load_vector_table, vector_file_dim
@@ -345,19 +345,18 @@ def cmd_extract(opts):
         questions = extract_candidate_questions(lines, wh_words=wh,
                                                 id_prefix=opts["id_prefix"],
                                                 dedup=opts["dedup"])
-        corpus = QuestionCorpus(tuple(questions), label=opts["label"])
-        save_corpus(corpus, run.output(opts["out"]))
+        save_corpus(questions, run.output(opts["out"]))
     _progress(f"extract: kept {len(questions)} of {len(lines)} lines")
     return 0
 
 
 def _split_holdout(corpus, fraction, rng):
+    """(train, held-out) corpora: a random fraction of the rows is held
+    out, and both parts keep the corpus order."""
     n_hold = int(round(fraction * len(corpus)))
-    perm = rng.permutation(len(corpus))
-    hold_idx = set(int(i) for i in perm[:n_hold])
-    train = tuple(q for i, q in enumerate(corpus) if i not in hold_idx)
-    hold = tuple(q for i, q in enumerate(corpus) if i in hold_idx)
-    return train, hold
+    held = set(rng.permutation(len(corpus))[:n_hold].tolist())
+    return (corpus.take([r for r in range(len(corpus)) if r not in held]),
+            corpus.take(sorted(held)))
 
 
 @_command("train-classifier", "train the question-type classifier",
@@ -384,12 +383,11 @@ def cmd_train_classifier(opts):
     with _Run(opts, "train-classifier", opts["out"],
               *(path for _, path in pairs)) as run:
         for label, path in pairs:
-            train_qs, hold_qs = _split_holdout(load_corpus(path, label=label),
-                                               opts["holdout"], rng)
-            train_sets.append((QuestionCorpus(train_qs, label=label), label))
-            if hold_qs:
-                heldout_sets.append((QuestionCorpus(hold_qs, label=label),
-                                     label))
+            train, hold = _split_holdout(load_corpus(path, label=label),
+                                         opts["holdout"], rng)
+            train_sets.append((train, label))
+            if len(hold):
+                heldout_sets.append((hold, label))
         model = train_classifier(train_sets, config)
         save_classifier(model, run.output(opts["out"]))
         report = {
@@ -419,9 +417,9 @@ def cmd_classify(opts):
         model = load_classifier(opts["model"])
         corpus = load_corpus(opts["corpus"])
         with open(run.output(opts["out"]), "w", encoding="utf-8") as fh:
-            for q, pred in predict(model, corpus):
+            for qid, pred in zip(corpus.ids, predict(model, corpus.tokens)):
                 fh.write(json.dumps({
-                    "id": q.id,
+                    "id": qid,
                     "label": pred.label,
                     "degenerate": pred.degenerate,
                     "probabilities": [float(p) for p in pred.probabilities],
@@ -449,10 +447,8 @@ def cmd_route(opts):
         to_single, to_multi = route_mined_questions(model, mined,
                                                     opts["single_label"],
                                                     opts["multi_label"])
-        save_corpus(QuestionCorpus(tuple(to_single)),
-                    run.output(opts["out_single"]))
-        save_corpus(QuestionCorpus(tuple(to_multi)),
-                    run.output(opts["out_multi"]))
+        save_corpus(mined.take(to_single), run.output(opts["out_single"]))
+        save_corpus(mined.take(to_multi), run.output(opts["out_multi"]))
     counts = {"single": len(to_single), "multi": len(to_multi),
               "discarded": len(mined) - len(to_single) - len(to_multi)}
     print(json.dumps(counts, sort_keys=True))
@@ -472,12 +468,9 @@ def cmd_build_index(opts):
                else _checked(LengthFilter, opts))
     with _Run(opts, "build-index", opts["out"], opts["vectors"],
               *opts["corpus"]) as run:
-        questions = []
-        for path in opts["corpus"]:
-            questions.extend(load_corpus(path).questions)
-        merged = QuestionCorpus(tuple(questions))
+        corpus = load_corpus(*opts["corpus"])
         table = load_vector_table(opts["vectors"])
-        index = build_index(merged, table, filters)
+        index = build_index(corpus, table, filters)
         save_index(index, run.output(opts["out"]), run.get(opts["vectors"]))
     _progress(f"build-index: {len(index)} rows, {index.oov_excluded} without "
               f"vocabulary, {index.filtered_out} outside length bounds")
@@ -558,9 +551,9 @@ def cmd_noise(opts):
     with _Run(opts, "noise", opts["out"], opts["corpus"]) as run:
         corpus = load_corpus(opts["corpus"])
         with open(run.output(opts["out"]), "w", encoding="utf-8") as fh:
-            for q, noisy in zip(corpus, noise_corpus(
-                    (q.tokens for q in corpus), config)):
-                fh.write(COMPACT_JSON.encode({"id": q.id,
+            for qid, noisy in zip(corpus.ids,
+                                  noise_corpus(corpus.tokens, config)):
+                fh.write(COMPACT_JSON.encode({"id": qid,
                                               "text": " ".join(noisy)}))
                 fh.write("\n")
     _progress(f"noise: rewrote {len(corpus)} questions")
@@ -617,8 +610,8 @@ def cmd_synth_eval(opts):
               opts["corpus"], opts["index"]) as run:
         index = _load_bound_index(opts, run)
         corpus = load_corpus(opts["corpus"])
-        pool = QuestionCorpus(tuple(q for q in corpus if q.id in index),
-                              label=corpus.label)
+        pool = corpus.take([row for row, qid in enumerate(corpus.ids)
+                            if qid in index])
         benchmark = build_synthetic_compositional(pool, opts["n"],
                                                   opts["count"], opts["seed"])
         report = mrr_eval(opts["objective"], benchmark, index, opts["k"])

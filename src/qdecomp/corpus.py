@@ -2,7 +2,9 @@
 
 import json
 import re
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import cached_property
 
 # A token is either a run of non-space non-punctuation characters or a single
 # punctuation character from the fixed set below.
@@ -52,54 +54,62 @@ class Question:
         return cls(id=qid, raw_text=raw_text, tokens=tuple(tokenize(raw_text)))
 
 
-@dataclass(frozen=True)
 class QuestionCorpus:
-    """Ordered collection of questions with unique ids."""
+    """Questions with unique ids, held as two columns: ``ids`` and ``texts``.
 
-    questions: tuple
-    label: str | None = None
-    _by_id: dict = field(init=False, repr=False, compare=False, default=None)
+    ``tokens`` (each text's ``tokenize``, as a tuple) is computed once, on
+    first use. Indexing and iteration build ``Question`` objects on demand.
+    """
 
-    def __post_init__(self):
-        by_id = {}
-        for q in self.questions:
-            if q.id in by_id:
-                raise ValueError(f"duplicate question id: {q.id!r}")
-            by_id[q.id] = q
-        object.__setattr__(self, "_by_id", by_id)
+    def __init__(self, ids, texts, label=None):
+        self.ids = tuple(ids)
+        self.texts = tuple(texts)
+        self.label = label
+        if len(self.texts) != len(self.ids):
+            raise ValueError(f"{len(self.ids)} ids but {len(self.texts)} texts")
+        self._rows = dict(zip(self.ids, range(len(self.ids))))
+        if len(self._rows) < len(self.ids):
+            _check_unique(self.ids, 0, "row {}".format)
+
+    @cached_property
+    def tokens(self):
+        return tuple(tuple(tokenize(text)) for text in self.texts)
 
     def __len__(self):
-        return len(self.questions)
+        return len(self.ids)
 
     def __iter__(self):
-        return iter(self.questions)
+        return map(Question, self.ids, self.texts, self.tokens)
 
-    def __getitem__(self, i):
-        return self.questions[i]
+    def __getitem__(self, row):
+        return Question.from_text(self.ids[row], self.texts[row])
 
     def by_id(self, qid):
-        return self._by_id[qid]
+        return self[self._rows[qid]]
 
     def __contains__(self, qid):
-        return qid in self._by_id
+        return qid in self._rows
 
-    @property
-    def ids(self):
-        return tuple(q.id for q in self.questions)
+    def take(self, rows):
+        """The records at ``rows``, in that order, as a corpus with the same
+        label."""
+        ids, texts = self.ids, self.texts
+        return QuestionCorpus([ids[r] for r in rows], [texts[r] for r in rows],
+                              self.label)
 
 
 def extract_candidate_questions(lines, wh_words=DEFAULT_WH_WORDS, id_prefix="",
                                 dedup=False):
-    """Harvest question-like lines.
+    """Harvest question-like lines as a corpus.
 
     A line is kept iff its first token is a question word or its last
     non-whitespace character is "?". Kept lines get sequential zero-padded
     decimal ids (optionally prefixed). ``dedup`` drops exact duplicate lines
-    after whitespace stripping.
+    after whitespace stripping. A line is not tokenized whole: its first
+    token lowered alone is ``tokenize(text)[0]`` (see ``tokenize``).
     """
-    kept = []
+    texts = []
     seen = set()
-    counter = 0
     for line in lines:
         text = line.strip()
         if not text:
@@ -108,23 +118,18 @@ def extract_candidate_questions(lines, wh_words=DEFAULT_WH_WORDS, id_prefix="",
             if text in seen:
                 continue
             seen.add(text)
-        toks = tokenize(text)
-        if not toks:
+        first = _TOKEN_RE.search(text)
+        if first is None:
             continue
-        if toks[0] in wh_words or text.endswith("?"):
-            kept.append(Question(id=f"{id_prefix}{counter:08d}",
-                                 raw_text=text, tokens=tuple(toks)))
-            counter += 1
-    return kept
+        if first.group(0).lower() in wh_words or text.endswith("?"):
+            texts.append(text)
+    return QuestionCorpus((f"{id_prefix}{i:08d}" for i in range(len(texts))),
+                          texts)
 
 
-def load_corpus(path, label=None):
-    """Read a JSONL corpus of {"id", "text"} records.
-
-    Malformed lines and missing fields raise ValueError naming the line
-    number; duplicate ids raise on corpus construction.
-    """
-    questions = []
+def _read_columns(path, ids, texts, lines):
+    """Append the id, text and line number of each record of a JSONL corpus;
+    blank lines are skipped."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -140,13 +145,49 @@ def load_corpus(path, label=None):
             qid, text = obj["id"], obj["text"]
             if not isinstance(qid, str) or not isinstance(text, str):
                 raise ValueError(f"{path}:{lineno}: 'id' and 'text' must be strings")
-            questions.append(Question.from_text(qid, text))
-    return QuestionCorpus(tuple(questions), label=label)
+            ids.append(qid)
+            texts.append(text)
+            lines.append(lineno)
+
+
+def _check_unique(ids, start, place):
+    """Raise at the first id of ids[start:] that occurs twice there, naming
+    the places (``place(row)``) of both occurrences."""
+    if len(set(ids[start:])) == len(ids) - start:
+        return
+    seen = {}
+    for row in range(start, len(ids)):
+        first = seen.setdefault(ids[row], row)
+        if first != row:
+            raise ValueError(f"{place(row)}: duplicate question id "
+                             f"{ids[row]!r} (first at {place(first)})")
+
+
+def load_corpus(*paths, label=None):
+    """Read JSONL corpora of {"id", "text"} records, in order, as one corpus.
+
+    Malformed lines and missing fields raise ValueError naming the line
+    number. An id read twice raises naming both of its places: first
+    within each file, as it is read, then across the files.
+    """
+    ids, texts, lines, starts = [], [], [], []
+
+    def place(row):
+        i = bisect_right(starts, row) - 1
+        return f"{paths[i]}:{lines[row]}"
+
+    for path in paths:
+        starts.append(len(ids))
+        _read_columns(path, ids, texts, lines)
+        _check_unique(ids, starts[-1], place)
+    if len(paths) > 1:
+        _check_unique(ids, 0, place)
+    return QuestionCorpus(ids, texts, label=label)
 
 
 def save_corpus(corpus, path):
     """Write a corpus as JSONL; inverse of load_corpus for id/text content."""
     with open(path, "w", encoding="utf-8") as fh:
-        for q in corpus:
-            fh.write(COMPACT_JSON.encode({"id": q.id, "text": q.raw_text}))
+        for qid, text in zip(corpus.ids, corpus.texts):
+            fh.write(COMPACT_JSON.encode({"id": qid, "text": text}))
             fh.write("\n")

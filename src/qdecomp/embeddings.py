@@ -80,11 +80,12 @@ def _is_header(parts):
     return len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1])
 
 
-def _vector_rows(fh):
-    """(line number, word, components, dim) of each vector row of a .vec
-    file, skipping blank lines and an optional "count dim" header line; dim
-    is the component count every row must have: the header's dim, or the
-    first row's count when there is no header."""
+def _vector_rows(fh, path):
+    """(line number, word, components, dim) of each vector row of the .vec
+    file at path, open as fh, skipping blank lines and an optional "count
+    dim" header line; dim is the component count every row must have: the
+    header's dim, which must be at least 1, or the first row's count when
+    there is no header."""
     dim, first = None, True
     for lineno, line in enumerate(fh, start=1):
         parts = line.split()
@@ -94,6 +95,9 @@ def _vector_rows(fh):
             first = False
             if _is_header(parts):
                 dim = int(parts[1])
+                if dim < 1:
+                    raise ValueError(f"{path}:{lineno}: header dim must be "
+                                     f"at least 1, got {dim}")
                 continue
         if dim is None:
             dim = len(parts) - 1
@@ -104,7 +108,7 @@ def vector_file_dim(path):
     """Component count of the first vector row of a .vec file (None when it
     has no rows), read without parsing the rest of the file."""
     with open(path, encoding="utf-8") as fh:
-        for _, _, comps, _ in _vector_rows(fh):
+        for _, _, comps, _ in _vector_rows(fh, path):
             return len(comps)
     return None
 
@@ -113,9 +117,9 @@ def load_vector_table(path):
     """Parse a text vector file: ``word c1 ... cd`` rows, optional count/dim header.
 
     A word listed twice keeps its last vector. Raises ValueError naming the
-    line number for a row whose component count is not the header's dim
-    (the first row's without a header) and for non-numeric or non-finite
-    components. Every component is ``float32(float(token))``; files of
+    line number for a header whose dim is below 1, for a row whose
+    component count is not the header's dim (the first row's without a
+    header) and for non-numeric or non-finite components. Every component is ``float32(float(token))``; files of
     plain decimal rows are converted in bulk (see _bulk_rows), and any
     other file is read row by row.
     """
@@ -130,7 +134,7 @@ def _text_rows(path):
     words = []
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, word, comps, dim in _vector_rows(fh):
+        for lineno, word, comps, dim in _vector_rows(fh, path):
             if not comps:
                 raise ValueError(f"{path}:{lineno}: row has no vector components")
             if len(comps) != dim:

@@ -159,12 +159,13 @@ def build_index(corpus, source, filters=None):
     preallocated float32 matrices; each row's unit vector is its sum over
     its _norms, exactly as _scan_queries normalizes a query.
     """
-    kept = [q for q in corpus if filters is None
-            or filters.min_tokens <= len(q.tokens) <= filters.max_tokens]
+    tokens = corpus.tokens
+    kept = [r for r, toks in enumerate(tokens) if filters is None
+            or filters.min_tokens <= len(toks) <= filters.max_tokens]
     raw = np.empty((len(kept), source.dim), dtype=np.float32)
     unit = np.empty_like(raw)
     rows = []  # positions in kept of the embedded questions
-    for start, sums in embed_blocks([q.tokens for q in kept], source):
+    for start, sums in embed_blocks([tokens[r] for r in kept], source):
         nonzero = np.flatnonzero(sums.any(axis=1))
         sums = sums[nonzero]
         at = len(rows)
@@ -173,8 +174,9 @@ def build_index(corpus, source, filters=None):
         rows.extend((start + nonzero).tolist())
     if not rows:
         raise ValueError("index is empty after filtering and vocabulary checks")
-    return EmbeddedIndex(ids=tuple(kept[r].id for r in rows),
-                         texts=tuple(kept[r].raw_text for r in rows),
+    embedded = [kept[r] for r in rows]  # their rows in the corpus
+    return EmbeddedIndex(ids=tuple(corpus.ids[r] for r in embedded),
+                         texts=tuple(corpus.texts[r] for r in embedded),
                          unit_matrix=unit[:len(rows)],
                          raw_matrix=raw[:len(rows)],
                          oov_excluded=len(kept) - len(rows),

@@ -59,14 +59,14 @@ def build_synthetic_compositional(corpus, n, count, seed):
     rng = substream(seed, "synthbench")
     out = []
     for ci in range(count):
-        idx = rng.choice(len(corpus), size=n, replace=False)
-        picked = [corpus.questions[int(i)] for i in idx]
-        parts = [_strip_question_mark(q.raw_text) for q in picked[:-1]]
-        parts.append(picked[-1].raw_text.strip())
+        picked = rng.choice(len(corpus), size=n, replace=False).tolist()
+        parts = [_strip_question_mark(corpus.texts[i]) for i in picked[:-1]]
+        parts.append(corpus.texts[picked[-1]].strip())
         text = " and ".join(parts)
         composite = Question.from_text(f"synth{n}-{ci:06d}", text)
-        out.append(SyntheticComposite(composite=composite,
-                                      gold_sub_ids=tuple(q.id for q in picked)))
+        out.append(SyntheticComposite(
+            composite=composite,
+            gold_sub_ids=tuple(corpus.ids[i] for i in picked)))
     return out
 
 
@@ -238,7 +238,7 @@ def build_synthetic_singlehop_corpus(count, seed, topics=120, entities=200,
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = substream(seed, "singlehop-corpus")
-    questions = []
+    texts = []
     for i in range(count):
         wh = WH_STARTERS[int(rng.integers(len(WH_STARTERS)))]
         topic = f"t{int(rng.integers(topics)):03d}"
@@ -250,16 +250,14 @@ def build_synthetic_singlehop_corpus(count, seed, topics=120, entities=200,
             text = f"{wh} was the {topic} in {entity}?"
         else:
             text = f"{wh} is the {topic} of the {entity}?"
-        questions.append(Question.from_text(f"{id_prefix}{i:08d}", text))
-    return QuestionCorpus(tuple(questions), label=label)
+        texts.append(text)
+    return QuestionCorpus((f"{id_prefix}{i:08d}" for i in range(count)), texts,
+                          label=label)
 
 
 def corpus_vocabulary(corpus, extra=("and",)):
     """Sorted vocabulary of a corpus plus any extra words."""
-    vocab = set(extra)
-    for q in corpus:
-        vocab.update(q.tokens)
-    return sorted(vocab)
+    return sorted(set(extra).union(*corpus.tokens))
 
 
 def synthetic_vector_table(words, dim, seed, function_word_scale=0.2):

@@ -3,16 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from qdecomp.corpus import Question, QuestionCorpus
+from qdecomp.corpus import QuestionCorpus
 from qdecomp.embeddings import make_vector_table
 
 
-def make_questions(texts, prefix="q"):
-    return [Question.from_text(f"{prefix}{i:08d}", t) for i, t in enumerate(texts)]
-
-
 def make_corpus(texts, prefix="q", label=None):
-    return QuestionCorpus(questions=tuple(make_questions(texts, prefix)), label=label)
+    return QuestionCorpus([f"{prefix}{i:08d}" for i in range(len(texts))],
+                          texts, label=label)
 
 
 def write_logits_jsonl(paragraphs, path):

@@ -183,9 +183,9 @@ def load_vector_table_oracle(path):
     first-seen order, a repeated word taking its last vector.
 
     Lines are read in text mode; blank lines are skipped; the first
-    non-blank line is a header when it is two integers, and then every row
-    must have its second integer of components (the first row's count
-    without a header); each component is float32(float(token)). Errors are the ValueErrors load_vector_table
+    non-blank line is a header when it is two integers, its second integer
+    must be at least 1, and then every row must have that many components
+    (the first row's count without a header); each component is float32(float(token)). Errors are the ValueErrors load_vector_table
     raises, with their line numbers.
     """
     vectors = {}
@@ -200,6 +200,9 @@ def load_vector_table_oracle(path):
                 first = False
                 if len(parts) == 2 and all(map(_parses_as_int, parts)):
                     dim = int(parts[1])
+                    if dim < 1:
+                        raise ValueError(f"{path}:{lineno}: header dim must "
+                                         f"be at least 1, got {dim}")
                     continue
             word, comps = parts[0], parts[1:]
             if not comps:
@@ -220,6 +223,38 @@ def load_vector_table_oracle(path):
         raise ValueError(f"{path}: no vector rows found")
     return ({word: row for row, word in enumerate(vectors)},
             np.array(list(vectors.values())))
+
+
+def load_corpus_oracle(path):
+    """The per-line JSONL corpus reader load_corpus replaced: a json.loads
+    per line, each record tokenized by tokenize_oracle. Returns the (id,
+    text, tokens) of each record, or raises its ValueErrors, with their line
+    numbers; a repeated id raises "duplicate question id: <id>" after the
+    whole file is read.
+    """
+    questions = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object")
+            if "id" not in obj or "text" not in obj:
+                raise ValueError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
+            qid, text = obj["id"], obj["text"]
+            if not isinstance(qid, str) or not isinstance(text, str):
+                raise ValueError(f"{path}:{lineno}: 'id' and 'text' must be strings")
+            questions.append((qid, text, tuple(tokenize_oracle(text))))
+    seen = set()
+    for qid, _, _ in questions:
+        if qid in seen:
+            raise ValueError(f"duplicate question id: {qid!r}")
+        seen.add(qid)
+    return questions
 
 
 def tokenize_oracle(text):

@@ -112,11 +112,12 @@ def test_route_mined_questions():
     train, _ = synthetic_labeled_split(seed=8, n_train=60, n_heldout=0)
     m = train_classifier(train, CFG)
     mined = make_corpus(["alpha gamma of ?", "azure coral the ?", "beta delta in ?"], prefix="m")
-    single, multi = route_mined_questions(m, mined, single_label="a", multi_label="b")
-    assert [q.raw_text for q in single] == ["alpha gamma of ?", "beta delta in ?"]
-    assert [q.raw_text for q in multi] == ["azure coral the ?"]
+    single, multi = route_mined_questions(m, mined, single_label="a",
+                                          multi_label="b")
+    assert (single, multi) == ([0, 2], [1])
     with pytest.raises(ValueError):
-        route_mined_questions(m, mined, single_label="a", multi_label="nope")
+        route_mined_questions(m, mined, single_label="a",
+                              multi_label="nope")
 
 
 def test_save_load_round_trip_exact(tmp_path):
@@ -160,21 +161,22 @@ def test_batched_classifier_equals_per_example_oracle(
         min_count, seed, text_seed):
     rng = np.random.default_rng(text_seed)
     words = [f"w{i}" for i in range(10)]
-    labeled = []
+    labeled, generated = [], []
     for li, size in enumerate(sizes):
         token_lists = [tuple(rng.choice(words, size=rng.integers(0, 25)))
                        for _ in range(size)]
         if li == 0:
             token_lists[0] = ()  # an example with no features
-        labeled.append((QuestionCorpus(tuple(
-            Question(f"l{li}q{j}", " ".join(toks), toks)
-            for j, toks in enumerate(token_lists))), f"label{li}"))
+        labeled.append((QuestionCorpus(
+            [f"l{li}q{j}" for j in range(size)],
+            [" ".join(toks) for toks in token_lists]), f"label{li}"))
+        generated.append((token_lists, f"label{li}"))
     config = TrainingConfig(dim=dim, epochs=epochs,
                             learning_rate=learning_rate,
                             batch_size=batch_size, min_count=min_count,
                             seed=seed)
     labels, vocab, emb, weight, bias, losses = classifier_train_oracle(
-        [([q.tokens for q in corpus], lab) for corpus, lab in labeled],
+        generated,
         dim, epochs, learning_rate, batch_size, min_count, seed)
     if not vocab:
         with pytest.raises(ValueError, match="min_count"):
@@ -188,11 +190,12 @@ def test_batched_classifier_equals_per_example_oracle(
     assert (_saved_bytes(model, tmp / "batched.json")
             == _saved_bytes(oracle, tmp / "oracle.json"))
 
-    questions = [q for corpus, _ in labeled for q in corpus]
-    questions.append(Question("unseen", "zzz ?", ("zzz",)))
-    for q, pred in predict(model, questions):
+    token_lists = [toks for lists, _ in generated for toks in lists]
+    token_lists.append(("zzz",))
+    for tokens, pred in zip(token_lists, predict(model, token_lists),
+                            strict=True):
         label, probs, degenerate = classify_oracle(
-            q.tokens, model.labels, model.vocab, model.embeddings,
+            tokens, model.labels, model.vocab, model.embeddings,
             model.weight, model.bias)
         assert (pred.label, pred.degenerate) == (label, degenerate)
         assert pred.probabilities.tobytes() == probs.tobytes()

@@ -679,6 +679,33 @@ def test_build_index_keeps_a_directory_that_is_not_an_index(chain, capsys):
     assert _tree_bytes([tmp]) == before
 
 
+def test_build_index_names_both_lines_of_a_repeated_id(workspace, capsys):
+    tmp, single = workspace["tmp"], workspace["single"]
+    lines = single.read_text(encoding="utf-8").splitlines(keepends=True)
+    dup = tmp / "dup.jsonl"
+    dup.write_text("".join(lines[:4] + ["\n", lines[1]]), encoding="utf-8")
+    argv = ["build-index", "--corpus", str(dup), "--vectors",
+            str(workspace["vec"]), "--out", str(tmp / "idx")]
+    assert main(argv) == 2
+    assert (f"error: {dup}:6: duplicate question id 's00000001' "
+            f"(first at {dup}:2)\n") in capsys.readouterr().err
+    assert not (tmp / "idx").exists()
+
+
+def test_build_index_names_both_files_of_a_repeated_id(workspace, capsys):
+    tmp, single = workspace["tmp"], workspace["single"]
+    extra = tmp / "extra.jsonl"
+    extra.write_text('{"id":"x1","text":"who is x ?"}\n'
+                     '{"id":"s00000007","text":"who is y ?"}\n',
+                     encoding="utf-8")
+    argv = ["build-index", "--corpus", str(single), "--corpus", str(extra),
+            "--vectors", str(workspace["vec"]), "--out", str(tmp / "idx")]
+    assert main(argv) == 2
+    assert (f"error: {extra}:2: duplicate question id 's00000007' "
+            f"(first at {single}:8)\n") in capsys.readouterr().err
+    assert not (tmp / "idx").exists()
+
+
 def test_output_over_a_directory_changes_no_file(chain, capsys):
     tmp = chain["tmp"]
     (tmp / "out").write_bytes(b"previous output\n")

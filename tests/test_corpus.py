@@ -16,7 +16,7 @@ from qdecomp.corpus import (
 )
 
 from conftest import make_corpus
-from oracles import tokenize_oracle
+from oracles import load_corpus_oracle, tokenize_oracle
 
 
 def test_tokenize_lowercases_and_splits_punctuation():
@@ -84,10 +84,9 @@ def test_question_from_text():
 
 
 def test_corpus_rejects_duplicate_ids():
-    a = Question.from_text("x", "who?")
-    b = Question.from_text("x", "what?")
-    with pytest.raises(ValueError, match="duplicate"):
-        QuestionCorpus(questions=(a, b))
+    with pytest.raises(ValueError) as got:
+        QuestionCorpus(("x", "y", "x"), ("who?", "why?", "what?"))
+    assert str(got.value) == "row 2: duplicate question id 'x' (first at row 0)"
 
 
 def test_corpus_lookup():
@@ -159,3 +158,182 @@ def test_load_corpus_requires_fields(tmp_path):
     p.write_text('{"id":"a"}\n')
     with pytest.raises(ValueError, match=r":1:"):
         load_corpus(p)
+
+
+_A = '{"id":"a","text":"Who is A?"}'
+_B = '{"id":"b","text":"What is B?"}'
+
+
+def _record(qid, text):
+    return json.dumps({"id": qid, "text": text}, ensure_ascii=False)
+
+
+CORPUS_CASES = {
+    "plain": f"{_A}\n{_B}\n",
+    "blank-lines": f"\n{_A}\n\n\n{_B}\n\n",
+    "whitespace-lines": f" \t\n{_A}\n   \n{_B}\n\u3000\n",
+    "crlf": f"{_A}\r\n{_B}\r\n",
+    "lone-cr": f"{_A}\r{_B}\r",
+    "crlf-then-malformed": f"{_A}\r\n\r\n{{\"id\":\r\n",
+    "space-after-object": f"{_A} \n{_B}\t\n",
+    "space-before-object": f"  {_A}\n",
+    "no-final-newline": f"{_A}\n{_B}",
+    "malformed-last-no-newline": f"{_A}\n{{\"id\":",
+    "malformed-last-newline": f"{_A}\n{{\"id\":\n",
+    "bom": f"\ufeff{_A}\n{_B}\n",
+    "non-ascii": _record("\u00e9", "Qui a \u00e9crit \u00ab Hamlet \u00bb ? "
+                         "\u6771\u4eac \U0001f600") + "\n",
+    "ascii-escaped": json.dumps({"id": "\u00e9", "text": "\u00c9t\u00e9?"})
+    + "\n",
+    "final-sigma": _record("s", "\u039f\u0394\u03a5\u03a3\u03a3\u0395\u03a5"
+                           "\u03a3?") + "\n"
+    + _record("t", "\u0391\u03a3'\u0391") + "\n",
+    "escaped-newline": '{"id":"a","text":"line one\\nline two\\r\\u2028"}\n',
+    "raw-line-separators": _record("a", "x\u2028y\u2029z\x85w") + "\n"
+    + _B + "\n",
+    "raw-control-character": '{"id":"a","text":"x\x1cy"}\n',
+    "duplicate-keys": '{"id":"a","id":"b","text":"t","text":"u"}\n',
+    "extra-fields": '{"id":"a","text":"t","label":"x","n":[1,{"m":null}]}\n',
+    "list-value": '["a","t"]\n',
+    "string-value": '"a"\n',
+    "null-value": "null\n",
+    "number-value": f"{_A}\n3\n",
+    "missing-id": '{"text":"t"}\n',
+    "missing-text": f'{_A}\n{{"id":"c"}}\n',
+    "int-id": '{"id":1,"text":"t"}\n',
+    "null-text": '{"id":"a","text":null}\n',
+    "nan-text": '{"id":"a","text":NaN}\n',
+    "huge-int": '{"id":"a","text":"t","n":' + "1" * 5000 + "}\n",
+    "split-record": '{"id":"a",\n"text":"t"}\n',
+    "two-records-one-line": f"{_A}{_B}\n",
+    "two-records-spaced": f"{_A} {_B}\n",
+    "trailing-garbage": f"{_A}x\n",
+    "empty-object": "{}\n",
+    "empty-text": '{"id":"a","text":""}\n',
+    "empty": "",
+    "only-blank": "\n \n",
+    "bad-utf8": f"{_A}\n".encode() + b'{"id":"b","text":"\xff"}\n',
+}
+
+
+def assert_loads_as_oracle(path):
+    """load_corpus gives the oracle's ids, texts and tokens, or raises the
+    oracle's exception type with its message."""
+    try:
+        want = load_corpus_oracle(path)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            load_corpus(path)
+        assert str(got.value) == str(exc)
+        return
+    corpus = load_corpus(path)
+    assert list(zip(corpus.ids, corpus.texts, corpus.tokens)) == want
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_CASES))
+def test_load_corpus_equals_per_line_oracle(tmp_path, name):
+    data = CORPUS_CASES[name]
+    p = tmp_path / "c.jsonl"
+    p.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    assert_loads_as_oracle(p)
+
+
+_FRAGMENTS = ["", " ", "\t", "{", "}", '"id":', '"text":', ",", '"q"', "1",
+              "null", "[", "]", "\\", '"\\n"', "\u2028", "\x85", "\x1c"]
+
+
+@given(st.lists(st.one_of(
+    st.tuples(st.text(max_size=12), st.text(max_size=30), st.booleans()),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=6).map("".join)),
+    max_size=6),
+    st.lists(st.sampled_from(["\n", "\r\n", "\r", " \n", "\n\n", "\t\r\n"]),
+             min_size=6, max_size=6),
+    st.booleans())
+def test_load_corpus_equals_oracle_on_random_lines(tmp_path_factory, parts,
+                                                   ends, final_end):
+    """Records (ids made distinct by their position) with random texts,
+    either escaping, and runs of JSON fragments, one a line, under random
+    line ends."""
+    lines = [json.dumps({"id": f"{i}{part[0]}", "text": part[1]},
+                        ensure_ascii=part[2])
+             if isinstance(part, tuple) else part
+             for i, part in enumerate(parts)]
+    body = "".join(line + end for line, end in zip(lines, ends))
+    if lines and not final_end:
+        body = body[:-len(ends[len(lines) - 1])]
+    p = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+    p.write_bytes(body.encode("utf-8"))
+    assert_loads_as_oracle(p)
+
+
+def test_duplicate_id_names_both_lines(tmp_path):
+    p = tmp_path / "c.jsonl"
+    p.write_text(f'{_A}\n\n{_B}\n{{"id":"a","text":"again"}}\n',
+                 encoding="utf-8")
+    with pytest.raises(ValueError) as got:
+        load_corpus(p)
+    assert str(got.value) == (f"{p}:4: duplicate question id 'a' "
+                              f"(first at {p}:1)")
+
+
+def test_duplicate_id_across_files_names_both_files(tmp_path):
+    p, q = tmp_path / "p.jsonl", tmp_path / "q.jsonl"
+    p.write_text(f"{_A}\n{_B}\n", encoding="utf-8")
+    q.write_text(f'{{"id":"c","text":"t"}}\n{{"id":"b","text":"u"}}\n',
+                 encoding="utf-8")
+    with pytest.raises(ValueError) as got:
+        load_corpus(p, q)
+    assert str(got.value) == (f"{q}:2: duplicate question id 'b' "
+                              f"(first at {p}:2)")
+
+
+def test_duplicates_are_found_file_by_file_then_across(tmp_path):
+    """A file's own repeated id is reported as soon as that file is read;
+    an id repeated across files only after every file parses."""
+    own, bad = tmp_path / "own.jsonl", tmp_path / "bad.jsonl"
+    own.write_text(f"{_A}\n{_A}\n", encoding="utf-8")
+    bad.write_text("not json\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"own\.jsonl:2: duplicate"):
+        load_corpus(own, bad)
+    first = tmp_path / "first.jsonl"
+    first.write_text(f"{_A}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.jsonl:1: malformed"):
+        load_corpus(first, first, bad)
+    with pytest.raises(ValueError, match=r"first\.jsonl:1: duplicate"):
+        load_corpus(first, first)
+
+
+def test_load_corpus_of_several_files_keeps_their_order(tmp_path):
+    p, q = tmp_path / "p.jsonl", tmp_path / "q.jsonl"
+    p.write_text(f"{_B}\n", encoding="utf-8")
+    q.write_text(f"{_A}\n", encoding="utf-8")
+    corpus = load_corpus(p, q, label="both")
+    assert corpus.ids == ("b", "a")
+    assert corpus.texts == ("What is B?", "Who is A?")
+    assert corpus.label == "both"
+
+
+def test_corpus_tokens_are_computed_once_on_first_use(monkeypatch):
+    import qdecomp.corpus as corpus_module
+    calls = []
+    real = corpus_module.tokenize
+    monkeypatch.setattr(corpus_module, "tokenize",
+                        lambda text: calls.append(text) or real(text))
+    c = make_corpus(["Who is A?", "what is B?"])
+    assert c.texts == ("Who is A?", "what is B?")
+    assert calls == []
+    assert c.tokens == (("who", "is", "a", "?"), ("what", "is", "b", "?"))
+    assert c.tokens is c.tokens
+    assert [q.tokens for q in c] == list(c.tokens)
+    assert len(calls) == 2
+    assert c.take([1]).ids == ("q00000001",)
+    assert len(calls) == 2
+
+
+def test_corpus_questions_on_demand():
+    c = make_corpus(["Who is A?", "what is B?"], label="x")
+    assert c[1] == Question("q00000001", "what is B?", ("what", "is", "b", "?"))
+    assert list(c) == [c[0], c[1]]
+    part = c.take([1, 0])
+    assert (part.ids, part.texts, part.label) == (
+        ("q00000001", "q00000000"), ("what is B?", "Who is A?"), "x")

@@ -231,6 +231,7 @@ VEC_CASES = {
     "header-dim-below": "3 2\n" + _ROW,
     "header-dim-zero": "1 0\na 1.0\n",
     "header-dim-negative": "1 -2\na 1.0 2.0\n",
+    "header-dim-zero-after-blanks": "\n \n0 0\n",
     "header-dim-trailing-spaces": "2 3 \na 1.0 2.0 \nb 3.0 4.0 \n",
     "header-dim-later-block": "2 3\n" + "\n" * 40 + "a 1.0 2.0\nb 3.0 4.0\n",
     "two-int-rows": "1 2 3\n4 5 6\n",
@@ -261,6 +262,20 @@ def test_vec_parse_equals_row_by_row_oracle(tmp_path, name, block):
     with mock.patch.object(embeddings, "_VEC_BLOCK", block), \
             mock.patch.object(embeddings, "_text_rows", text_rows):
         assert_parses_as_oracle(p)
+
+
+@pytest.mark.parametrize("name, lineno, dim", [
+    ("header-dim-zero", 1, 0), ("header-dim-negative", 1, -2),
+    ("header-dim-zero-after-blanks", 3, 0)])
+def test_header_dim_below_one_names_the_header_line(tmp_path, name, lineno,
+                                                     dim):
+    p = tmp_path / "t.vec"
+    p.write_text(VEC_CASES[name], encoding="utf-8")
+    message = f"{p}:{lineno}: header dim must be at least 1, got {dim}"
+    for load in (load_vector_table, vector_file_dim):
+        with pytest.raises(ValueError) as got:
+            load(p)
+        assert str(got.value) == message
 
 
 @pytest.mark.parametrize("data", [

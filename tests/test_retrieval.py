@@ -766,10 +766,7 @@ def test_dataset_build_records_failures():
     rng = np.random.default_rng(10)
     index, table = index_from_rows(nonzero_rows(rng, 8, 3))
     add_words(table, {"pp": [1.0, -0.5, 0.25]})
-    questions = QuestionCorpus(questions=(
-        Question.from_text("ok", "pp"),
-        Question.from_text("oov", "unknownword"),
-    ))
+    questions = QuestionCorpus(("ok", "oov"), ("pp", "unknownword"))
     cfg = DecomposeConfig(method="fixed2", k=8, n=2, max_n=3, beam_width=10,
                           seed=0, workers=2)
     result = build_pseudo_decomposition_dataset(questions, index, cfg)

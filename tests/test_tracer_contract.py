@@ -4,12 +4,14 @@ the CLI under the tracer, so a signature change that moves one of those
 arguments fails here rather than mislabelling a traced benchmark run."""
 
 import importlib
+from collections import Counter
 from pathlib import Path
 
 from qdecomp import cli
-from qdecomp.corpus import save_corpus
+from qdecomp.corpus import QuestionCorpus, save_corpus
 from qdecomp.embeddings import save_vector_table
-from qdecomp.synthbench import (build_synthetic_singlehop_corpus,
+from qdecomp.synthbench import (build_synthetic_compositional,
+                                build_synthetic_singlehop_corpus,
                                 corpus_vocabulary, synthetic_vector_table)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -57,3 +59,60 @@ def test_traced_cli_spans_carry_their_labels(tmp_path, monkeypatch, capsys):
     # the dataset note counts every attempted question
     [dataset] = spans["retrieval.dataset"]
     assert (dataset["attempted"], dataset["failed"]) == (len(corpus), 0)
+
+
+def test_traced_corpus_chain_records_its_spans(tmp_path, monkeypatch,
+                                               capsys):
+    """extract -> route -> build-index -> noise under the tracer records the
+    corpus, classifier and index spans the per-layer metrics read."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    corpus = build_synthetic_singlehop_corpus(60, seed=41)
+    table = synthetic_vector_table(corpus_vocabulary(corpus), dim=24, seed=42)
+    multi = [item.composite.raw_text for item in
+             build_synthetic_compositional(corpus, n=2, count=30, seed=43)]
+    vec, single, multis, mined = (tmp_path / "vectors.vec",
+                                  tmp_path / "single.jsonl",
+                                  tmp_path / "multi.jsonl",
+                                  tmp_path / "mined.txt")
+    save_vector_table(table, vec)
+    save_corpus(corpus, single)
+    save_corpus(QuestionCorpus([f"m{i}" for i in range(len(multi))], multi),
+                multis)
+    mined.write_text("\n".join(corpus.texts[:20] + tuple(multi[:10])
+                               + ("Not a question.",)) + "\n")
+    assert cli.main(["train-classifier", "--labeled", f"single={single}",
+                     "--labeled", f"multi={multis}", "--out",
+                     str(tmp_path / "clf.json"), "--epochs", "2"]) == 0
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        for argv in (
+                ["extract", "--lines", str(mined), "--out",
+                 str(tmp_path / "corpus.jsonl")],
+                ["route", "--model", str(tmp_path / "clf.json"), "--mined",
+                 str(tmp_path / "corpus.jsonl"), "--single-label", "single",
+                 "--multi-label", "multi", "--out-single",
+                 str(tmp_path / "routed_single.jsonl"), "--out-multi",
+                 str(tmp_path / "routed_multi.jsonl")],
+                ["build-index", "--corpus", str(tmp_path / "routed_single.jsonl"),
+                 "--corpus", str(single), "--vectors", str(vec), "--out",
+                 str(tmp_path / "idx"), "--no-length-filter"],
+                ["noise", "--corpus", str(tmp_path / "routed_single.jsonl"),
+                 "--out", str(tmp_path / "noised.jsonl")]):
+            assert cli.main(argv) == 0, argv
+    finally:
+        traced.uninstall()
+    capsys.readouterr()
+    names = Counter(span.name for span in traced.spans)
+    assert names["corpus.extract"] == 1
+    assert names["classifier.route"] == 1
+    assert names["retrieval.build_index"] == 1
+    # route, build-index (its two files in one call) and noise each load
+    assert names["corpus.load"] == 3
+    # extract writes one corpus and route two
+    assert names["corpus.save"] == 3
+    metrics, _ = tracer.layer_metrics(traced.spans)
+    for name in ("corpus.extract_s", "corpus.load_s", "classifier.route_s",
+                 "retrieval.build_index_s", "retrieval.index_rows"):
+        assert name in metrics
