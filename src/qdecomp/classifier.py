@@ -8,6 +8,7 @@ from itertools import chain, islice
 
 import numpy as np
 
+from .embeddings import _features, _ranges
 from .rng import substream
 
 
@@ -55,16 +56,6 @@ class Prediction:
 _BLOCK = 1024  # questions scored per numpy pass
 
 
-def _features(token_lists, vocab):
-    """Each token list's in-vocabulary feature indices, concatenated in
-    order, with each list's start offset and count."""
-    ids = [[vocab[t] for t in tokens if t in vocab] for tokens in token_lists]
-    lengths = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
-    flat = np.fromiter(chain.from_iterable(ids), dtype=np.intp,
-                       count=int(lengths.sum()))
-    return flat, np.cumsum(lengths) - lengths, lengths
-
-
 def _mean_embeddings(emb, flat, starts, lengths):
     """Row i is emb[flat[starts[i]:starts[i] + lengths[i]]].mean(axis=0)
     taken alone, bit for bit, or zeros where lengths[i] is 0.
@@ -97,13 +88,6 @@ def _sequential_sum(terms):
     """terms[0] + terms[1] + ... added in order onto +0.0, as a += loop
     from zeros does; .sum(axis=0) may sum pairwise."""
     return 0.0 + np.add.accumulate(terms, axis=0)[-1]
-
-
-def _ragged_take(flat, starts, lengths):
-    """The runs flat[starts[i]:starts[i] + lengths[i]], concatenated."""
-    ends = np.cumsum(lengths)
-    return flat[np.repeat(starts - ends + lengths, lengths)
-                + np.arange(ends[-1])]
 
 
 def train_classifier(labeled, config=TrainingConfig()):
@@ -169,7 +153,7 @@ def train_classifier(labeled, config=TrainingConfig()):
             # one row per feature, in example order: a featureless example
             # is repeated zero times, so its divisor only has to be nonzero
             updates = -(scale / np.maximum(b_lengths, 1))[:, None] * gh
-            np.add.at(emb, _ragged_take(flat, b_starts, b_lengths),
+            np.add.at(emb, flat[_ranges(b_starts, b_starts + b_lengths)],
                       np.repeat(updates, b_lengths, axis=0))
         epoch_losses.append(loss_sum / n)
 
@@ -293,7 +277,12 @@ def load_classifier(path):
             raise ValueError(f"{path}: {name} holds a value that is not "
                              f"finite")
         arrays[name] = array
+    losses = payload["epoch_losses"]
+    if not (isinstance(losses, list)
+            and all(type(x) is int or type(x) is float and math.isfinite(x)
+                    for x in losses)):
+        raise ValueError(f"{path}: epoch_losses must be a list of finite "
+                         f"numbers, got {losses!r}")
     return LinearTextClassifier(labels=tuple(labels), vocab=vocab,
-                                config=config,
-                                epoch_losses=tuple(payload["epoch_losses"]),
+                                config=config, epoch_losses=tuple(losses),
                                 **arrays)

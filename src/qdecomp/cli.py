@@ -28,7 +28,7 @@ from . import __version__
 from .classifier import (TrainingConfig, evaluate_classifier,
                          load_classifier, predict, route_mined_questions,
                          save_classifier, train_classifier)
-from .corpus import (COMPACT_JSON, DEFAULT_WH_WORDS, Question,
+from .corpus import (DEFAULT_WH_WORDS, Question, QuestionCorpus,
                      extract_candidate_questions, load_corpus, save_corpus)
 from .editing import edit_sub_question_texts, split_sub_question_texts
 from .embeddings import load_vector_table, vector_file_dim
@@ -334,8 +334,7 @@ def _checked(config_class, opts):
                help="comma-separated question-word list"),
           _opt("--id-prefix", "", help="id namespace prefix"),
           _opt("--dedup", False, action="store_true",
-               help="drop exact duplicate lines"),
-          _opt("--label", help="corpus label"))
+               help="drop exact duplicate lines"))
 def cmd_extract(opts):
     wh = frozenset(w.strip().lower() for w in opts["wh_words"].split(",")
                    if w.strip())
@@ -383,8 +382,8 @@ def cmd_train_classifier(opts):
     with _Run(opts, "train-classifier", opts["out"],
               *(path for _, path in pairs)) as run:
         for label, path in pairs:
-            train, hold = _split_holdout(load_corpus(path, label=label),
-                                         opts["holdout"], rng)
+            train, hold = _split_holdout(load_corpus(path), opts["holdout"],
+                                         rng)
             train_sets.append((train, label))
             if len(hold):
                 heldout_sets.append((hold, label))
@@ -550,12 +549,9 @@ def cmd_noise(opts):
     config = _checked(NoiseConfig, opts)
     with _Run(opts, "noise", opts["out"], opts["corpus"]) as run:
         corpus = load_corpus(opts["corpus"])
-        with open(run.output(opts["out"]), "w", encoding="utf-8") as fh:
-            for qid, noisy in zip(corpus.ids,
-                                  noise_corpus(corpus.tokens, config)):
-                fh.write(COMPACT_JSON.encode({"id": qid,
-                                              "text": " ".join(noisy)}))
-                fh.write("\n")
+        noised = map(" ".join, noise_corpus(corpus.tokens, config))
+        save_corpus(QuestionCorpus(corpus.ids, noised),
+                    run.output(opts["out"]))
     _progress(f"noise: rewrote {len(corpus)} questions")
     return 0
 

@@ -10,9 +10,9 @@ from functools import cached_property
 # punctuation character from the fixed set below.
 _TOKEN_RE = re.compile(r"""[^\s?.,;:!"'()]+|[?.,;:!"'()]""")
 
-# One encoder for every compact JSONL record: non-ASCII kept, keys sorted.
-COMPACT_JSON = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
-                                separators=(",", ":"))
+# The encoder of save_corpus's records: non-ASCII kept, keys sorted.
+_COMPACT_JSON = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
+                                 separators=(",", ":"))
 
 DEFAULT_WH_WORDS = frozenset(
     {"who", "what", "when", "where", "why", "which", "whom", "whose"}
@@ -59,12 +59,13 @@ class QuestionCorpus:
 
     ``tokens`` (each text's ``tokenize``, as a tuple) is computed once, on
     first use. Indexing and iteration build ``Question`` objects on demand.
+    A corpus holds no label: labels go with corpora where they are used, as
+    in train_classifier's (corpus, label) pairs.
     """
 
-    def __init__(self, ids, texts, label=None):
+    def __init__(self, ids, texts):
         self.ids = tuple(ids)
         self.texts = tuple(texts)
-        self.label = label
         if len(self.texts) != len(self.ids):
             raise ValueError(f"{len(self.ids)} ids but {len(self.texts)} texts")
         self._rows = dict(zip(self.ids, range(len(self.ids))))
@@ -91,11 +92,9 @@ class QuestionCorpus:
         return qid in self._rows
 
     def take(self, rows):
-        """The records at ``rows``, in that order, as a corpus with the same
-        label."""
+        """The records at ``rows``, in that order, as a corpus."""
         ids, texts = self.ids, self.texts
-        return QuestionCorpus([ids[r] for r in rows], [texts[r] for r in rows],
-                              self.label)
+        return QuestionCorpus([ids[r] for r in rows], [texts[r] for r in rows])
 
 
 def extract_candidate_questions(lines, wh_words=DEFAULT_WH_WORDS, id_prefix="",
@@ -163,7 +162,7 @@ def _check_unique(ids, start, place):
                              f"{ids[row]!r} (first at {place(first)})")
 
 
-def load_corpus(*paths, label=None):
+def load_corpus(*paths):
     """Read JSONL corpora of {"id", "text"} records, in order, as one corpus.
 
     Malformed lines and missing fields raise ValueError naming the line
@@ -182,12 +181,12 @@ def load_corpus(*paths, label=None):
         _check_unique(ids, starts[-1], place)
     if len(paths) > 1:
         _check_unique(ids, 0, place)
-    return QuestionCorpus(ids, texts, label=label)
+    return QuestionCorpus(ids, texts)
 
 
 def save_corpus(corpus, path):
     """Write a corpus as JSONL; inverse of load_corpus for id/text content."""
     with open(path, "w", encoding="utf-8") as fh:
         for qid, text in zip(corpus.ids, corpus.texts):
-            fh.write(COMPACT_JSON.encode({"id": qid, "text": text}))
+            fh.write(_COMPACT_JSON.encode({"id": qid, "text": text}))
             fh.write("\n")

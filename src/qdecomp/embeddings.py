@@ -6,6 +6,7 @@ accumulation happens in 64-bit.
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -19,6 +20,17 @@ EMBED_BLOCK = 256
 # and build-index's peak RSS rose by as much.
 _VEC_BLOCK = 1 << 18
 
+_U32 = 2.0 ** -24  # unit roundoff of float32
+_U64 = 2.0 ** -53  # unit roundoff of float64
+
+
+def _gamma(n, u):
+    """gamma_n = n*u / (1 - n*u): relative error bound of n roundings, as in
+    an n-term dot product in any order with unit roundoff u (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 3.1)."""
+    return n * u / (1.0 - n * u)
+
+
 # 10**k for the fraction digit counts k the bulk parse takes, each exact.
 _POW10 = np.array([float(10 ** k) for k in range(19)])
 
@@ -26,17 +38,16 @@ _POW10 = np.array([float(10 ** k) for k in range(19)])
 # component -?I.F with k fraction digits is x = I + F / 10**k, computed as
 # y = fl(fl(I) + fl(fl(F) / 10**k)) (10**k is exact): two nonnegative terms
 # after three roundings, so y = x(1 + t) with |t| <= gamma_3, and x lies in
-# [y(1 - gamma_3), y(1 + 2 gamma_3)], where gamma_n = n u / (1 - n u) with
-# u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-# section 3.1). Rounding 1 -/+ _VEC_SLACK and its product with y moves each
-# end by two more roundings, which gamma_10 covers, so the two computed
-# ends enclose x. float(token) is x rounded to the nearest double and lies
-# between the two ends, since rounding is monotone; float32 rounding is
-# monotone too, so when it maps both ends to one value, that value is
-# float32(float(token)). The sign goes on after, as rounding to nearest
-# commutes with negation. With at most 18 digits a part, a nonzero x lies
-# in [1e-18, 1e18), inside float32's normal range.
-_VEC_SLACK = 10 * 2.0 ** -53 / (1 - 10 * 2.0 ** -53)  # gamma_10
+# [y(1 - gamma_3), y(1 + 2 gamma_3)] (_gamma with u = _U64). Rounding 1 -/+
+# _VEC_SLACK and its product with y moves each end by two more roundings,
+# which gamma_10 covers, so the two computed ends enclose x. float(token) is
+# x rounded to the nearest double and lies between the two ends, since
+# rounding is monotone; float32 rounding is monotone too, so when it maps
+# both ends to one value, that value is float32(float(token)). The sign goes
+# on after, as rounding to nearest commutes with negation. With at most 18
+# digits a part, a nonzero x lies in [1e-18, 1e18), inside float32's normal
+# range.
+_VEC_SLACK = _gamma(10, _U64)
 
 
 @dataclass
@@ -360,6 +371,16 @@ def make_vector_table(entries):
     return _from_rows(list(entries), np.array(vectors))
 
 
+def _features(token_lists, vocab):
+    """Each token list's in-vocabulary ids, concatenated in order, with
+    each list's start offset and count."""
+    ids = [[vocab[t] for t in tokens if t in vocab] for tokens in token_lists]
+    lengths = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
+    flat = np.fromiter(chain.from_iterable(ids), dtype=np.intp,
+                       count=int(lengths.sum()))
+    return flat, np.cumsum(lengths) - lengths, lengths
+
+
 def embed_blocks(token_lists, table):
     """Summed word vectors of a sequence of token lists, block by block.
 
@@ -375,16 +396,13 @@ def embed_blocks(token_lists, table):
     """
     vocab, matrix, block = table.vocab, table.matrix, EMBED_BLOCK
     for start in range(0, len(token_lists), block):
-        rows = [[vocab[t] for t in tokens if t in vocab]
-                for tokens in token_lists[start:start + block]]
-        lengths = np.array([len(r) for r in rows], dtype=np.intp)
+        flat, starts, lengths = _features(token_lists[start:start + block],
+                                          vocab)
         order = np.argsort(-lengths, kind="stable")
-        flat = np.array([i for r in rows for i in r], dtype=np.intp)
-        first = (np.cumsum(lengths) - lengths)[order]
         positions = np.arange(lengths.max(initial=0))[:, None]
         live = positions < lengths[order]  # (positions, rows), prefixes
-        vectors = matrix[flat[(first + positions)[live]]]
-        sums = np.zeros((len(rows), matrix.shape[1]))
+        vectors = matrix[flat[(starts[order] + positions)[live]]]
+        sums = np.zeros((len(lengths), matrix.shape[1]))
         at = 0
         for count in live.sum(axis=1).tolist():
             sums[:count] += vectors[at:at + count]

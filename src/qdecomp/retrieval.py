@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .embeddings import VectorTable, embed_blocks
+from .embeddings import _U32, _U64, VectorTable, _gamma, embed_blocks
 from .rng import child_seed
 
 # the one embedding an index holds, named in its meta.json
@@ -47,17 +47,6 @@ _SCAN_BLOCK = 1 << 20
 # (K=1000, beam 100, 300-d) an unblocked size-3 pass would gather
 # 100K x 3 x 300 of them.
 _BEAM_BLOCK = 1 << 16
-
-_U32 = 2.0 ** -24  # unit roundoff of float32
-_U64 = 2.0 ** -53  # unit roundoff of float64
-
-
-def _gamma(n, u):
-    """gamma_n = n*u / (1 - n*u): relative error bound of an n-term dot
-    product evaluated in any order with unit roundoff u (Higham, Accuracy
-    and Stability of Numerical Algorithms, section 3.1)."""
-    return n * u / (1.0 - n * u)
-
 
 def _norms(rows):
     """Euclidean norm of each row of a 2-D array, as one BLAS dot per row by
@@ -258,21 +247,35 @@ def _check_unit_rows(path, unit):
 def load_index(dirpath):
     """Read an index written by save_index, with its word vectors.
 
-    Raises ValueError when meta.json names another source than summed word
-    vectors, when its rows, ids and texts disagree, an id repeats or it
-    records no rows, when unit.npy or raw.npy is not a finite float32
-    (rows, dim) matrix, when a unit.npy row does not have unit norm (see
-    _check_unit_rows), when it records no word vectors (an index written
-    before they were stored), or when vocab.json does not list the recorded
-    number of distinct words or vectors.npy is not a finite float32
-    (words, dim) matrix.
+    Raises ValueError when meta.json is not an object, names another source
+    than summed word vectors, records no word vectors (an index written
+    before they were stored) or lacks a field read here, when its rows, ids
+    and texts disagree, an id repeats or it records no rows, when unit.npy
+    or raw.npy is not a finite float32 (rows, dim) matrix, when a unit.npy
+    row does not have unit norm (see _check_unit_rows), or when vocab.json
+    does not list the recorded number of distinct words or vectors.npy is
+    not a finite float32 (words, dim) matrix.
     """
     meta_path = os.path.join(dirpath, "meta.json")
     with open(meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: expected a JSON object")
     if meta.get("source") != SOURCE_VECTORS:
         raise ValueError(f"{meta_path}: index source is {meta.get('source')!r}, "
                          f"only {SOURCE_VECTORS!r} indexes can be read")
+    vectors_path = os.path.join(dirpath, "vectors.npy")
+    vectors = meta.get("vectors")
+    if vectors is None:
+        raise ValueError(f"{vectors_path} is missing: {meta_path} records no "
+                         f"word vectors, so the index was built before "
+                         f"build-index stored them; rebuild it")
+    missing = [f for f in ("rows", "dim", "ids", "texts", "oov_excluded",
+                           "filtered_out") if f not in meta] + [
+        f"vectors.{f}" for f in ("dim", "words", "sha256")
+        if not isinstance(vectors, dict) or f not in vectors]
+    if missing:
+        raise ValueError(f"{meta_path}: lacks the field {missing[0]}")
     rows, dim = meta["rows"], meta["dim"]
     if not len(meta["ids"]) == len(meta["texts"]) == rows:
         raise ValueError(f"{meta_path}: rows is {rows}, but it lists "
@@ -286,12 +289,6 @@ def load_index(dirpath):
     unit, raw = (_load_matrix(os.path.join(dirpath, name), (rows, dim))
                  for name in ("unit.npy", "raw.npy"))
     row_squares = _check_unit_rows(os.path.join(dirpath, "unit.npy"), unit)
-    vectors_path = os.path.join(dirpath, "vectors.npy")
-    vectors = meta.get("vectors")
-    if vectors is None:
-        raise ValueError(f"{vectors_path} is missing: {meta_path} records no "
-                         f"word vectors, so the index was built before "
-                         f"build-index stored them; rebuild it")
     if vectors["dim"] != dim:
         raise ValueError(f"{meta_path}: vectors have dimension "
                          f"{vectors['dim']}, but the index has dimension {dim}")

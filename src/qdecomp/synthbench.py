@@ -20,8 +20,8 @@ from itertools import combinations
 import numpy as np
 
 from .corpus import Question, QuestionCorpus
-from .embeddings import make_vector_table
-from .retrieval import _U64, _gamma, _query_rows, _scan_queries, _unit_pool
+from .embeddings import _U64, _gamma, make_vector_table
+from .retrieval import _query_rows, _scan_queries, _unit_pool
 from .rng import substream
 
 OBJECTIVE_SIM_DIVERSITY = "sim-diversity"
@@ -233,7 +233,7 @@ FUNCTION_WORDS = ("what", "who", "where", "when", "which",
 
 
 def build_synthetic_singlehop_corpus(count, seed, topics=120, entities=200,
-                                     label="single-hop", id_prefix="s"):
+                                     id_prefix="s"):
     """Template questions over synthetic topic/entity vocabularies."""
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -251,8 +251,7 @@ def build_synthetic_singlehop_corpus(count, seed, topics=120, entities=200,
         else:
             text = f"{wh} is the {topic} of the {entity}?"
         texts.append(text)
-    return QuestionCorpus((f"{id_prefix}{i:08d}" for i in range(count)), texts,
-                          label=label)
+    return QuestionCorpus((f"{id_prefix}{i:08d}" for i in range(count)), texts)
 
 
 def corpus_vocabulary(corpus, extra=("and",)):

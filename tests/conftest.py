@@ -7,9 +7,9 @@ from qdecomp.corpus import QuestionCorpus
 from qdecomp.embeddings import make_vector_table
 
 
-def make_corpus(texts, prefix="q", label=None):
+def make_corpus(texts, prefix="q"):
     return QuestionCorpus([f"{prefix}{i:08d}" for i in range(len(texts))],
-                          texts, label=label)
+                          texts)
 
 
 def write_logits_jsonl(paragraphs, path):

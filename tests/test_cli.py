@@ -98,6 +98,30 @@ def test_unknown_config_key_rejected(workspace, capsys):
                  str(workspace["lines"]), "--out", str(out)]) == 1
 
 
+def test_extract_has_no_label_option(tmp_path, capsys):
+    # no input exists: the flag must be rejected before any is read
+    assert main(["extract", "--lines", str(tmp_path / "lines.txt"),
+                 "--out", str(tmp_path / "c.jsonl"), "--label", "x"]) == 1
+    assert "--label" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_extract_manifest_with_a_label_does_not_replay(tmp_path, capsys):
+    """Manifests of extract runs made while it took --label record
+    "label": null; the key is unknown now, and the replay fails before any
+    input is read."""
+    old = tmp_path / "c.jsonl.manifest.json"
+    old.write_text(json.dumps({
+        "schema_version": 1, "tool": "qdecomp", "subcommand": "extract",
+        "config": {"lines": str(tmp_path / "lines.txt"),
+                   "out": str(tmp_path / "c.jsonl"), "wh_words": "what,who",
+                   "id_prefix": "", "dedup": False, "label": None},
+        "inputs": {}}))
+    assert main(["extract", "--config", str(old)]) == 1
+    assert "unknown config keys: ['label']" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [old.name]
+
+
 def test_manifest_reuse_reproduces_run(workspace, capsys):
     tmp = workspace["tmp"]
     idx = tmp / "idx"
@@ -116,7 +140,7 @@ def test_manifest_reuse_reproduces_run(workspace, capsys):
 
 def test_classifier_pipeline_commands(workspace, capsys):
     tmp = workspace["tmp"]
-    single = build_synthetic_singlehop_corpus(80, seed=43, label="single")
+    single = build_synthetic_singlehop_corpus(80, seed=43)
     multi_texts = []
     qs = list(single)
     for i in range(0, 80, 2):
@@ -350,6 +374,36 @@ def test_index_contradicting_meta_is_data_error(indexed, capsys, name,
                  "--method", "variable", "--k", "20"]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and all(text in err for text in shown)
+    assert not out.exists()
+
+
+def _without(field):
+    """Deletes a field of meta.json, or a field of its vectors object
+    named vectors.<field>."""
+    def corrupt(meta):
+        *outer, name = field.split(".")
+        del (meta[outer[0]] if outer else meta)[name]
+        return meta
+    return corrupt
+
+
+_META_FIELDS = ["rows", "dim", "ids", "texts", "oov_excluded", "filtered_out",
+                "vectors.dim", "vectors.words", "vectors.sha256"]
+
+
+@pytest.mark.parametrize("corrupt, shown", [
+    *((_without(field), f"lacks the field {field}") for field in _META_FIELDS),
+    (lambda meta: [meta], "expected a JSON object"),
+    (lambda meta: dict(meta, vectors=[meta["vectors"]]),
+     "lacks the field vectors.dim"),
+], ids=[f"no-{field}" for field in _META_FIELDS] + ["list", "vectors-list"])
+def test_malformed_index_meta_is_data_error(indexed, capsys, corrupt, shown):
+    path = indexed["idx"] / "meta.json"
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    out = indexed["tmp"] / "pseudo.tsv"
+    assert main(_query_argv(indexed, "decompose", indexed["vec"], out)) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {shown}" in err
     assert not out.exists()
 
 
@@ -752,9 +806,12 @@ def _gap_in_vocab(vocab):
     ("embeddings", _first_not_finite(float("nan"))),
     ("weight", _first_not_finite(float("inf"))),
     ("bias", _first_not_finite(float("-inf"))),
+    ("epoch_losses", lambda losses: 5),
+    ("epoch_losses", _first_not_finite(float("nan"))),
 ], ids=["one-label", "repeated-label", "vocab-gap", "embeddings-rows",
         "embeddings-width", "weight-width", "weight-rows", "bias-short",
-        "nan-embedding", "inf-weight", "inf-bias"])
+        "nan-embedding", "inf-weight", "inf-bias", "losses-not-a-list",
+        "nan-loss"])
 @pytest.mark.parametrize("command", ["route", "classify"])
 def test_malformed_model_is_data_error(chain, capsys, command, field,
                                        corrupt):

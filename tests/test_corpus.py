@@ -134,13 +134,12 @@ def test_default_wh_words_are_lowercase():
 
 
 def test_corpus_jsonl_round_trip(tmp_path):
-    c = make_corpus(["Who wrote Hamlet?", "What is love?"], label="mined")
+    c = make_corpus(["Who wrote Hamlet?", "What is love?"])
     p = tmp_path / "c.jsonl"
     save_corpus(c, p)
-    back = load_corpus(p, label="mined")
+    back = load_corpus(p)
     assert [q.id for q in back] == [q.id for q in c]
     assert [q.raw_text for q in back] == [q.raw_text for q in c]
-    assert back.label == "mined"
     # stable serialization: keys sorted, no whitespace padding
     first = p.read_text().splitlines()[0]
     assert first == json.dumps(json.loads(first), sort_keys=True, separators=(",", ":"))
@@ -307,10 +306,9 @@ def test_load_corpus_of_several_files_keeps_their_order(tmp_path):
     p, q = tmp_path / "p.jsonl", tmp_path / "q.jsonl"
     p.write_text(f"{_B}\n", encoding="utf-8")
     q.write_text(f"{_A}\n", encoding="utf-8")
-    corpus = load_corpus(p, q, label="both")
+    corpus = load_corpus(p, q)
     assert corpus.ids == ("b", "a")
     assert corpus.texts == ("What is B?", "Who is A?")
-    assert corpus.label == "both"
 
 
 def test_corpus_tokens_are_computed_once_on_first_use(monkeypatch):
@@ -331,9 +329,9 @@ def test_corpus_tokens_are_computed_once_on_first_use(monkeypatch):
 
 
 def test_corpus_questions_on_demand():
-    c = make_corpus(["Who is A?", "what is B?"], label="x")
+    c = make_corpus(["Who is A?", "what is B?"])
     assert c[1] == Question("q00000001", "what is B?", ("what", "is", "b", "?"))
     assert list(c) == [c[0], c[1]]
     part = c.take([1, 0])
-    assert (part.ids, part.texts, part.label) == (
-        ("q00000001", "q00000000"), ("what is B?", "Who is A?"), "x")
+    assert (part.ids, part.texts) == (
+        ("q00000001", "q00000000"), ("what is B?", "Who is A?"))

@@ -110,8 +110,8 @@ def test_traced_corpus_chain_records_its_spans(tmp_path, monkeypatch,
     assert names["retrieval.build_index"] == 1
     # route, build-index (its two files in one call) and noise each load
     assert names["corpus.load"] == 3
-    # extract writes one corpus and route two
-    assert names["corpus.save"] == 3
+    # extract writes one corpus, route two and noise one
+    assert names["corpus.save"] == 4
     metrics, _ = tracer.layer_metrics(traced.spans)
     for name in ("corpus.extract_s", "corpus.load_s", "classifier.route_s",
                  "retrieval.build_index_s", "retrieval.index_rows"):
