@@ -34,12 +34,11 @@ from .editing import edit_sub_question_texts, split_sub_question_texts
 from .embeddings import load_vector_table, vector_file_dim
 from .metrics import RoundTripRecord, roundtrip_report
 from .noising import NoiseConfig, noise_corpus
-from .recompose import (ensemble_average, predict_answer, read_logits_jsonl,
-                        span_probabilities)
+from .recompose import ensemble_average, ranked_spans, read_logits_jsonl
 from .retrieval import (DecomposeConfig, LengthFilter, METHODS,
                         build_index, build_pseudo_decomposition_dataset,
                         load_index, read_dataset_tsv, save_index,
-                        write_dataset_tsv, _read_tsv, _tsv_field)
+                        write_dataset_rows, write_dataset_tsv, _read_tsv)
 from .rng import substream
 from .synthbench import (OBJECTIVES, build_synthetic_compositional, mrr_eval)
 
@@ -528,15 +527,11 @@ def cmd_decompose(opts):
 def cmd_edit(opts):
     with _Run(opts, "edit", opts["out"], opts["decompositions"]) as run:
         rows = read_dataset_tsv(opts["decompositions"])
-        with open(run.output(opts["out"]), "w", encoding="utf-8") as fh:
-            for fields in rows:
-                question = Question.from_text(fields[0], fields[1])
-                subs = split_sub_question_texts(fields[2])
-                edited = edit_sub_question_texts(question, subs)
-                fields = list(fields)
-                fields[2] = _tsv_field(" ".join(edited))
-                fh.write("\t".join(fields))
-                fh.write("\n")
+        for fields in rows:
+            question = Question.from_text(fields[0], fields[1])
+            subs = split_sub_question_texts(fields[2])
+            fields[2] = " ".join(edit_sub_question_texts(question, subs))
+        write_dataset_rows(rows, run.output(opts["out"]))
     _progress(f"edit: rewrote {len(rows)} decompositions")
     return 0
 
@@ -568,14 +563,7 @@ def cmd_metrics(opts):
                                                    fields[0]),
                        decomposition_text=fields[1], roundtrip_text=fields[2])
                    for lineno, fields in _read_tsv(opts["records"], 3)]
-        report = roundtrip_report(records)
-        payload = {
-            "bleu": report.bleu,
-            "good_fraction": report.good_fraction,
-            "scaled": report.scaled,
-            "edit_distance_mean": report.edit_distance_mean,
-            "length_ratio_mean": report.length_ratio_mean,
-        }
+        payload = dataclasses.asdict(roundtrip_report(records))
         _write_json(payload, run.output(opts["out"]))
     print(json.dumps(payload, sort_keys=True))
     return 0
@@ -631,10 +619,8 @@ def cmd_synth_eval(opts):
 def cmd_recompose(opts):
     with _Run(opts, "recompose", opts["out"], *opts["logits"]) as run:
         sets = [read_logits_jsonl(path) for path in opts["logits"]]
-        paragraphs = ensemble_average(sets)
-        ranked = sorted(span_probabilities(paragraphs),
-                        key=lambda e: (-e[2], e[0], e[1]))
-        pid, sid = predict_answer(paragraphs)
+        ranked = ranked_spans(ensemble_average(sets))
+        pid, sid, _ = ranked[0]
         payload = {
             "prediction": {"paragraph_id": pid, "span_id": sid},
             "ranked_spans": [{"paragraph_id": p, "span_id": s,

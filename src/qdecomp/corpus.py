@@ -126,27 +126,33 @@ def extract_candidate_questions(lines, wh_words=DEFAULT_WH_WORDS, id_prefix="",
                           texts)
 
 
-def _read_columns(path, ids, texts, lines):
-    """Append the id, text and line number of each record of a JSONL corpus;
-    blank lines are skipped."""
+def read_jsonl(path):
+    """(line number, value) of each non-blank line of a JSONL file; a line
+    that is not JSON raises ValueError naming path:line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                value = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            if "id" not in obj or "text" not in obj:
-                raise ValueError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
-            qid, text = obj["id"], obj["text"]
-            if not isinstance(qid, str) or not isinstance(text, str):
-                raise ValueError(f"{path}:{lineno}: 'id' and 'text' must be strings")
-            ids.append(qid)
-            texts.append(text)
-            lines.append(lineno)
+            yield lineno, value
+
+
+def _read_columns(path, ids, texts, lines):
+    """Append the id, text and line number of each record of a JSONL corpus."""
+    for lineno, obj in read_jsonl(path):
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}:{lineno}: expected a JSON object")
+        if "id" not in obj or "text" not in obj:
+            raise ValueError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
+        qid, text = obj["id"], obj["text"]
+        if not isinstance(qid, str) or not isinstance(text, str):
+            raise ValueError(f"{path}:{lineno}: 'id' and 'text' must be strings")
+        ids.append(qid)
+        texts.append(text)
+        lines.append(lineno)
 
 
 def _check_unique(ids, start, place):

@@ -7,10 +7,11 @@ its span probabilities. Ensembling averages logits element-wise across
 structurally identical logit sets.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from .corpus import read_jsonl
 
 
 @dataclass(frozen=True)
@@ -22,8 +23,14 @@ class ParagraphLogits:
     no_answer_logit: float
 
     def __post_init__(self):
+        if not isinstance(self.paragraph_id, str):
+            raise ValueError(
+                f"paragraph id {self.paragraph_id!r} is not a string")
         seen = set()
         for sid, logit in self.span_entries:
+            if not isinstance(sid, str):
+                raise ValueError(f"paragraph {self.paragraph_id!r}: span id "
+                                 f"{sid!r} is not a string")
             if sid in seen:
                 raise ValueError(
                     f"paragraph {self.paragraph_id!r}: duplicate span id {sid!r}")
@@ -96,41 +103,39 @@ def ensemble_average(logit_sets):
     return out
 
 
-def predict_answer(paragraphs):
-    """(paragraph_id, span_id) of the most probable span.
+def ranked_spans(paragraphs):
+    """span_probabilities, most probable first; equal probabilities go in
+    (paragraph_id, span_id) order."""
+    return sorted(span_probabilities(paragraphs),
+                  key=lambda e: (-e[2], e[0], e[1]))
 
-    Probability ties break toward the smallest (paragraph_id, span_id) pair.
-    Span ids are only unique within a paragraph, so the full pair is
+
+def predict_answer(paragraphs):
+    """(paragraph_id, span_id) of the first span of ranked_spans: the most
+    probable one, ties broken toward the smallest (paragraph_id, span_id)
+    pair. Span ids are only unique within a paragraph, so the full pair is
     returned.
     """
-    ranked = span_probabilities(paragraphs)
-    best_prob = max(pr for _, _, pr in ranked)
-    ties = [(pid, sid) for pid, sid, pr in ranked if pr == best_prob]
-    return min(ties)
+    return ranked_spans(paragraphs)[0][:2]
 
 
 def read_logits_jsonl(path):
     """Read paragraph logits from JSONL records of
-    {"paragraph_id", "no_answer_logit", "spans": [{"span_id", "logit"}]}."""
+    {"paragraph_id", "no_answer_logit", "spans": [{"span_id", "logit"}]}.
+
+    A record that lacks a field, holds a non-string id or a logit that is
+    not a finite number raises ValueError naming path:line.
+    """
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
-            try:
-                entries = tuple((s["span_id"], float(s["logit"]))
-                                for s in obj["spans"])
-                para = ParagraphLogits(paragraph_id=obj["paragraph_id"],
-                                       span_entries=entries,
-                                       no_answer_logit=float(obj["no_answer_logit"]))
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad logits record: {exc}") from exc
-            out.append(para)
+    for lineno, obj in read_jsonl(path):
+        try:
+            entries = tuple((s["span_id"], float(s["logit"]))
+                            for s in obj["spans"])
+            out.append(ParagraphLogits(
+                paragraph_id=obj["paragraph_id"], span_entries=entries,
+                no_answer_logit=float(obj["no_answer_logit"])))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad logits record: {exc}") from exc
     if not out:
         raise ValueError(f"{path}: no paragraph records")
     return out
-

@@ -244,15 +244,29 @@ def _check_unit_rows(path, unit):
     return row_squares
 
 
+_COUNT, _STRINGS = "a non-negative integer", "a list of strings"
+_META_KINDS = {
+    _COUNT: lambda v: type(v) is int and v >= 0,
+    _STRINGS: lambda v: type(v) is list and all(type(s) is str for s in v),
+    "a string": lambda v: type(v) is str,
+}
+# each meta.json field load_index reads, and the kind of value it holds
+_META_FIELDS = {"rows": _COUNT, "dim": _COUNT, "ids": _STRINGS,
+                "texts": _STRINGS, "oov_excluded": _COUNT,
+                "filtered_out": _COUNT, "vectors.dim": _COUNT,
+                "vectors.words": _COUNT, "vectors.sha256": "a string"}
+
+
 def load_index(dirpath):
     """Read an index written by save_index, with its word vectors.
 
     Raises ValueError when meta.json is not an object, names another source
     than summed word vectors, records no word vectors (an index written
-    before they were stored) or lacks a field read here, when its rows, ids
-    and texts disagree, an id repeats or it records no rows, when unit.npy
-    or raw.npy is not a finite float32 (rows, dim) matrix, when a unit.npy
-    row does not have unit norm (see _check_unit_rows), or when vocab.json
+    before they were stored), lacks a field read here or holds a value of
+    another kind than _META_FIELDS gives for it, when its rows, ids and
+    texts disagree, an id repeats or it records no rows, when unit.npy or
+    raw.npy is not a finite float32 (rows, dim) matrix, when a unit.npy row
+    does not have unit norm (see _check_unit_rows), or when vocab.json
     does not list the recorded number of distinct words or vectors.npy is
     not a finite float32 (words, dim) matrix.
     """
@@ -270,12 +284,13 @@ def load_index(dirpath):
         raise ValueError(f"{vectors_path} is missing: {meta_path} records no "
                          f"word vectors, so the index was built before "
                          f"build-index stored them; rebuild it")
-    missing = [f for f in ("rows", "dim", "ids", "texts", "oov_excluded",
-                           "filtered_out") if f not in meta] + [
-        f"vectors.{f}" for f in ("dim", "words", "sha256")
-        if not isinstance(vectors, dict) or f not in vectors]
-    if missing:
-        raise ValueError(f"{meta_path}: lacks the field {missing[0]}")
+    for field, kind in _META_FIELDS.items():
+        *outer, name = field.split(".")
+        holder = vectors if outer else meta
+        if not isinstance(holder, dict) or name not in holder:
+            raise ValueError(f"{meta_path}: lacks the field {field}")
+        if not _META_KINDS[kind](holder[name]):
+            raise ValueError(f"{meta_path}: the field {field} is not {kind}")
     rows, dim = meta["rows"], meta["dim"]
     if not len(meta["ids"]) == len(meta["texts"]) == rows:
         raise ValueError(f"{meta_path}: rows is {rows}, but it lists "
@@ -357,13 +372,11 @@ def _topk_rows(index, q_units, k):
              + dim * 2.0 ** -149) * (1.0 + 2.0 ** -40)
     results = []
     for q, scores32, margin in zip(queries, approx, 2.0 * delta):
-        if k_eff == n:
-            rows = np.arange(n)
-        else:
-            tau = np.float64(np.partition(scores32, n - k_eff)[n - k_eff])
-            # nextafter covers the rounding of tau - margin
-            floor = np.nextafter(tau - margin, -np.inf)
-            rows = np.flatnonzero(scores32.astype(np.float64) >= floor)
+        # with K >= N, tau is the smallest score and every row is kept
+        tau = np.float64(np.partition(scores32, n - k_eff)[n - k_eff])
+        # nextafter covers the rounding of tau - margin
+        floor = np.nextafter(tau - margin, -np.inf)
+        rows = np.flatnonzero(scores32.astype(np.float64) >= floor)
         scores = (np.asarray(matrix[rows], dtype=np.float64, order="C")
                   * q).sum(axis=1)
         order = np.lexsort((index.id_rank[rows], -scores))[:k_eff]
@@ -744,15 +757,20 @@ DATASET_COLUMNS = ("question_id", "question_text", "decomposition_text",
                    "objective_score", "method")
 
 
+def write_dataset_rows(rows, path):
+    """Write rows of string fields as a headerless TSV, with the tabs and
+    line breaks of every field turned into spaces."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for fields in rows:
+            fh.write("\t".join(map(_tsv_field, fields)))
+            fh.write("\n")
+
+
 def write_dataset_tsv(records, path):
     """Write (question, decomposition) pairs as a headerless 5-column TSV."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for q, d in records:
-            fields = (q.id, _tsv_field(q.raw_text),
-                      _tsv_field(decomposition_text(d)),
-                      repr(float(d.objective_score)), d.method)
-            fh.write("\t".join(fields))
-            fh.write("\n")
+    write_dataset_rows(((q.id, q.raw_text, decomposition_text(d),
+                         repr(float(d.objective_score)), d.method)
+                        for q, d in records), path)
 
 
 def _read_tsv(path, columns):

@@ -180,7 +180,9 @@ def test_classifier_pipeline_commands(workspace, capsys):
     assert len(routed_multi) >= 30  # most composites land on the multi side
 
 
-def test_decompose_edit_metrics_flow(workspace, capsys):
+def _decompose_edit_metrics(workspace, prefix):
+    """build-index, decompose, edit and metrics over composite questions
+    with ids prefix + a number; each step must exit 0."""
     tmp = workspace["tmp"]
     idx = tmp / "idx"
     assert main(["build-index", "--corpus", str(workspace["single"]),
@@ -194,7 +196,8 @@ def test_decompose_edit_metrics_flow(workspace, capsys):
         multi_texts.append(qs[i].raw_text.rstrip("?").rstrip()
                            + " and " + qs[i + 1].raw_text)
     mh = tmp / "multi.jsonl"
-    save_corpus(make_corpus(multi_texts, prefix="mh"), mh)
+    questions = make_corpus(multi_texts, prefix=prefix)
+    save_corpus(questions, mh)
 
     tsv = tmp / "pseudo.tsv"
     assert main(["decompose", "--questions", str(mh), "--index", str(idx),
@@ -204,11 +207,16 @@ def test_decompose_edit_metrics_flow(workspace, capsys):
     rows = read_dataset_tsv(tsv)
     assert len(rows) == 10
     assert all(r[4] == "variable" for r in rows)
+    assert [r[0] for r in rows] == [qid.replace("\t", " ").replace("\n", " ")
+                                    for qid in questions.ids]
 
     edited = tmp / "edited.tsv"
     assert main(["edit", "--decompositions", str(tsv), "--out", str(edited)]) == 0
     erows = read_dataset_tsv(edited)
     assert len(erows) == 10
+    for path in (tsv, edited):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [len(line.split("\t")) for line in lines] == [5] * 10
     assert [r[0] for r in erows] == [r[0] for r in rows]
 
     records = tmp / "records.tsv"
@@ -222,6 +230,14 @@ def test_decompose_edit_metrics_flow(workspace, capsys):
                         "edit_distance_mean", "length_ratio_mean"}
     assert rep["bleu"] == pytest.approx(1.0)
     assert rep["scaled"] == pytest.approx(rep["bleu"] * rep["good_fraction"])
+
+
+def test_decompose_edit_metrics_flow(workspace, capsys):
+    _decompose_edit_metrics(workspace, "mh")
+
+
+def test_ids_with_tab_and_newline_flow_through_the_tsvs(workspace, capsys):
+    _decompose_edit_metrics(workspace, "m\th\n")
 
 
 def test_metrics_names_a_records_line_with_too_few_columns(tmp_path, capsys):
@@ -391,12 +407,43 @@ _META_FIELDS = ["rows", "dim", "ids", "texts", "oov_excluded", "filtered_out",
                 "vectors.dim", "vectors.words", "vectors.sha256"]
 
 
+def _with(field, value):
+    """Sets a field of meta.json, or vectors.<field> of its vectors object,
+    to value(meta)."""
+    def corrupt(meta):
+        *outer, name = field.split(".")
+        (meta[outer[0]] if outer else meta)[name] = value(meta)
+        return meta
+    return corrupt
+
+
+_COUNT, _STRINGS = "a non-negative integer", "a list of strings"
+_BAD_META_VALUES = [  # (case, field, value of meta, the kind named)
+    ("ids-int", "ids", lambda meta: 5, _STRINGS),
+    ("ids-of-ints", "ids", lambda meta: list(range(meta["rows"])), _STRINGS),
+    ("texts-of-an-int", "texts", lambda meta: [1] + meta["texts"][1:],
+     _STRINGS),
+    ("texts-string", "texts", lambda meta: "abc", _STRINGS),
+    ("oov_excluded-string", "oov_excluded", lambda meta: "x", _COUNT),
+    ("rows-float", "rows", lambda meta: float(meta["rows"]), _COUNT),
+    ("dim-bool", "dim", lambda meta: True, _COUNT),
+    ("filtered_out-negative", "filtered_out", lambda meta: -1, _COUNT),
+    ("vectors.dim-string", "vectors.dim", lambda meta: str(meta["dim"]),
+     _COUNT),
+    ("vectors.words-null", "vectors.words", lambda meta: None, _COUNT),
+    ("vectors.sha256-int", "vectors.sha256", lambda meta: 5, "a string"),
+]
+
+
 @pytest.mark.parametrize("corrupt, shown", [
     *((_without(field), f"lacks the field {field}") for field in _META_FIELDS),
     (lambda meta: [meta], "expected a JSON object"),
     (lambda meta: dict(meta, vectors=[meta["vectors"]]),
      "lacks the field vectors.dim"),
-], ids=[f"no-{field}" for field in _META_FIELDS] + ["list", "vectors-list"])
+    *((_with(field, value), f"the field {field} is not {kind}")
+      for _, field, value, kind in _BAD_META_VALUES),
+], ids=[f"no-{field}" for field in _META_FIELDS] + ["list", "vectors-list"]
+    + [case for case, *_ in _BAD_META_VALUES])
 def test_malformed_index_meta_is_data_error(indexed, capsys, corrupt, shown):
     path = indexed["idx"] / "meta.json"
     path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
@@ -918,6 +965,35 @@ def test_recompose_command(tmp_path, capsys):
     assert len(rep["ranked_spans"]) == 3
     probs = [e["probability"] for e in rep["ranked_spans"]]
     assert probs == sorted(probs, reverse=True)
+
+
+def _logits_record(paragraph_id="p2", logit=1.0, span_ids=("s1",)):
+    return json.dumps({"paragraph_id": paragraph_id, "no_answer_logit": 0.0,
+                       "spans": [{"span_id": sid, "logit": logit}
+                                 for sid in span_ids]})
+
+
+@pytest.mark.parametrize("record, shown", [
+    (_logits_record(logit="abc"), "'abc'"),
+    (_logits_record(logit="nan"), "non-finite logit"),
+    (_logits_record(logit=10 ** 400), "too large"),
+    (_logits_record(paragraph_id=2), "paragraph id 2 is not a string"),
+    (_logits_record(span_ids=(1, "s1")), "span id 1 is not a string"),
+    (_logits_record(span_ids=("s1", "s1")), "duplicate span id 's1'"),
+    (json.dumps({"paragraph_id": "p2", "spans": []}), "'no_answer_logit'"),
+    ("[1, 2]", "list indices"),
+], ids=["logit-string", "logit-nan-string", "logit-overflow", "int-paragraph",
+        "mixed-span-ids", "repeated-span", "no-answer-missing", "not-object"])
+def test_bad_logits_record_names_its_line(tmp_path, capsys, record, shown):
+    logits = tmp_path / "logits.jsonl"
+    logits.write_text(_logits_record(paragraph_id="p1") + "\n\n" + record
+                      + "\n")
+    out = tmp_path / "answer.json"
+    assert main(["recompose", "--logits", str(logits), "--out",
+                 str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{logits}:3: bad logits record: " in err and shown in err
+    assert not out.exists()
 
 
 def test_internal_error_exit_code(tmp_path, capsys):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdecomp.corpus import load_corpus
 from qdecomp.recompose import (
     ParagraphLogits,
     ensemble_average,
     predict_answer,
+    ranked_spans,
     read_logits_jsonl,
     span_probabilities,
 )
@@ -75,9 +77,34 @@ def test_global_shift_keeps_argmax():
 
 
 def test_predict_answer_tie_breaks_to_smallest_ids():
-    paras = [para("p2", [("s1", 1.0)], 0.0),
-             para("p1", [("s2", 1.0), ("s1", 1.0)], 0.0)]
-    assert predict_answer(paras) == ("p1", "s1")
+    cases = [  # (paragraphs with an exact probability tie, answer)
+        ([para("p2", [("s1", 1.0)], 0.0),
+          para("p1", [("s2", 1.0), ("s1", 1.0)], 0.0)], ("p1", "s1")),
+        ([para("b", [("x", 2.0), ("y", 0.0)], 0.0),
+          para("a", [("z", 2.0)], 0.0)], ("a", "z")),
+        ([para("p2", [("s", 3.0)], 1.0), para("p1", [("t", 2.5)], 0.5)],
+         ("p1", "t")),
+        ([para("p", [("b", 1.0), ("a", 1.0), ("c", 5.0)], 0.0)], ("p", "c")),
+    ]
+    for paras, answer in cases:
+        ranked = ranked_spans(paras)
+        assert predict_answer(paras) == ranked[0][:2] == answer
+        assert sorted(ranked) == sorted(span_probabilities(paras))
+        for (p0, s0, pr0), (p1, s1, pr1) in zip(ranked, ranked[1:]):
+            assert pr0 > pr1 or (pr0 == pr1 and (p0, s0) < (p1, s1))
+        probs = [pr for _, _, pr in ranked]
+        assert len(set(probs)) < len(probs)
+
+
+def test_jsonl_readers_share_the_malformed_line_error(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n{oops\n")
+    with pytest.raises(ValueError) as corpus_error:
+        load_corpus(path)
+    with pytest.raises(ValueError) as logits_error:
+        read_logits_jsonl(path)
+    assert str(corpus_error.value) == str(logits_error.value)
+    assert str(corpus_error.value).startswith(f"{path}:2: malformed JSON line: ")
 
 
 def test_ensemble_averages_logits_elementwise():
