@@ -8,6 +8,7 @@ from itertools import chain, islice
 
 import numpy as np
 
+from .corpus import JSON_KINDS, NUMBERS, STRINGS, write_json
 from .embeddings import _features, _ranges
 from .rng import substream
 
@@ -230,9 +231,7 @@ def save_classifier(model, path):
         "config": asdict(model.config),
         "epoch_losses": list(model.epoch_losses),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def load_classifier(path):
@@ -250,8 +249,7 @@ def load_classifier(path):
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: config: {exc}") from None
     labels = payload["labels"]
-    if not (isinstance(labels, list) and len(labels) >= 2
-            and all(isinstance(lab, str) for lab in labels)
+    if not (JSON_KINDS[STRINGS](labels) and len(labels) >= 2
             and len(set(labels)) == len(labels)):
         raise ValueError(f"{path}: labels must be two or more distinct "
                          f"strings, got {labels!r}")
@@ -278,11 +276,9 @@ def load_classifier(path):
                              f"finite")
         arrays[name] = array
     losses = payload["epoch_losses"]
-    if not (isinstance(losses, list)
-            and all(type(x) is int or type(x) is float and math.isfinite(x)
-                    for x in losses)):
-        raise ValueError(f"{path}: epoch_losses must be a list of finite "
-                         f"numbers, got {losses!r}")
+    if not JSON_KINDS[NUMBERS](losses):
+        raise ValueError(f"{path}: epoch_losses must be {NUMBERS}, got "
+                         f"{losses!r}")
     return LinearTextClassifier(labels=tuple(labels), vocab=vocab,
                                 config=config, epoch_losses=tuple(losses),
                                 **arrays)

@@ -29,7 +29,8 @@ from .classifier import (TrainingConfig, evaluate_classifier,
                          load_classifier, predict, route_mined_questions,
                          save_classifier, train_classifier)
 from .corpus import (DEFAULT_WH_WORDS, Question, QuestionCorpus,
-                     extract_candidate_questions, load_corpus, save_corpus)
+                     extract_candidate_questions, load_corpus, save_corpus,
+                     write_json, write_jsonl)
 from .editing import edit_sub_question_texts, split_sub_question_texts
 from .embeddings import load_vector_table, vector_file_dim
 from .metrics import RoundTripRecord, roundtrip_report
@@ -168,14 +169,14 @@ class _Run:
                     raise ValueError(f"{path}: holds files this run does not "
                                      f"write ({', '.join(other)}); choose "
                                      f"another output directory")
-        _write_json({
+        write_json({
             "schema_version": 1,
             "tool": "qdecomp",
             "version": __version__,
             "subcommand": self._subcommand,
             "config": {k: v for k, v in self._opts.items() if k != "manifest"},
             "inputs": {path: self.get(path) for path in self._digests},
-        }, staged[0][0])
+        }, staged[0][0], indent=2)
         for tmp, path in staged[1:] + staged[:1]:
             if os.path.isdir(path):
                 aside = _beside(path)
@@ -184,13 +185,6 @@ class _Run:
                 self._aside.append(aside)  # not if the new one failed
             else:
                 os.replace(tmp, path)
-
-
-def _write_json(payload, path):
-    """Sorted, indented JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +392,7 @@ def cmd_train_classifier(opts):
             "epoch_losses": list(model.epoch_losses),
         }
         if opts["report"]:
-            _write_json(report, run.output(opts["report"]))
+            write_json(report, run.output(opts["report"]), indent=2)
     print(json.dumps(report, sort_keys=True))
     _progress(f"train-classifier: {report['train_examples']} train examples, "
               f"heldout accuracy {report['heldout_accuracy']}")
@@ -414,15 +408,13 @@ def cmd_classify(opts):
               opts["corpus"]) as run:
         model = load_classifier(opts["model"])
         corpus = load_corpus(opts["corpus"])
-        with open(run.output(opts["out"]), "w", encoding="utf-8") as fh:
-            for qid, pred in zip(corpus.ids, predict(model, corpus.tokens)):
-                fh.write(json.dumps({
-                    "id": qid,
-                    "label": pred.label,
-                    "degenerate": pred.degenerate,
-                    "probabilities": [float(p) for p in pred.probabilities],
-                }, ensure_ascii=False, sort_keys=True))
-                fh.write("\n")
+        write_jsonl(({"id": qid,
+                      "label": pred.label,
+                      "degenerate": pred.degenerate,
+                      "probabilities": [float(p) for p in pred.probabilities]}
+                     for qid, pred in zip(corpus.ids,
+                                          predict(model, corpus.tokens))),
+                    run.output(opts["out"]))
     _progress(f"classify: labeled {len(corpus)} questions")
     return 0
 
@@ -564,7 +556,7 @@ def cmd_metrics(opts):
                        decomposition_text=fields[1], roundtrip_text=fields[2])
                    for lineno, fields in _read_tsv(opts["records"], 3)]
         payload = dataclasses.asdict(roundtrip_report(records))
-        _write_json(payload, run.output(opts["out"]))
+        write_json(payload, run.output(opts["out"]), indent=2)
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -599,7 +591,7 @@ def cmd_synth_eval(opts):
         benchmark = build_synthetic_compositional(pool, opts["n"],
                                                   opts["count"], opts["seed"])
         report = mrr_eval(opts["objective"], benchmark, index, opts["k"])
-        _write_json(list(report.ranks), run.output(ranks_path))
+        write_json(list(report.ranks), run.output(ranks_path), indent=2)
         payload = {
             "objective": report.objective,
             "n": opts["n"],
@@ -607,7 +599,7 @@ def cmd_synth_eval(opts):
             "mrr": report.mrr,
             "per_question_ranks_path": ranks_path,
         }
-        _write_json(payload, run.output(opts["out"]))
+        write_json(payload, run.output(opts["out"]), indent=2)
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -626,7 +618,7 @@ def cmd_recompose(opts):
             "ranked_spans": [{"paragraph_id": p, "span_id": s,
                               "probability": pr} for p, s, pr in ranked],
         }
-        _write_json(payload, run.output(opts["out"]))
+        write_json(payload, run.output(opts["out"]), indent=2)
     print(json.dumps(payload["prediction"], sort_keys=True))
     return 0
 

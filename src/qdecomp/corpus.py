@@ -1,6 +1,9 @@
-"""Question corpora: tokenization, question harvesting from raw lines, JSONL I/O."""
+"""Question corpora: tokenization, question harvesting from raw lines, JSONL
+I/O, and the JSON policy of every artifact: how it is written and the kinds
+of value its loaders accept."""
 
 import json
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -9,10 +12,6 @@ from functools import cached_property
 # A token is either a run of non-space non-punctuation characters or a single
 # punctuation character from the fixed set below.
 _TOKEN_RE = re.compile(r"""[^\s?.,;:!"'()]+|[?.,;:!"'()]""")
-
-# The encoder of save_corpus's records: non-ASCII kept, keys sorted.
-_COMPACT_JSON = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
-                                 separators=(",", ":"))
 
 DEFAULT_WH_WORDS = frozenset(
     {"who", "what", "when", "where", "why", "which", "whom", "whose"}
@@ -140,6 +139,63 @@ def read_jsonl(path):
             yield lineno, value
 
 
+def _encoder(indent=None, separators=None):
+    """The one JSON encoder policy: keys sorted, non-ASCII kept, and no NaN
+    or Infinity, which JSON cannot hold."""
+    return json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                            allow_nan=False, indent=indent,
+                            separators=separators)
+
+
+def write_json(value, path, indent=None):
+    """Write one JSON document and a newline. A NaN or infinite value raises
+    ValueError naming path, before the file is opened.
+
+    encode() runs the C encoder when there is no indent; json.dump always
+    streams through the pure-Python one.
+    """
+    try:
+        text = _encoder(indent).encode(value)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.write("\n")
+
+
+def write_jsonl(values, path, separators=None):
+    """Write one JSON document per line through one encoder. A NaN or
+    infinite value raises ValueError naming path:line."""
+    encode = _encoder(separators=separators).encode
+    with open(path, "w", encoding="utf-8") as fh:
+        for lineno, value in enumerate(values, start=1):
+            try:
+                fh.write(encode(value))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            fh.write("\n")
+
+
+COUNT, STRING, NUMBER = ("a non-negative integer", "a string",
+                         "a finite number")
+STRINGS, NUMBERS = "a list of strings", "a list of finite numbers"
+
+
+def _is_number(v):
+    # every JSON integer is finite; a bool is not a number
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
+# the kinds of JSON value the loaders accept, by the name their errors give
+JSON_KINDS = {
+    COUNT: lambda v: type(v) is int and v >= 0,
+    STRING: lambda v: type(v) is str,
+    NUMBER: _is_number,
+    STRINGS: lambda v: type(v) is list and all(type(s) is str for s in v),
+    NUMBERS: lambda v: type(v) is list and all(map(_is_number, v)),
+}
+
+
 def _read_columns(path, ids, texts, lines):
     """Append the id, text and line number of each record of a JSONL corpus."""
     for lineno, obj in read_jsonl(path):
@@ -192,7 +248,6 @@ def load_corpus(*paths):
 
 def save_corpus(corpus, path):
     """Write a corpus as JSONL; inverse of load_corpus for id/text content."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for qid, text in zip(corpus.ids, corpus.texts):
-            fh.write(_COMPACT_JSON.encode({"id": qid, "text": text}))
-            fh.write("\n")
+    write_jsonl(({"id": qid, "text": text}
+                 for qid, text in zip(corpus.ids, corpus.texts)),
+                path, separators=(",", ":"))

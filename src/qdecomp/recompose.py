@@ -7,40 +7,47 @@ its span probabilities. Ensembling averages logits element-wise across
 structurally identical logit sets.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import read_jsonl
+from .corpus import JSON_KINDS, NUMBER, read_jsonl
 
 
 @dataclass(frozen=True)
 class ParagraphLogits:
-    """Span logits and the no-answer logit for one paragraph."""
+    """Span logits and the no-answer logit for one paragraph. Each logit is
+    a finite JSON number (JSON_KINDS) whose adjusted logit l - n is finite
+    in float64; an int too large for a float raises OverflowError."""
 
     paragraph_id: str
     span_entries: tuple  # ((span_id, logit), ...)
     no_answer_logit: float
 
     def __post_init__(self):
-        if not isinstance(self.paragraph_id, str):
-            raise ValueError(
-                f"paragraph id {self.paragraph_id!r} is not a string")
+        pid = self.paragraph_id
+        if not isinstance(pid, str):
+            raise ValueError(f"paragraph id {pid!r} is not a string")
+        no_answer = self.no_answer_logit
+        if not JSON_KINDS[NUMBER](no_answer):
+            raise ValueError(f"paragraph {pid!r}: no-answer logit "
+                             f"{no_answer!r} is not {NUMBER}")
         seen = set()
         for sid, logit in self.span_entries:
             if not isinstance(sid, str):
-                raise ValueError(f"paragraph {self.paragraph_id!r}: span id "
-                                 f"{sid!r} is not a string")
+                raise ValueError(f"paragraph {pid!r}: span id {sid!r} is not "
+                                 f"a string")
             if sid in seen:
-                raise ValueError(
-                    f"paragraph {self.paragraph_id!r}: duplicate span id {sid!r}")
+                raise ValueError(f"paragraph {pid!r}: duplicate span id {sid!r}")
             seen.add(sid)
-            if not np.isfinite(logit):
-                raise ValueError(
-                    f"paragraph {self.paragraph_id!r}: non-finite logit for {sid!r}")
-        if not np.isfinite(self.no_answer_logit):
-            raise ValueError(
-                f"paragraph {self.paragraph_id!r}: non-finite no-answer logit")
+            if not JSON_KINDS[NUMBER](logit):
+                raise ValueError(f"paragraph {pid!r}: logit {logit!r} for "
+                                 f"{sid!r} is not {NUMBER}")
+            if not math.isfinite(float(logit) - float(no_answer)):
+                raise ValueError(f"paragraph {pid!r}: logit {logit!r} for "
+                                 f"{sid!r} minus the no-answer logit "
+                                 f"{no_answer!r} overflows")
 
 
 def _adjusted(paragraphs):
@@ -49,7 +56,7 @@ def _adjusted(paragraphs):
     for p in paragraphs:
         for sid, logit in p.span_entries:
             keys.append((p.paragraph_id, sid))
-            adjusted.append(logit - p.no_answer_logit)
+            adjusted.append(float(logit) - float(p.no_answer_logit))
     return keys, np.array(adjusted, dtype=np.float64)
 
 
@@ -123,17 +130,17 @@ def read_logits_jsonl(path):
     """Read paragraph logits from JSONL records of
     {"paragraph_id", "no_answer_logit", "spans": [{"span_id", "logit"}]}.
 
-    A record that lacks a field, holds a non-string id or a logit that is
-    not a finite number raises ValueError naming path:line.
+    The values are passed to ParagraphLogits as read, so a record that
+    lacks a field or that it refuses (a logit that is a bool, a string or
+    too large, say) raises ValueError naming path:line.
     """
     out = []
     for lineno, obj in read_jsonl(path):
         try:
-            entries = tuple((s["span_id"], float(s["logit"]))
-                            for s in obj["spans"])
+            entries = tuple((s["span_id"], s["logit"]) for s in obj["spans"])
             out.append(ParagraphLogits(
                 paragraph_id=obj["paragraph_id"], span_entries=entries,
-                no_answer_logit=float(obj["no_answer_logit"])))
+                no_answer_logit=obj["no_answer_logit"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}:{lineno}: bad logits record: {exc}") from exc
     if not out:

@@ -21,6 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .corpus import COUNT, JSON_KINDS, STRING, STRINGS, write_json
 from .embeddings import _U32, _U64, VectorTable, _gamma, embed_blocks
 from .rng import child_seed
 
@@ -195,11 +196,8 @@ def save_index(index, dirpath, vectors_sha256):
                     "words": len(table)},
     }
     os.makedirs(dirpath, exist_ok=True)
-    for name, payload in (("meta.json", meta),
-                          ("vocab.json", list(table.vocab))):
-        with open(os.path.join(dirpath, name), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
-            fh.write("\n")
+    write_json(meta, os.path.join(dirpath, "meta.json"))
+    write_json(list(table.vocab), os.path.join(dirpath, "vocab.json"))
     for name, matrix in (("unit.npy", index.unit_matrix),
                          ("raw.npy", index.raw_matrix),
                          ("vectors.npy", table.matrix)):
@@ -244,17 +242,11 @@ def _check_unit_rows(path, unit):
     return row_squares
 
 
-_COUNT, _STRINGS = "a non-negative integer", "a list of strings"
-_META_KINDS = {
-    _COUNT: lambda v: type(v) is int and v >= 0,
-    _STRINGS: lambda v: type(v) is list and all(type(s) is str for s in v),
-    "a string": lambda v: type(v) is str,
-}
 # each meta.json field load_index reads, and the kind of value it holds
-_META_FIELDS = {"rows": _COUNT, "dim": _COUNT, "ids": _STRINGS,
-                "texts": _STRINGS, "oov_excluded": _COUNT,
-                "filtered_out": _COUNT, "vectors.dim": _COUNT,
-                "vectors.words": _COUNT, "vectors.sha256": "a string"}
+_META_FIELDS = {"rows": COUNT, "dim": COUNT, "ids": STRINGS,
+                "texts": STRINGS, "oov_excluded": COUNT,
+                "filtered_out": COUNT, "vectors.dim": COUNT,
+                "vectors.words": COUNT, "vectors.sha256": STRING}
 
 
 def load_index(dirpath):
@@ -266,8 +258,8 @@ def load_index(dirpath):
     another kind than _META_FIELDS gives for it, when its rows, ids and
     texts disagree, an id repeats or it records no rows, when unit.npy or
     raw.npy is not a finite float32 (rows, dim) matrix, when a unit.npy row
-    does not have unit norm (see _check_unit_rows), or when vocab.json
-    does not list the recorded number of distinct words or vectors.npy is
+    does not have unit norm (see _check_unit_rows), or when vocab.json is
+    not a list of the recorded number of distinct strings or vectors.npy is
     not a finite float32 (words, dim) matrix.
     """
     meta_path = os.path.join(dirpath, "meta.json")
@@ -289,7 +281,7 @@ def load_index(dirpath):
         holder = vectors if outer else meta
         if not isinstance(holder, dict) or name not in holder:
             raise ValueError(f"{meta_path}: lacks the field {field}")
-        if not _META_KINDS[kind](holder[name]):
+        if not JSON_KINDS[kind](holder[name]):
             raise ValueError(f"{meta_path}: the field {field} is not {kind}")
     rows, dim = meta["rows"], meta["dim"]
     if not len(meta["ids"]) == len(meta["texts"]) == rows:
@@ -310,6 +302,8 @@ def load_index(dirpath):
     vocab_path = os.path.join(dirpath, "vocab.json")
     with open(vocab_path, encoding="utf-8") as fh:
         words = json.load(fh)
+    if not JSON_KINDS[STRINGS](words):
+        raise ValueError(f"{vocab_path}: expected {STRINGS}")
     if len(words) != vectors["words"]:
         raise ValueError(f"{vocab_path}: lists {len(words)} words, but "
                          f"{meta_path} records {vectors['words']}")

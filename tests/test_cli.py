@@ -374,12 +374,18 @@ def with_long_row(matrix):
     ("meta.json", lambda meta: dict(meta, ids=["dup"] * meta["rows"]),
      ["'dup'"]),
     ("meta.json", lambda meta: dict(meta, source="tfidf"), ["'tfidf'"]),
+    ("vocab.json", lambda words: 5, ["expected a list of strings"]),
+    ("vocab.json", lambda words: list(range(len(words))),
+     ["expected a list of strings"]),
+    ("vocab.json", lambda words: [[word] for word in words],
+     ["expected a list of strings"]),
 ], ids=["extra-rows", "missing-rows", "nan", "non-unit-row", "narrow-raw",
-        "repeated-id", "other-source"])
+        "repeated-id", "other-source", "vocab-int", "vocab-of-ints",
+        "vocab-of-lists"])
 def test_index_contradicting_meta_is_data_error(indexed, capsys, name,
                                                 corrupt, shown):
     path = indexed["idx"] / name
-    if name == "meta.json":
+    if name.endswith(".json"):
         path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
     else:
         np.save(path, corrupt(np.load(path)))
@@ -700,22 +706,22 @@ def _noise_fails_on_record_10(monkeypatch):
 
 @pytest.mark.parametrize("case, fault, code", [
     ("extract", _disk_full("corpus", 1), 2),
-    ("extract", _disk_full("cli", 1), 2),
-    ("train-classifier", _disk_full("classifier", 1), 2),
-    ("train-classifier", _disk_full("cli", 1), 2),
-    ("classify", _disk_full("cli", 1), 2),
+    ("extract", _disk_full("corpus", 2), 2),
+    ("train-classifier", _disk_full("corpus", 1), 2),
+    ("train-classifier", _disk_full("corpus", 2), 2),
+    ("classify", _disk_full("corpus", 1), 2),
     ("build-index", _np_save_fails(2), 2),
-    ("build-index", _disk_full("cli", 1), 2),
+    ("build-index", _disk_full("corpus", 3), 2),
     ("route", _disk_full("corpus", 1), 2),
     ("route", _disk_full("corpus", 2), 2),
     ("decompose", _disk_full("retrieval", 1), 2),
-    ("edit", _disk_full("cli", 1), 2),
-    ("noise", _disk_full("cli", 1), 2),
+    ("edit", _disk_full("corpus", 1), 2),
+    ("noise", _disk_full("corpus", 2), 2),
     ("noise-in-place", _noise_fails_on_record_10, 3),
-    ("metrics", _disk_full("cli", 1), 2),
-    ("synth-eval", _disk_full("cli", 1), 2),
-    ("synth-eval", _disk_full("cli", 2), 2),
-    ("recompose", _disk_full("cli", 1), 2),
+    ("metrics", _disk_full("corpus", 1), 2),
+    ("synth-eval", _disk_full("corpus", 1), 2),
+    ("synth-eval", _disk_full("corpus", 2), 2),
+    ("recompose", _disk_full("corpus", 1), 2),
 ], ids=["extract", "extract-manifest", "train-classifier-model",
         "train-classifier-report", "classify", "build-index",
         "build-index-manifest", "route-single", "route-multi",
@@ -885,6 +891,20 @@ def test_empty_vocabulary_is_data_error(chain, capsys):
     assert _tree_bytes([tmp]) == before
 
 
+def test_diverged_model_is_data_error(chain, capsys):
+    # a learning rate this large turns the weights to NaN, which JSON cannot
+    # hold: the run fails instead of writing a model load_classifier refuses
+    tmp = chain["tmp"]
+    before = _tree_bytes([tmp])
+    assert main(["train-classifier", "--labeled", f"single={chain['single']}",
+                 "--labeled", f"multi={chain['multi']}",
+                 "--out", str(tmp / "model.json"),
+                 "--learning-rate", "1e300", "--epochs", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "model.json" in err and "not JSON compliant" in err
+    assert _tree_bytes([tmp]) == before
+
+
 def test_route_to_one_label_is_usage_error(tmp_path, capsys):
     # no input exists: the labels must be rejected before any is read
     argv = ["route", "--model", str(tmp_path / "clf.json"),
@@ -967,23 +987,31 @@ def test_recompose_command(tmp_path, capsys):
     assert probs == sorted(probs, reverse=True)
 
 
-def _logits_record(paragraph_id="p2", logit=1.0, span_ids=("s1",)):
-    return json.dumps({"paragraph_id": paragraph_id, "no_answer_logit": 0.0,
+def _logits_record(paragraph_id="p2", logit=1.0, span_ids=("s1",),
+                   no_answer=0.0):
+    return json.dumps({"paragraph_id": paragraph_id,
+                       "no_answer_logit": no_answer,
                        "spans": [{"span_id": sid, "logit": logit}
                                  for sid in span_ids]})
 
 
 @pytest.mark.parametrize("record, shown", [
     (_logits_record(logit="abc"), "'abc'"),
-    (_logits_record(logit="nan"), "non-finite logit"),
+    (_logits_record(logit="nan"), "logit 'nan' for 's1' is not a finite number"),
     (_logits_record(logit=10 ** 400), "too large"),
     (_logits_record(paragraph_id=2), "paragraph id 2 is not a string"),
     (_logits_record(span_ids=(1, "s1")), "span id 1 is not a string"),
     (_logits_record(span_ids=("s1", "s1")), "duplicate span id 's1'"),
     (json.dumps({"paragraph_id": "p2", "spans": []}), "'no_answer_logit'"),
     ("[1, 2]", "list indices"),
+    (_logits_record(logit=True), "logit True for 's1' is not a finite number"),
+    (_logits_record(logit="2.5"),
+     "logit '2.5' for 's1' is not a finite number"),
+    (_logits_record(logit=1e308, no_answer=-1e308),
+     "minus the no-answer logit -1e+308 overflows"),
 ], ids=["logit-string", "logit-nan-string", "logit-overflow", "int-paragraph",
-        "mixed-span-ids", "repeated-span", "no-answer-missing", "not-object"])
+        "mixed-span-ids", "repeated-span", "no-answer-missing", "not-object",
+        "logit-bool", "logit-numeric-string", "adjusted-overflow"])
 def test_bad_logits_record_names_its_line(tmp_path, capsys, record, shown):
     logits = tmp_path / "logits.jsonl"
     logits.write_text(_logits_record(paragraph_id="p1") + "\n\n" + record

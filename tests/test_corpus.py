@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,8 @@ from qdecomp.corpus import (
     tokenize,
     tokenize_cased,
     tokenize_with_spans,
+    write_json,
+    write_jsonl,
 )
 
 from conftest import make_corpus
@@ -143,6 +146,20 @@ def test_corpus_jsonl_round_trip(tmp_path):
     # stable serialization: keys sorted, no whitespace padding
     first = p.read_text().splitlines()[0]
     assert first == json.dumps(json.loads(first), sort_keys=True, separators=(",", ":"))
+
+
+def test_json_writers_sort_keys_keep_non_ascii_and_refuse_nan(tmp_path):
+    doc, lines = tmp_path / "doc.json", tmp_path / "lines.jsonl"
+    write_json({"b": "é", "a": [1, 2.5]}, doc, indent=2)
+    assert doc.read_text(encoding="utf-8") == \
+        '{\n  "a": [\n    1,\n    2.5\n  ],\n  "b": "é"\n}\n'
+    write_jsonl([{"b": 1, "a": "中"}, [True]], lines)
+    assert lines.read_text(encoding="utf-8") == '{"a": "中", "b": 1}\n[true]\n'
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'nan.json'))}: "):
+        write_json({"x": float("nan")}, tmp_path / "nan.json")
+    assert not (tmp_path / "nan.json").exists()  # refused before opening
+    with pytest.raises(ValueError, match=f"^{re.escape(str(lines))}:2: "):
+        write_jsonl([[1.0], [float("inf")]], lines)
 
 
 def test_load_corpus_reports_line_numbers(tmp_path):

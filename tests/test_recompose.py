@@ -115,6 +115,13 @@ def test_ensemble_averages_logits_elementwise():
     assert out[0].no_answer_logit == 2.0
 
 
+def test_ensemble_refuses_an_overflowing_mean():
+    # each set is finite, but the mean of the span logits overflows
+    a = [para("p", [("s", 1e308)], 0.0)]
+    with pytest.raises(ValueError, match="paragraph 'p': logit inf for 's'"):
+        ensemble_average([a, a])
+
+
 def test_ensemble_rejects_mismatched_structure():
     a = [para("p", [("s", 1.0)], 0.0)]
     b = [para("other", [("s", 1.0)], 0.0)]
