@@ -1,6 +1,5 @@
 """Bag-of-words softmax classifier for routing mined questions between corpora."""
 
-import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -8,7 +7,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .corpus import JSON_KINDS, NUMBERS, STRINGS, write_json
+from .corpus import JSON_KINDS, NUMBERS, STRINGS, read_json, write_json
 from .embeddings import _features, _ranges
 from .rng import substream
 
@@ -98,7 +97,8 @@ def train_classifier(labeled, config=TrainingConfig()):
     from named substreams. The learning rate decays linearly to zero.
     Weights move only between mini-batches, so each batch takes one forward
     and one backward pass; the result is bit for bit that of scoring and
-    updating one example at a time.
+    updating one example at a time. An epoch whose mean loss is not finite
+    (the weights have diverged) raises ValueError naming it.
     """
     labels = tuple(lab for _, lab in labeled)
     if len(labels) < 2:
@@ -157,6 +157,10 @@ def train_classifier(labeled, config=TrainingConfig()):
             np.add.at(emb, flat[_ranges(b_starts, b_starts + b_lengths)],
                       np.repeat(updates, b_lengths, axis=0))
         epoch_losses.append(loss_sum / n)
+        if not math.isfinite(epoch_losses[-1]):
+            raise ValueError(f"training diverged: epoch {epoch + 1} has mean "
+                             f"loss {epoch_losses[-1]}; lower the learning "
+                             f"rate")
 
     return LinearTextClassifier(labels=labels, vocab=vocab, embeddings=emb,
                                 weight=weight, bias=bias, config=config,
@@ -238,8 +242,7 @@ def load_classifier(path):
     """Read a model written by save_classifier. A model whose fields do not
     fit together is a ValueError naming the file and the field, raised
     before anything is scored."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     fields = {"labels", "vocab", "embeddings", "weight", "bias", "config",
               "epoch_losses"}
     if not isinstance(payload, dict) or not fields <= payload.keys():

@@ -29,8 +29,8 @@ from .classifier import (TrainingConfig, evaluate_classifier,
                          load_classifier, predict, route_mined_questions,
                          save_classifier, train_classifier)
 from .corpus import (DEFAULT_WH_WORDS, Question, QuestionCorpus,
-                     extract_candidate_questions, load_corpus, save_corpus,
-                     write_json, write_jsonl)
+                     extract_candidate_questions, load_corpus, open_text,
+                     read_json, save_corpus, write_json, write_jsonl)
 from .editing import edit_sub_question_texts, split_sub_question_texts
 from .embeddings import load_vector_table, vector_file_dim
 from .metrics import RoundTripRecord, roundtrip_report
@@ -113,7 +113,8 @@ class _Run:
     run ends. No input is touched before that, so the manifest records each
     input as it was read. When the block fails, the digests are stopped, the
     worker is joined and every staged output is removed: no thread outlives the
-    command and no file is changed.
+    command and no file is changed, and a data error that names a staged
+    temp path names its target instead.
     """
 
     def __init__(self, opts, subcommand, primary_out, *inputs):
@@ -144,10 +145,12 @@ class _Run:
     def __enter__(self):
         return self
 
-    def __exit__(self, exc_type, *exc_info):
+    def __exit__(self, exc_type, exc, tb):
         try:
             if exc_type is None:
                 self._commit()
+        except (ValueError, OSError) as error:
+            exc = error
         finally:
             self._stop.set()
             self._pool.shutdown(cancel_futures=True)
@@ -156,6 +159,11 @@ class _Run:
                     shutil.rmtree(tmp, ignore_errors=True)
                 elif os.path.exists(tmp):
                     os.remove(tmp)
+        if isinstance(exc, (ValueError, OSError)):
+            text = str(exc)
+            for tmp, path in self._staged.values():
+                text = text.replace(tmp, path)
+            raise ValueError(text) from None
 
     def _commit(self):
         staged = list(self._staged.values())
@@ -280,8 +288,7 @@ def _resolve(parser, args):
     opts = {_dest(flag): None if default is REQUIRED else default
             for flag, default, _ in options if flag != "--config"}
     if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = read_json(config_path)
         if isinstance(cfg, dict) and "config" in cfg and "subcommand" in cfg:
             cfg = cfg["config"]  # accept a previous run's manifest
         if not isinstance(cfg, dict):
@@ -332,7 +339,7 @@ def cmd_extract(opts):
     wh = frozenset(w.strip().lower() for w in opts["wh_words"].split(",")
                    if w.strip())
     with _Run(opts, "extract", opts["out"], opts["lines"]) as run:
-        with open(opts["lines"], encoding="utf-8") as fh:
+        with open_text(opts["lines"]) as fh:
             lines = fh.readlines()
         questions = extract_candidate_questions(lines, wh_words=wh,
                                                 id_prefix=opts["id_prefix"],
@@ -652,7 +659,7 @@ def main(argv=None):
         return 1
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # pragma: no cover - defensive

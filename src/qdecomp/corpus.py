@@ -1,11 +1,14 @@
-"""Question corpora: tokenization, question harvesting from raw lines, JSONL
-I/O, and the JSON policy of every artifact: how it is written and the kinds
-of value its loaders accept."""
+"""Question corpora: tokenization, question harvesting from raw lines and
+JSONL I/O. This module owns reading as well as writing: every text and JSON
+input is opened here (open_text, read_json), so each decode failure names
+its file and line, and every JSON artifact is written here under one
+policy, with the kinds of value its loaders accept."""
 
 import json
 import math
 import re
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,10 +128,50 @@ def extract_candidate_questions(lines, wh_words=DEFAULT_WH_WORDS, id_prefix="",
                           texts)
 
 
+def _undecodable(path, exc):
+    """ValueError naming the first byte of path that is not UTF-8 and its
+    line, counted as text mode counts lines: CR, LF and CR LF each end one.
+
+    exc, raised while one buffered chunk was decoded, holds no file offset,
+    so the raw bytes are scanned again, on this error path only.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as rescan:
+        head = data[:rescan.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return ValueError(f"{path}:{line}: not UTF-8: byte "
+                          f"0x{data[rescan.start]:02x}: {rescan.reason}")
+    return ValueError(f"{path}: not UTF-8: {exc}")  # rewritten since read
+
+
+@contextmanager
+def open_text(path):
+    """The one way an input text file is opened: UTF-8, universal newlines.
+    A byte that is not UTF-8 raises ValueError naming path:line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from None
+
+
+def read_json(path):
+    """The one JSON document in a file; malformed JSON raises ValueError
+    naming path."""
+    with open_text(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed JSON: {exc}") from None
+
+
 def read_jsonl(path):
     """(line number, value) of each non-blank line of a JSONL file; a line
     that is not JSON raises ValueError naming path:line."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -10,6 +10,8 @@ from itertools import chain
 
 import numpy as np
 
+from .corpus import open_text
+
 # Token lists summed per embed_blocks block: a float64 (256, 300) block is
 # 600 KB, so the accumulator stays small whatever the number of texts.
 EMBED_BLOCK = 256
@@ -91,36 +93,36 @@ def _is_header(parts):
     return len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1])
 
 
-def _vector_rows(fh, path):
+def _vector_rows(path):
     """(line number, word, components, dim) of each vector row of the .vec
-    file at path, open as fh, skipping blank lines and an optional "count
-    dim" header line; dim is the component count every row must have: the
-    header's dim, which must be at least 1, or the first row's count when
-    there is no header."""
+    file at path, skipping blank lines and an optional "count dim" header
+    line; dim is the component count every row must have: the header's
+    dim, which must be at least 1, or the first row's count when there is
+    no header."""
     dim, first = None, True
-    for lineno, line in enumerate(fh, start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if first:
-            first = False
-            if _is_header(parts):
-                dim = int(parts[1])
-                if dim < 1:
-                    raise ValueError(f"{path}:{lineno}: header dim must be "
-                                     f"at least 1, got {dim}")
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
                 continue
-        if dim is None:
-            dim = len(parts) - 1
-        yield lineno, parts[0], parts[1:], dim
+            if first:
+                first = False
+                if _is_header(parts):
+                    dim = int(parts[1])
+                    if dim < 1:
+                        raise ValueError(f"{path}:{lineno}: header dim must "
+                                         f"be at least 1, got {dim}")
+                    continue
+            if dim is None:
+                dim = len(parts) - 1
+            yield lineno, parts[0], parts[1:], dim
 
 
 def vector_file_dim(path):
     """Component count of the first vector row of a .vec file (None when it
     has no rows), read without parsing the rest of the file."""
-    with open(path, encoding="utf-8") as fh:
-        for _, _, comps, _ in _vector_rows(fh, path):
-            return len(comps)
+    for _, _, comps, _ in _vector_rows(path):
+        return len(comps)
     return None
 
 
@@ -144,21 +146,20 @@ def _text_rows(path):
     """(words, float32 matrix) of a .vec file, parsed one row at a time."""
     words = []
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, word, comps, dim in _vector_rows(fh, path):
-            if not comps:
-                raise ValueError(f"{path}:{lineno}: row has no vector components")
-            if len(comps) != dim:
-                raise ValueError(f"{path}:{lineno}: expected {dim} "
-                                 f"components, got {len(comps)}")
-            try:
-                vec = np.array(list(map(float, comps)), dtype=np.float32)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric vector component") from exc
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{path}:{lineno}: non-finite vector component")
-            words.append(word)
-            rows.append(vec)
+    for lineno, word, comps, dim in _vector_rows(path):
+        if not comps:
+            raise ValueError(f"{path}:{lineno}: row has no vector components")
+        if len(comps) != dim:
+            raise ValueError(f"{path}:{lineno}: expected {dim} "
+                             f"components, got {len(comps)}")
+        try:
+            vec = np.array(list(map(float, comps)), dtype=np.float32)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-numeric vector component") from exc
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"{path}:{lineno}: non-finite vector component")
+        words.append(word)
+        rows.append(vec)
     if not rows:
         raise ValueError(f"{path}: no vector rows found")
     return words, np.vstack(rows)

@@ -11,7 +11,6 @@ Three retrieval objectives over a top-K candidate pool:
 plus a seeded uniform random baseline.
 """
 
-import json
 import math
 import os
 from collections import Counter
@@ -21,7 +20,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .corpus import COUNT, JSON_KINDS, STRING, STRINGS, write_json
+from .corpus import (COUNT, JSON_KINDS, STRING, STRINGS, open_text,
+                     read_json, write_json)
 from .embeddings import _U32, _U64, VectorTable, _gamma, embed_blocks
 from .rng import child_seed
 
@@ -180,7 +180,7 @@ def save_index(index, dirpath, vectors_sha256):
 
     vectors_sha256, the digest of the .vec file those vectors were read
     from, goes into meta.json with their dimension and word count. dirpath
-    is created if it is missing.
+    is created if it is missing; its parent must exist.
     """
     table = index.vectors
     meta = {
@@ -195,7 +195,8 @@ def save_index(index, dirpath, vectors_sha256):
         "vectors": {"dim": table.dim, "sha256": vectors_sha256,
                     "words": len(table)},
     }
-    os.makedirs(dirpath, exist_ok=True)
+    if not os.path.isdir(dirpath):
+        os.mkdir(dirpath)
     write_json(meta, os.path.join(dirpath, "meta.json"))
     write_json(list(table.vocab), os.path.join(dirpath, "vocab.json"))
     for name, matrix in (("unit.npy", index.unit_matrix),
@@ -206,7 +207,10 @@ def save_index(index, dirpath, vectors_sha256):
 
 def _load_matrix(path, shape):
     """A float32 matrix of the given shape with only finite values."""
-    matrix = np.load(path)
+    try:
+        matrix = np.load(path)
+    except (ValueError, EOFError) as exc:  # numpy's errors name no file
+        raise ValueError(f"{path}: {exc}") from None
     if matrix.dtype != np.float32 or matrix.shape != shape:
         raise ValueError(f"{path}: expected a float32 matrix of shape {shape} "
                          f"from meta.json, got {matrix.dtype} of shape "
@@ -263,8 +267,7 @@ def load_index(dirpath):
     not a finite float32 (words, dim) matrix.
     """
     meta_path = os.path.join(dirpath, "meta.json")
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = read_json(meta_path)
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path}: expected a JSON object")
     if meta.get("source") != SOURCE_VECTORS:
@@ -300,8 +303,7 @@ def load_index(dirpath):
         raise ValueError(f"{meta_path}: vectors have dimension "
                          f"{vectors['dim']}, but the index has dimension {dim}")
     vocab_path = os.path.join(dirpath, "vocab.json")
-    with open(vocab_path, encoding="utf-8") as fh:
-        words = json.load(fh)
+    words = read_json(vocab_path)
     if not JSON_KINDS[STRINGS](words):
         raise ValueError(f"{vocab_path}: expected {STRINGS}")
     if len(words) != vectors["words"]:
@@ -774,7 +776,7 @@ def _read_tsv(path, columns):
     `columns` tab-separated fields.
     """
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

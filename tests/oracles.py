@@ -186,13 +186,15 @@ def load_vector_table_oracle(path):
     non-blank line is a header when it is two integers, its second integer
     must be at least 1, and then every row must have that many components
     (the first row's count without a header); each component is float32(float(token)). Errors are the ValueErrors load_vector_table
-    raises, with their line numbers.
+    raises, with their line numbers; a line holding a byte that is not
+    UTF-8 raises naming that byte (_check_utf8).
     """
     vectors = {}
     dim = None
     first = True
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            _check_utf8(path, lineno, line)
             parts = line.split()
             if not parts:
                 continue
@@ -225,16 +227,29 @@ def load_vector_table_oracle(path):
             np.array(list(vectors.values())))
 
 
+def _check_utf8(path, lineno, line):
+    """Raise naming the first byte of a line read with surrogateescape that
+    is not UTF-8, found by decoding the line's own bytes again."""
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}:{lineno}: not UTF-8: byte "
+                         f"0x{exc.object[exc.start]:02x}: {exc.reason}") \
+            from None
+
+
 def load_corpus_oracle(path):
     """The per-line JSONL corpus reader load_corpus replaced: a json.loads
     per line, each record tokenized by tokenize_oracle. Returns the (id,
     text, tokens) of each record, or raises its ValueErrors, with their line
     numbers; a repeated id raises "duplicate question id: <id>" after the
-    whole file is read.
+    whole file is read. A line holding a byte that is not UTF-8 raises
+    naming that byte (_check_utf8).
     """
     questions = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            _check_utf8(path, lineno, line)
             if not line.strip():
                 continue
             try:

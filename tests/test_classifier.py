@@ -87,6 +87,15 @@ def test_empty_vocabulary_rejected():
         train_classifier(labeled, TrainingConfig(dim=4, min_count=6))
 
 
+def test_training_stops_at_the_first_diverged_epoch():
+    # the first batches at this rate overflow the weights to NaN
+    train, _ = synthetic_labeled_split(seed=2, n_train=60, n_heldout=0)
+    config = TrainingConfig(dim=16, epochs=50, learning_rate=1e300, seed=3)
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"^training diverged: epoch 1 has mean loss nan"):
+        train_classifier(train, config)
+
+
 def test_empty_training_rejected():
     with pytest.raises(ValueError):
         train_classifier([], CFG)

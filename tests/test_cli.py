@@ -743,6 +743,82 @@ def test_failed_write_changes_no_file(chain, capsys, monkeypatch, case,
     assert _tree_bytes([tmp]) == before
 
 
+def _bad_byte(key, line):
+    """A corrupt input: byte 0xff in the middle of line `line` of chain[key].
+    Each corrupt input returns the error text that names it and the flags
+    that pass it to the run, beyond those of _writer_argv."""
+    def corrupt(chain):
+        path = chain[key]
+        lines = path.read_bytes().splitlines(keepends=True)
+        mid = len(lines[line - 1]) // 2
+        lines[line - 1] = lines[line - 1][:mid] + b"\xff" + lines[line - 1][mid:]
+        path.write_bytes(b"".join(lines))
+        return f"{path}:{line}: not UTF-8: byte 0xff", []
+    return corrupt
+
+
+def _bad_json(path_of):
+    """A corrupt input: the JSON document at path_of(chain) cut short."""
+    def corrupt(chain):
+        path = path_of(chain)
+        path.write_text(path.read_text()[:-5])
+        return f"{path}: malformed JSON: ", []
+    return corrupt
+
+
+def _bad_config(chain):
+    path = chain["tmp"] / "config.json"
+    path.write_text("{")
+    return f"{path}: malformed JSON: ", ["--config", str(path)]
+
+
+def _cut_unit_npy(chain):
+    path = chain["idx"] / "unit.npy"
+    path.write_bytes(path.read_bytes()[:-10])
+    return f"{path}: Failed to read all data", []
+
+
+@pytest.mark.parametrize("case, corrupt", [
+    ("noise", _bad_byte("single", 2)),
+    ("edit", _bad_byte("pseudo", 2)),
+    ("metrics", _bad_byte("records", 3)),
+    ("extract", _bad_byte("lines", 4)),
+    ("build-index", _bad_byte("vec", 5)),
+    ("recompose", _bad_byte("logits", 1)),
+    ("classify", _bad_byte("clf", 1)),
+    ("noise", _bad_config),
+    ("decompose", _bad_json(lambda chain: chain["idx"] / "meta.json")),
+    ("decompose", _bad_json(lambda chain: chain["idx"] / "vocab.json")),
+    ("classify", _bad_json(lambda chain: chain["clf"])),
+    ("decompose", _cut_unit_npy),
+], ids=["corpus", "dataset-tsv", "records-tsv", "extract-text", "vec",
+        "logits", "model-bytes", "config", "meta", "vocab", "model",
+        "unit-npy"])
+def test_unreadable_input_is_named(chain, capsys, case, corrupt):
+    tmp = chain["tmp"]
+    shown, flags = corrupt(chain)
+    before = _tree_bytes([tmp])
+    assert main(_writer_argv(chain, case) + flags) == 2
+    assert shown in capsys.readouterr().err
+    assert not list(tmp.rglob(".*.tmp"))
+    assert _tree_bytes([tmp]) == before
+
+
+@pytest.mark.parametrize("case", ["metrics", "noise", "build-index"])
+def test_output_into_a_missing_directory_names_the_target(chain, capsys,
+                                                          case):
+    tmp = chain["tmp"]
+    target = tmp / "missing" / "out"
+    argv = _writer_argv(chain, case)
+    argv[argv.index("--out") + 1] = str(target)
+    before = _tree_bytes([tmp])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(target) in err and ".tmp" not in err
+    assert not (tmp / "missing").exists()
+    assert _tree_bytes([tmp]) == before
+
+
 @pytest.mark.parametrize("case, first, second", [
     ("route", "--out-single", "--out-multi"),
     ("synth-eval", "--out", "--ranks-out"),
@@ -892,8 +968,8 @@ def test_empty_vocabulary_is_data_error(chain, capsys):
 
 
 def test_diverged_model_is_data_error(chain, capsys):
-    # a learning rate this large turns the weights to NaN, which JSON cannot
-    # hold: the run fails instead of writing a model load_classifier refuses
+    # a learning rate this large turns the weights to NaN: training stops at
+    # the first epoch whose loss is not finite, and no model is written
     tmp = chain["tmp"]
     before = _tree_bytes([tmp])
     assert main(["train-classifier", "--labeled", f"single={chain['single']}",
@@ -901,7 +977,7 @@ def test_diverged_model_is_data_error(chain, capsys):
                  "--out", str(tmp / "model.json"),
                  "--learning-rate", "1e300", "--epochs", "3"]) == 2
     err = capsys.readouterr().err
-    assert "model.json" in err and "not JSON compliant" in err
+    assert "training diverged: epoch 1 " in err
     assert _tree_bytes([tmp]) == before
 
 

@@ -10,6 +10,8 @@ from qdecomp.corpus import (
     QuestionCorpus,
     extract_candidate_questions,
     load_corpus,
+    open_text,
+    read_json,
     save_corpus,
     tokenize,
     tokenize_cased,
@@ -160,6 +162,36 @@ def test_json_writers_sort_keys_keep_non_ascii_and_refuse_nan(tmp_path):
     assert not (tmp_path / "nan.json").exists()  # refused before opening
     with pytest.raises(ValueError, match=f"^{re.escape(str(lines))}:2: "):
         write_jsonl([[1.0], [float("inf")]], lines)
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"a\nb\n\xffc\n", 3),
+    (b"a\r\nb\rc\n\xe9d\n", 4),  # CR LF, CR and LF each end one line
+    (b"a\n" * 5000 + b"b\xff\n", 5001),  # past the first decoded chunk
+    (b"a\n\xe2\x82", 2),  # a character cut short by the end of the file
+], ids=["lf", "mixed-ends", "late", "cut-short"])
+def test_open_text_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, data,
+                                                             line):
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    # the line text mode reads the replacement character on
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        assert [n for n, text in enumerate(fh, start=1)
+                if "\ufffd" in text][0] == line
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}:{line}: not UTF-8: "):
+        with open_text(path) as fh:
+            list(fh)
+
+
+def test_read_json_names_a_malformed_document(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text('{"a": [1, 2]}\n')
+    assert read_json(path) == {"a": [1, 2]}
+    path.write_text('{"a": [1, 2],}\n')
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}: malformed JSON: "):
+        read_json(path)
 
 
 def test_load_corpus_reports_line_numbers(tmp_path):

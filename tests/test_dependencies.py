@@ -1,5 +1,6 @@
 """The runtime depends only on numpy: every absolute import in the package
-names numpy or a module of the standard library."""
+names numpy or a module of the standard library. Inputs are read in one
+place: only corpus.py parses JSON or opens a file to read text."""
 
 import ast
 import sys
@@ -24,3 +25,32 @@ def test_package_imports_only_numpy_and_the_standard_library():
                for module in _absolute_imports(path)
                if module != "numpy" and module not in sys.stdlib_module_names}
     assert not foreign
+
+
+def _input_reads(path):
+    """(line, call) of each json.load or json.loads call and each open() in
+    text read mode (no mode, or one without "b", "w", "a", "x" or "+") in a
+    source file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in ("load", "loads")
+                and isinstance(func.value, ast.Name) and func.value.id == "json"):
+            yield node.lineno, f"json.{func.attr}"
+        elif isinstance(func, ast.Name) and func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords
+                                      if k.arg == "mode"]
+            mode = getattr(modes[0], "value", None) if modes else "r"
+            if not isinstance(mode, str) or not set(mode) & set("bwax+"):
+                yield node.lineno, "open"
+
+
+def test_only_corpus_reads_text_and_json():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert {call for _, call in _input_reads(PACKAGE / "corpus.py")} == {
+        "json.load", "json.loads", "open"}
+    elsewhere = {(path.name, line, call) for path in sources
+                 if path.name != "corpus.py"
+                 for line, call in _input_reads(path)}
+    assert not elsewhere
