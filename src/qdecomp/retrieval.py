@@ -13,6 +13,7 @@ plus a seeded uniform random baseline.
 
 import math
 import os
+import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -100,12 +101,16 @@ class EmbeddedIndex:
     row_squares: np.ndarray | None = None
 
     def __post_init__(self):
-        self._row_map = {qid: i for i, qid in enumerate(self.ids)}
         if self.row_squares is None:
             self.row_squares = _row_squares(self.unit_matrix)
 
     def __len__(self):
         return len(self.ids)
+
+    @cached_property
+    def _row_map(self):
+        """Each id's row, built on the first row_of or membership test."""
+        return {qid: i for i, qid in enumerate(self.ids)}
 
     def row_of(self, qid):
         return self._row_map[qid]
@@ -205,25 +210,30 @@ def save_index(index, dirpath, vectors_sha256):
         np.save(os.path.join(dirpath, name), matrix)
 
 
-def _load_matrix(path, shape):
-    """A float32 matrix of the given shape with only finite values."""
-    try:
+def _load_matrix(path, shape, finite=True):
+    """A float32 matrix of the given shape, with only finite values unless
+    finite is False (unit.npy, whose values _check_unit_rows checks)."""
+    try:  # numpy's read errors name no file
         matrix = np.load(path)
-    except (ValueError, EOFError) as exc:  # numpy's errors name no file
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(matrix, np.ndarray):  # an .npz archive
+        matrix.close()
+        raise ValueError(f"{path}: holds an .npz archive, not one .npy matrix")
     if matrix.dtype != np.float32 or matrix.shape != shape:
         raise ValueError(f"{path}: expected a float32 matrix of shape {shape} "
                          f"from meta.json, got {matrix.dtype} of shape "
                          f"{matrix.shape}")
     # a float64 sum of float32 values cannot overflow, so it is finite
     # exactly when every value is, and needs no boolean copy of the matrix
-    if not np.isfinite(matrix.sum(dtype=np.float64)):
+    if finite and not np.isfinite(matrix.sum(dtype=np.float64)):
         raise ValueError(f"{path}: holds a NaN or infinite value")
     return matrix
 
 
 def _check_unit_rows(path, unit):
-    """Reject a unit-matrix row whose squared norm is not 1 within rounding.
+    """Reject a NaN or infinite value, or a unit-matrix row whose squared
+    norm is not 1 within rounding.
 
     build_index stores each row as a float64 sum over its float64 norm,
     rounded to float32. That float64 quotient has squared norm 1 within a
@@ -232,17 +242,22 @@ def _check_unit_rows(path, unit):
     _row_squares adds at most gamma_d(u32). Underflow adds at most
     d * 2**-148, far below u32. So every row build_index writes has
     |squares - 1| <= gamma_{d+3}(u32), and a row outside that was not
-    written by it. Returns the float32 squares.
+    written by it. A NaN or infinite value makes its row's square NaN or
+    infinite, so that row fails the test too; a finite row whose float32
+    square overflows gets the squared-norm message. Returns the float32
+    squares.
     """
     row_squares = _row_squares(unit)
     squares = row_squares.astype(np.float64)
-    bad = np.flatnonzero(np.abs(squares - 1.0)
-                         > _gamma(unit.shape[1] + 3, _U32))
+    bad = np.flatnonzero(~(np.abs(squares - 1.0)
+                           <= _gamma(unit.shape[1] + 3, _U32)))
     if len(bad):
+        if not np.isfinite(unit[bad]).all():
+            raise ValueError(f"{path}: holds a NaN or infinite value")
         row = int(bad[0])
         raise ValueError(f"{path}: row {row} has squared norm "
-                         f"{squares[row]!r}, not 1 within float32 rounding "
-                         f"({len(bad)} such rows)")
+                         f"{float(squares[row])!r}, not 1 within float32 "
+                         f"rounding ({len(bad)} such rows)")
     return row_squares
 
 
@@ -296,9 +311,10 @@ def load_index(dirpath):
     if len(set(meta["ids"])) != rows:
         [(repeated, _)] = Counter(meta["ids"]).most_common(1)
         raise ValueError(f"{meta_path}: id {repeated!r} is listed more than once")
-    unit, raw = (_load_matrix(os.path.join(dirpath, name), (rows, dim))
-                 for name in ("unit.npy", "raw.npy"))
-    row_squares = _check_unit_rows(os.path.join(dirpath, "unit.npy"), unit)
+    unit_path = os.path.join(dirpath, "unit.npy")
+    unit = _load_matrix(unit_path, (rows, dim), finite=False)
+    row_squares = _check_unit_rows(unit_path, unit)
+    raw = _load_matrix(os.path.join(dirpath, "raw.npy"), (rows, dim))
     if vectors["dim"] != dim:
         raise ValueError(f"{meta_path}: vectors have dimension "
                          f"{vectors['dim']}, but the index has dimension {dim}")
@@ -423,6 +439,25 @@ def _unit_pool(index, rows, unit):
     return cand @ unit, cand @ cand.T
 
 
+def _block_bounds(lead, own, pairs, upper):
+    """Upper bound of each first-member block of a pool's size-3 subsets.
+
+    A subset of pool positions i < j < k scores lead[i] + t_ij + t_ik +
+    pairs[j, k], where t_ij = own[j] + pairs[i, j]. Block i, every subset
+    with first member i, is bounded by (the two largest t_ij, j > i, added)
+    + lead[i] + (the largest pairs[j, k], i < j < k), added left to right
+    in float64. upper is the (K, K) mask of j < k. Returns the bounds of
+    blocks 0 .. K - 3; each caller widens them by the rounding margin of
+    its own score order.
+    """
+    m = len(lead)
+    tails = np.where(upper, own + pairs, -np.inf)
+    top_two = np.partition(tails, m - 2, axis=1)[:, m - 2:].sum(axis=1)
+    row_best = pairs.max(axis=1, where=upper, initial=-np.inf)
+    after = np.maximum.accumulate(row_best[::-1])[::-1]  # max over rows >= j
+    return top_two[:m - 2] + lead[:m - 2] + after[1:m - 1]
+
+
 def _exhaustive(index, rows, sims, gram, n):
     """Best size-n subset of pool positions (n is 2 or 3) and its score.
 
@@ -430,19 +465,44 @@ def _exhaustive(index, rows, sims, gram, n):
     entries. n = 2 scores one (K, K) block of pairs (j, k), each as
     (s_j + s_k) - g_jk; n = 3 scores one (K-i-1)**2 block of (j, k) per
     first member i, each as that pair's value plus (s_i - g_ij - g_ik). Only
-    j < k counts. Every tie of the best value is listed row-major, as a
-    scan of the upper triangle meets it, and the one with the smallest
-    sorted id tuple wins.
+    j < k counts. Every tie of the best value is listed, and the one with
+    the smallest sorted id tuple wins.
+
+    n = 3 visits the blocks by descending _block_bounds (lead and own are
+    sims, pairs is -gram, so t_ij = s_j - g_ij) and stops at the first
+    block whose bound plus the margin gamma_12(u64) * W * (1 + 2**-40) is
+    below the best value so far, W = 3 (max|sims| + max|gram|) bounding the
+    magnitudes of a subset's six terms. The proof that such a block, and
+    every later one, holds only entries below the best: an entry sums its
+    six terms in five roundings, so it is within gamma_5(u64) * W of their
+    exact sum V (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.1). Each t_ij is within u64 * (|s_j| + |g_ij|) of s_j - g_ij,
+    so V is at most s_i + t_a + t_b + P + u64 * W, with t_a, t_b the
+    block's two largest t and P its largest -g_jk; the bound adds those
+    four in three roundings, within gamma_3(u64) * (1 + u64) * W of their
+    exact sum. The margin exceeds gamma_5 + u64 + gamma_3 (1 + u64) times
+    W by more than 2 * u64 * W, which covers the rounding of bound +
+    margin (|bound + margin| is below (1 + 16 u64) W), and the factor
+    covers the rounding of the margin. A later block's bound is no larger
+    and the best only grows, so the search stops there. Skipped entries
+    are below the best, never equal to it, and every visited block is
+    scored as in a scan of all blocks, so the chosen subset and its score
+    bits are those of that scan.
     """
     m = len(sims)
     pair_part = sims[:, None] + sims[None, :] - gram
-    upper = np.triu(np.ones((m, m), dtype=bool), 1)
+    upper = np.arange(m)[:, None] < np.arange(m)
 
     def blocks():  # (leading positions, offset of j and k, block)
         if n == 2:
             yield (), 0, pair_part
             return
-        for i in range(m - 2):
+        bound = _block_bounds(sims, sims, -gram, upper)
+        scale = 3.0 * (float(np.abs(sims).max()) + float(np.abs(gram).max()))
+        margin = _gamma(12, _U64) * scale * (1.0 + 2.0 ** -40)
+        for i in np.argsort(-bound, kind="stable").tolist():
+            if bound[i] + margin < best:  # best: the scan's value so far
+                return
             gi = gram[i, i + 1:]
             yield ((i,), i + 1, pair_part[i + 1:, i + 1:]
                    + (sims[i] - gi[:, None] - gi[None, :]))

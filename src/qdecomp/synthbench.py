@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import Question, QuestionCorpus
 from .embeddings import _U64, _gamma, make_vector_table
-from .retrieval import _query_rows, _scan_queries, _unit_pool
+from .retrieval import _block_bounds, _query_rows, _scan_queries, _unit_pool
 from .rng import substream
 
 OBJECTIVE_SIM_DIVERSITY = "sim-diversity"
@@ -99,11 +99,12 @@ def _count_better(start, members, pairs, gold):
     (K-i-1)**2 block of (j, k), masked the same way, unless its bound
     proves the block holds nothing above gold.
 
-    The bound of block i is lead_i + (the two largest t_ij, j > i) +
-    (the largest pairs[j, k], i < j < k), where lead_i is start plus i's
-    member terms and t_ij is j's member terms plus pairs[i, j]: every
-    subset of the block is lead_i + t_ij + t_ik + pairs[j, k]. Let W bound
-    the magnitudes of a subset's L terms (L = 1 + 3 * len(members) + 3).
+    The bound of block i comes from retrieval._block_bounds: lead_i + (the
+    two largest t_ij, j > i) + (the largest pairs[j, k], i < j < k), where
+    lead_i is start plus i's member terms and t_ij is j's member terms
+    (own) plus pairs[i, j], so every subset of the block is lead_i + t_ij +
+    t_ik + pairs[j, k]. Let W bound the magnitudes of a subset's L terms
+    (L = 1 + 3 * len(members) + 3).
     A block entry is a recursive sum of its L terms and so lies within
     gamma_{L-1}(u64) * W of their exact sum (Higham, Accuracy and Stability
     of Numerical Algorithms, section 3.1). lead_i and t_ij each take
@@ -134,11 +135,7 @@ def _count_better(start, members, pairs, gold):
     own = members[0]
     for v in members[1:]:
         own = own + v
-    tails = np.where(upper, own + pairs, -np.inf)
-    top_two = np.partition(tails, m - 2, axis=1)[:, m - 2:].sum(axis=1)
-    row_best = np.where(upper, pairs, -np.inf).max(axis=1)
-    after = np.maximum.accumulate(row_best[::-1])[::-1]  # max over rows >= j
-    bound = top_two[:m - 2] + lead[:m - 2] + after[1:m - 1]
+    bound = _block_bounds(lead, own, pairs, upper)
     terms = 1 + 3 * len(members) + 3
     scale = (abs(start) + 3 * sum(float(np.abs(v).max()) for v in members)
              + 3 * float(np.abs(pairs).max()))

@@ -364,11 +364,26 @@ def with_long_row(matrix):
     return matrix
 
 
+def with_inf(matrix):
+    matrix = matrix.copy()
+    matrix[7, 3] = np.inf
+    return matrix
+
+
+def with_huge_row(matrix):
+    # finite, but its float32 squares overflow
+    matrix = matrix.copy()
+    matrix[12] *= np.float32(1e30)
+    return matrix
+
+
 @pytest.mark.parametrize("name, corrupt, shown", [
     ("unit.npy", lambda m: np.vstack([m, m[:5]]), ["(65, 24)", "(60, 24)"]),
     ("unit.npy", lambda m: m[:-5], ["(55, 24)", "(60, 24)"]),
     ("unit.npy", with_nan, ["NaN"]),
     ("unit.npy", with_long_row, ["row 12 ", "not 1"]),
+    ("unit.npy", with_inf, ["NaN or infinite"]),
+    ("unit.npy", with_huge_row, ["row 12 has squared norm inf", "not 1"]),
     ("raw.npy", lambda m: np.ascontiguousarray(m[:, :10]),
      ["(60, 10)", "(60, 24)"]),
     ("meta.json", lambda meta: dict(meta, ids=["dup"] * meta["rows"]),
@@ -379,7 +394,8 @@ def with_long_row(matrix):
      ["expected a list of strings"]),
     ("vocab.json", lambda words: [[word] for word in words],
      ["expected a list of strings"]),
-], ids=["extra-rows", "missing-rows", "nan", "non-unit-row", "narrow-raw",
+], ids=["extra-rows", "missing-rows", "nan", "non-unit-row", "inf",
+         "huge-row", "narrow-raw",
         "repeated-id", "other-source", "vocab-int", "vocab-of-ints",
         "vocab-of-lists"])
 def test_index_contradicting_meta_is_data_error(indexed, capsys, name,
@@ -778,6 +794,20 @@ def _cut_unit_npy(chain):
     return f"{path}: Failed to read all data", []
 
 
+def _npz_unit_npy(chain):
+    path = chain["idx"] / "unit.npy"
+    matrix = np.load(path)
+    with open(path, "wb") as fh:
+        np.savez(fh, unit=matrix)
+    return f"{path}: holds an .npz archive", []
+
+
+def _zip_magic_unit_npy(chain):
+    path = chain["idx"] / "unit.npy"
+    path.write_bytes(b"PK\x03\x04" + path.read_bytes())
+    return f"{path}: File is not a zip file", []
+
+
 @pytest.mark.parametrize("case, corrupt", [
     ("noise", _bad_byte("single", 2)),
     ("edit", _bad_byte("pseudo", 2)),
@@ -791,9 +821,11 @@ def _cut_unit_npy(chain):
     ("decompose", _bad_json(lambda chain: chain["idx"] / "vocab.json")),
     ("classify", _bad_json(lambda chain: chain["clf"])),
     ("decompose", _cut_unit_npy),
+    ("decompose", _npz_unit_npy),
+    ("decompose", _zip_magic_unit_npy),
 ], ids=["corpus", "dataset-tsv", "records-tsv", "extract-text", "vec",
         "logits", "model-bytes", "config", "meta", "vocab", "model",
-        "unit-npy"])
+        "unit-npy", "npz-unit-npy", "zip-magic-unit-npy"])
 def test_unreadable_input_is_named(chain, capsys, case, corrupt):
     tmp = chain["tmp"]
     shown, flags = corrupt(chain)

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -266,6 +267,100 @@ def test_general_n3_ties_match_the_triu_search(seed):
     want = min(tuple(sorted(index.ids[pool[p]] for p in t)) for t in ties)
     assert got.sub_question_ids == want
     assert repr(got.objective_score) == repr(best)
+
+
+def ids_favouring(m, tie):
+    """An index stand-in whose ids sort the positions of tie first, so the
+    smallest-sorted-id rule picks tie from any list of ties holding it."""
+    return SimpleNamespace(ids=tuple(f"{'a' if p in tie else 'b'}{p:03d}"
+                                     for p in range(m)))
+
+
+def axis_pool(seed):
+    """(sims, gram) of a pool of axis rows, each several times over, and of
+    a query on the integer grid: many triples tie exactly. Odd seeds then
+    move a member of one best triple but not of another by one ulp of the
+    best value, so triples that tied are now about an ulp apart."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 5))
+    rows = np.eye(dim)[rng.integers(dim, size=int(rng.integers(5, 13)))]
+    query = rng.integers(1, 4, size=dim).astype(float)
+    query /= np.linalg.norm(query)
+    sims, gram = rows @ query, rows @ rows.T
+    if seed % 2:
+        ties, best = triu_general3(sims, gram)
+        p = next(p for p in ties[0] if p not in ties[-1])
+        sims[p] += rng.choice([-1.0, 1.0]) * np.spacing(best)
+    return sims, gram
+
+
+def copied_pool(seed):
+    """(sims, gram) of normal unit rows, some copies of others, and a normal
+    unit query: a copy ties exactly with its original in another block."""
+    rng = np.random.default_rng(seed)
+    m, dim = int(rng.integers(5, 12)), int(rng.integers(2, 5))
+    rows = rng.normal(size=(m, dim))
+    copies = int(rng.integers(1, m))
+    rows[rng.integers(m, size=copies)] = rows[rng.integers(m, size=copies)]
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    query = rng.normal(size=dim)
+    query /= np.linalg.norm(query)
+    return rows @ query, rows @ rows.T
+
+
+# copied_pool seeds where the float64 bound of a block holding a best
+# triple rounds below the best value, so only the rounding margin keeps
+# that triple
+BOUND_BELOW_A_TIE = (34, 48, 95, 107, 134)
+
+
+@pytest.mark.parametrize("pruned", [True, False], ids=["pruned", "full-scan"])
+@pytest.mark.parametrize("pool, seed",
+                         [("axis", s) for s in range(12)]
+                         + [("copied", s) for s in BOUND_BELOW_A_TIE])
+def test_bounded_n3_search_lists_every_tie_of_the_triu_search(
+        monkeypatch, pool, seed, pruned):
+    # each tie of the full search must win under ids that favour it, so the
+    # bounded search lists every one; forced off (every bound +inf), it
+    # visits all blocks in row-major order and must agree as well
+    sims, gram = {"axis": axis_pool, "copied": copied_pool}[pool](seed)
+    ties, best = triu_general3(sims, gram)
+    if pool == "axis":
+        assert len(ties) > 1
+    else:
+        upper = np.triu(np.ones((len(sims),) * 2, dtype=bool), 1)
+        bound = retrieval._block_bounds(sims, sims, -gram, upper)
+        assert min(bound[t[0]] for t in ties) < best
+    if not pruned:
+        monkeypatch.setattr(retrieval, "_block_bounds",
+                            lambda lead, *_: np.full(len(lead) - 2, np.inf))
+    rows = list(range(len(sims)))
+    for tie in ties:
+        chosen, score = retrieval._exhaustive(ids_favouring(len(sims), tie),
+                                              rows, sims, gram, 3)
+        assert tuple(chosen) == tie
+        assert repr(score) == repr(best)
+
+
+@pytest.mark.parametrize("m, mode", [(392, "exhaustive"), (393, "greedy")])
+def test_general_n3_cap_crossover(m, mode):
+    # C(392, 3) = 9,962,680 is within the cap and C(393, 3) = 10,039,316
+    # is not: the bounded search leaves the cap where it was
+    assert (math.comb(m, 3) <= EXHAUSTIVE_SUBSET_CAP) == (mode == "exhaustive")
+    rng = np.random.default_rng(m)
+    index, table = index_from_rows(nonzero_rows(rng, m, 6))
+    query_for(table, rng.normal(size=6))
+    question = Question.from_text("q", "qq")
+    got = pseudo_decompose_general(index, question, n=3, k=m)
+    assert got.search_mode == mode
+    if mode == "exhaustive":
+        _, unit = embed_sum_unit(table, question)
+        pool, _ = topk_oracle(unit, index.unit_matrix, index.ids, m)
+        cand = index.unit_matrix[pool].astype(np.float64)
+        ties, best = triu_general3(cand @ unit, cand @ cand.T)
+        want = min(tuple(sorted(index.ids[pool[p]] for p in t)) for t in ties)
+        assert got.sub_question_ids == want
+        assert repr(got.objective_score) == repr(best)
 
 
 def triu_fixed2(sims, gram):
