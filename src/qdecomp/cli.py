@@ -382,8 +382,12 @@ def cmd_train_classifier(opts):
     with _Run(opts, "train-classifier", opts["out"],
               *(path for _, path in pairs)) as run:
         for label, path in pairs:
-            train, hold = _split_holdout(load_corpus(path), opts["holdout"],
-                                         rng)
+            corpus = load_corpus(path)
+            train, hold = _split_holdout(corpus, opts["holdout"], rng)
+            if not len(train):
+                raise ValueError(f"{path}: no training question for label "
+                                 f"{label!r}: --holdout {opts['holdout']} "
+                                 f"holds out {len(hold)} of {len(corpus)}")
             train_sets.append((train, label))
             if len(hold):
                 heldout_sets.append((hold, label))
@@ -511,6 +515,11 @@ def cmd_decompose(opts):
         index = _load_bound_index(opts, run)
         questions = load_corpus(opts["questions"])
         result = build_pseudo_decomposition_dataset(questions, index, config)
+        if result.failures and not result.records:
+            qid, reason = result.failures[0]
+            raise ValueError(f"{opts['questions']}: skipped all "
+                             f"{len(result.failures)} questions, so no "
+                             f"dataset is written; first skip {qid}: {reason}")
         write_dataset_tsv(result.records, run.output(opts["out"]))
     for qid, reason in result.failures:
         _progress(f"decompose: skipped {qid}: {reason}")
@@ -557,11 +566,13 @@ def cmd_noise(opts):
 def cmd_metrics(opts):
     with _Run(opts, "metrics", opts["out"], opts["records"]) as run:
         # columns: question, decomposition, round trip
-        records = [RoundTripRecord(
-                       question=Question.from_text(f"r{lineno:08d}",
-                                                   fields[0]),
-                       decomposition_text=fields[1], roundtrip_text=fields[2])
-                   for lineno, fields in _read_tsv(opts["records"], 3)]
+        records = []
+        for lineno, fields in _read_tsv(opts["records"], 3):
+            question = Question.from_text(f"r{lineno:08d}", fields[0])
+            if not question.tokens:
+                raise ValueError(f"{opts['records']}:{lineno}: question has "
+                                 f"no tokens")
+            records.append(RoundTripRecord(question, fields[1], fields[2]))
         payload = dataclasses.asdict(roundtrip_report(records))
         write_json(payload, run.output(opts["out"]), indent=2)
     print(json.dumps(payload, sort_keys=True))
@@ -595,6 +606,10 @@ def cmd_synth_eval(opts):
         corpus = load_corpus(opts["corpus"])
         pool = corpus.take([row for row, qid in enumerate(corpus.ids)
                             if qid in index])
+        if len(pool) < opts["n"]:
+            raise ValueError(f"{opts['corpus']} shares {len(pool)} question "
+                             f"ids with index {opts['index']}, need "
+                             f"{opts['n']}")
         benchmark = build_synthetic_compositional(pool, opts["n"],
                                                   opts["count"], opts["seed"])
         report = mrr_eval(opts["objective"], benchmark, index, opts["k"])

@@ -132,7 +132,8 @@ def read_logits_jsonl(path):
 
     The values are passed to ParagraphLogits as read, so a record that
     lacks a field or that it refuses (a logit that is a bool, a string or
-    too large, say) raises ValueError naming path:line.
+    too large, say) raises ValueError naming path:line, and a file with no
+    record, or with no span in any record, one naming path.
     """
     out = []
     for lineno, obj in read_jsonl(path):
@@ -145,4 +146,6 @@ def read_logits_jsonl(path):
             raise ValueError(f"{path}:{lineno}: bad logits record: {exc}") from exc
     if not out:
         raise ValueError(f"{path}: no paragraph records")
+    if not any(p.span_entries for p in out):
+        raise ValueError(f"{path}: no span in any paragraph record")
     return out

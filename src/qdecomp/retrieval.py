@@ -439,23 +439,46 @@ def _unit_pool(index, rows, unit):
     return cand @ unit, cand @ cand.T
 
 
-def _block_bounds(lead, own, pairs, upper):
-    """Upper bound of each first-member block of a pool's size-3 subsets.
+def _block_bounds(start, members, pairs, upper):
+    """Upper bound of each first-member block of a pool's size-3 subsets,
+    and the one rounding margin to prune by.
 
-    A subset of pool positions i < j < k scores lead[i] + t_ij + t_ik +
-    pairs[j, k], where t_ij = own[j] + pairs[i, j]. Block i, every subset
-    with first member i, is bounded by (the two largest t_ij, j > i, added)
-    + lead[i] + (the largest pairs[j, k], i < j < k), added left to right
-    in float64. upper is the (K, K) mask of j < k. Returns the bounds of
-    blocks 0 .. K - 3; each caller widens them by the rounding margin of
-    its own score order.
+    A subset i < j < k of pool positions has L = 3 * len(members) + 4
+    terms: start, each member vector's entries at i, j and k, and the pairs
+    entries (i, j), (i, k), (j, k), whose magnitudes sum to at most W =
+    |start| + 3 * sum(max|v| for v in members) + 3 * max|pairs|. Block i,
+    every subset with first member i, is bounded by (its two largest t_ij)
+    + lead_i + (its largest pairs[j, k]), added left to right in float64,
+    where lead_i is start plus i's member terms and t_ij is j's member
+    terms plus pairs[i, j]. upper is the (K, K) mask of j < k. Returns the
+    bounds of blocks 0 .. K - 3 and margin = gamma_{2L}(u64) * W * (1 +
+    2**-40).
+
+    An entry of block i that adds its L terms in any order is at most
+    fl(bound_i + margin). It is within gamma_{L-1}(u64) * W of its terms'
+    exact sum (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.1), which exceeds the exact sum of the bound's four operands
+    by at most gamma_{len(members)} * W (the roundings of lead_i and t_ij),
+    and the bound's three roundings add gamma_3 * (1 + gamma_{len(members)})
+    * W. As L >= 7, the margin exceeds these by more than 2 * u64 * W, which
+    covers rounding bound + margin; the factor covers rounding the margin.
     """
+    lead = start
+    for v in members:
+        lead = lead + v
+    own = members[0]
+    for v in members[1:]:
+        own = own + v
     m = len(lead)
     tails = np.where(upper, own + pairs, -np.inf)
     top_two = np.partition(tails, m - 2, axis=1)[:, m - 2:].sum(axis=1)
     row_best = pairs.max(axis=1, where=upper, initial=-np.inf)
     after = np.maximum.accumulate(row_best[::-1])[::-1]  # max over rows >= j
-    return top_two[:m - 2] + lead[:m - 2] + after[1:m - 1]
+    terms = 3 * len(members) + 4
+    width = (abs(start) + 3 * sum(float(np.abs(v).max()) for v in members)
+             + 3 * float(np.abs(pairs).max()))
+    margin = _gamma(2 * terms, _U64) * width * (1.0 + 2.0 ** -40)
+    return top_two[:m - 2] + lead[:m - 2] + after[1:m - 1], margin
 
 
 def _exhaustive(index, rows, sims, gram, n):
@@ -468,26 +491,11 @@ def _exhaustive(index, rows, sims, gram, n):
     j < k counts. Every tie of the best value is listed, and the one with
     the smallest sorted id tuple wins.
 
-    n = 3 visits the blocks by descending _block_bounds (lead and own are
-    sims, pairs is -gram, so t_ij = s_j - g_ij) and stops at the first
-    block whose bound plus the margin gamma_12(u64) * W * (1 + 2**-40) is
-    below the best value so far, W = 3 (max|sims| + max|gram|) bounding the
-    magnitudes of a subset's six terms. The proof that such a block, and
-    every later one, holds only entries below the best: an entry sums its
-    six terms in five roundings, so it is within gamma_5(u64) * W of their
-    exact sum V (Higham, Accuracy and Stability of Numerical Algorithms,
-    section 3.1). Each t_ij is within u64 * (|s_j| + |g_ij|) of s_j - g_ij,
-    so V is at most s_i + t_a + t_b + P + u64 * W, with t_a, t_b the
-    block's two largest t and P its largest -g_jk; the bound adds those
-    four in three roundings, within gamma_3(u64) * (1 + u64) * W of their
-    exact sum. The margin exceeds gamma_5 + u64 + gamma_3 (1 + u64) times
-    W by more than 2 * u64 * W, which covers the rounding of bound +
-    margin (|bound + margin| is below (1 + 16 u64) W), and the factor
-    covers the rounding of the margin. A later block's bound is no larger
-    and the best only grows, so the search stops there. Skipped entries
-    are below the best, never equal to it, and every visited block is
-    scored as in a scan of all blocks, so the chosen subset and its score
-    bits are those of that scan.
+    n = 3 visits the blocks by descending _block_bounds and stops at the
+    first block whose bound plus margin is below the best value so far: no
+    entry of it, or of any later block (no larger bound), reaches the best,
+    which only grows. So the chosen subset and its score bits are those of
+    a scan of all blocks.
     """
     m = len(sims)
     pair_part = sims[:, None] + sims[None, :] - gram
@@ -497,9 +505,7 @@ def _exhaustive(index, rows, sims, gram, n):
         if n == 2:
             yield (), 0, pair_part
             return
-        bound = _block_bounds(sims, sims, -gram, upper)
-        scale = 3.0 * (float(np.abs(sims).max()) + float(np.abs(gram).max()))
-        margin = _gamma(12, _U64) * scale * (1.0 + 2.0 ** -40)
+        bound, margin = _block_bounds(-0.0, (sims,), -gram, upper)
         for i in np.argsort(-bound, kind="stable").tolist():
             if bound[i] + margin < best:  # best: the scan's value so far
                 return
@@ -578,19 +584,15 @@ def pseudo_decompose_general(index, question, n, k=1000, query=None):
         chosen, score = _exhaustive(index, rows, sims, gram, n)
     else:
         search_mode = "greedy"
-        selected = []
-        remaining = list(range(m))
+        ranks = index.id_rank[rows]
+        chosen = []
         for _ in range(n):
-            rem = np.array(remaining, dtype=np.intp)
-            gains = sims[rem]
-            if selected:
-                gains = gains - gram[np.ix_(remaining, selected)].sum(axis=1)
-            gmax = float(gains.max())
-            tie_pos = [remaining[int(t)] for t in np.flatnonzero(gains == gmax)]
-            pick = min(tie_pos, key=lambda p: index.ids[rows[p]])
-            selected.append(pick)
-            remaining.remove(pick)
-        chosen = tuple(selected)
+            # take's C-ordered gather sums each row pairwise; gram[:, chosen]
+            # is column-major and adds column by column, unequal from 8 on
+            gains = sims - gram.take(chosen, axis=1).sum(axis=1)
+            gains[chosen] = -np.inf
+            ties = np.flatnonzero(gains == gains.max())
+            chosen.append(int(ties[np.argmin(ranks[ties])]))
         score = _subset_score(sims, gram, chosen)
     return _decomposition(index, question, rows, chosen, score,
                           METHOD_GENERAL, search_mode)

@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .corpus import Question, QuestionCorpus
-from .embeddings import _U64, _gamma, make_vector_table
+from .embeddings import make_vector_table
 from .retrieval import _block_bounds, _query_rows, _scan_queries, _unit_pool
 from .rng import substream
 
@@ -96,23 +96,9 @@ def _count_better(start, members, pairs, gold):
 
     Scores follow _objective_terms exactly, gold's included. n = 2 is one
     (K, K) block masked to j < k. For n = 3 each first member i has a
-    (K-i-1)**2 block of (j, k), masked the same way, unless its bound
+    (K-i-1)**2 block of (j, k), masked the same way, unless its
+    retrieval._block_bounds bound plus margin is not above gold, which
     proves the block holds nothing above gold.
-
-    The bound of block i comes from retrieval._block_bounds: lead_i + (the
-    two largest t_ij, j > i) + (the largest pairs[j, k], i < j < k), where
-    lead_i is start plus i's member terms and t_ij is j's member terms
-    (own) plus pairs[i, j], so every subset of the block is lead_i + t_ij +
-    t_ik + pairs[j, k]. Let W bound the magnitudes of a subset's L terms
-    (L = 1 + 3 * len(members) + 3).
-    A block entry is a recursive sum of its L terms and so lies within
-    gamma_{L-1}(u64) * W of their exact sum (Higham, Accuracy and Stability
-    of Numerical Algorithms, section 3.1). lead_i and t_ij each take
-    len(members) roundings and the bound three more, so the exact sum is
-    within (gamma_{len(members)} + gamma_3) * W of the bound. The block is
-    skipped when bound + gamma_{2L}(u64) * W * (1 + 2**-40) <= gold: the
-    margin exceeds both errors by at least 2 * u64 * W, which covers the
-    rounding of that sum, and the factor covers the rounding of the margin.
     """
     lead = start
     for v in members:
@@ -124,7 +110,7 @@ def _count_better(start, members, pairs, gold):
     for a, b in combinations(gold, 2):
         score = score + pairs[a, b]
     m = len(lead)
-    upper = np.triu(np.ones((m, m), dtype=bool), 1)
+    upper = np.arange(m)[:, None] < np.arange(m)
     if len(gold) == 2:
         block = lead[:, None] + members[0]
         for v in members[1:]:
@@ -132,14 +118,7 @@ def _count_better(start, members, pairs, gold):
         block += pairs
         return int(np.count_nonzero((block > score) & upper))
 
-    own = members[0]
-    for v in members[1:]:
-        own = own + v
-    bound = _block_bounds(lead, own, pairs, upper)
-    terms = 1 + 3 * len(members) + 3
-    scale = (abs(start) + 3 * sum(float(np.abs(v).max()) for v in members)
-             + 3 * float(np.abs(pairs).max()))
-    margin = _gamma(2 * terms, _U64) * scale * (1.0 + 2.0 ** -40)
+    bound, margin = _block_bounds(start, members, pairs, upper)
     better = 0
     for i in np.flatnonzero(bound + margin > score).tolist():
         rest = slice(i + 1, None)
@@ -168,10 +147,10 @@ def decomposition_rank(objective, composite, gold_sub_ids, index, query, k):
     The count never holds all C(K, n) scores. n = 2 scores one (K, K)
     block of pairs; n = 3 scores K - 2 blocks, one (K-i-1)**2 block of
     (j, k) pairs per first member i, and skips a block when its bound plus
-    the rounding margin gamma_{2L}(u64) * W is not above gold (see
-    _count_better for the bound, L and W). Subsets and gold are scored in
-    one fixed operation order, so the rank is that of scoring and
-    comparing every subset.
+    the rounding margin is not above gold (see retrieval._block_bounds for
+    the bound and the margin). Subsets and gold are scored in one fixed
+    operation order, so the rank is that of scoring and comparing every
+    subset.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")

@@ -52,6 +52,35 @@ def general_argmax_oracle(q_unit, unit_rows, ids, n):
     return best
 
 
+def greedy_general_oracle(sims, gram, ids, n):
+    """Greedy forward selection of a size-n subset for the general objective.
+
+    sims and gram are the pool's query and pairwise similarities in pool
+    order. Each step picks the unpicked candidate whose gain, its sim minus
+    its similarities to the picks (in pick order) summed with ndarray.sum,
+    is largest; equal gains go to the smallest id. The score is the picks'
+    sims summed with ndarray.sum, minus each pair's similarity in
+    combinations order of the picks (the package's arithmetic, so equal
+    gains and scores are bit-identical). Returns (sorted id tuple, score).
+    """
+    picks = []
+    for _ in range(n):
+        best = None
+        for c in range(len(ids)):
+            if c in picks:
+                continue
+            taken = np.array([gram[c][p] for p in picks], dtype=np.float64)
+            gain = float(sims[c]) - float(taken.sum())
+            if (best is None or gain > best[0]
+                    or (gain == best[0] and ids[c] < ids[best[1]])):
+                best = (gain, c)
+        picks.append(best[1])
+    score = float(np.array([sims[p] for p in picks], dtype=np.float64).sum())
+    for a, b in combinations(picks, 2):
+        score -= float(gram[a][b])
+    return tuple(sorted(ids[p] for p in picks)), score
+
+
 def variable_argmin_oracle(q_raw, raw_rows, ids, max_n):
     """Brute-force subset of size 1..max_n minimizing ||q - sum of rows||.
 

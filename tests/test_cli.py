@@ -251,6 +251,18 @@ def test_metrics_names_a_records_line_with_too_few_columns(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_metrics_names_a_records_line_whose_question_has_no_tokens(
+        tmp_path, capsys):
+    records = tmp_path / "records.tsv"
+    records.write_text("Who is t001 of e001?\tWho is t001?\tWho is t001?\n"
+                       " \tWho is t002?\tWho is t002?\n")
+    out = tmp_path / "report.json"
+    assert main(["metrics", "--records", str(records), "--out", str(out)]) == 2
+    assert f"{records}:2: question has no tokens" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "report.json.manifest.json").exists()
+
+
 @pytest.fixture
 def indexed(workspace):
     """The workspace plus a word-vector index over its single-hop corpus."""
@@ -575,6 +587,33 @@ def test_vectors_mismatch_leaves_no_tsv_and_no_manifest(indexed, capsys):
                             out)) == 2
     assert not out.exists()
     assert not (indexed["tmp"] / "other.tsv.manifest.json").exists()
+
+
+def test_decompose_with_every_question_skipped_is_data_error(indexed,
+                                                             capsys):
+    questions = indexed["tmp"] / "oov.jsonl"
+    save_corpus(make_corpus(["zzqx yyqx", "xxqz"]), questions)
+    out = indexed["tmp"] / "oov.tsv"
+    assert main(["decompose", "--questions", str(questions),
+                 "--index", str(indexed["idx"]),
+                 "--vectors", str(indexed["vec"]), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"{questions}: skipped all 2 questions, so no dataset is "
+            f"written; first skip q00000000: text has no in-vocabulary "
+            f"tokens") in err
+    assert not out.exists()
+    assert not (indexed["tmp"] / "oov.tsv.manifest.json").exists()
+
+
+def test_decompose_of_an_empty_corpus_writes_an_empty_tsv(indexed, capsys):
+    questions = indexed["tmp"] / "empty.jsonl"
+    questions.write_text("")
+    out = indexed["tmp"] / "empty.tsv"
+    assert main(["decompose", "--questions", str(questions),
+                 "--index", str(indexed["idx"]),
+                 "--vectors", str(indexed["vec"]), "--out", str(out)]) == 0
+    assert out.read_text() == ""
+    assert "wrote 0 records, skipped 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["decompose", "synth-eval"])
@@ -1074,6 +1113,22 @@ def test_synth_eval_bad_flag_is_usage_error(indexed, capsys, flags):
     assert not (indexed["tmp"] / "mrr.json.ranks.json").exists()
 
 
+def test_synth_eval_corpus_sharing_too_few_ids_is_data_error(indexed,
+                                                             capsys):
+    corpus = indexed["tmp"] / "other.jsonl"
+    save_corpus(make_corpus(["Who is t001?", "Who is t002?"], prefix="z"),
+                corpus)
+    out = indexed["tmp"] / "mrr.json"
+    assert main(["synth-eval", "--corpus", str(corpus),
+                 "--index", str(indexed["idx"]),
+                 "--vectors", str(indexed["vec"]), "--objective",
+                 "sum-distance", "--out", str(out)]) == 2
+    assert (f"{corpus} shares 0 question ids with index {indexed['idx']}, "
+            f"need 3") in capsys.readouterr().err
+    assert not out.exists()
+    assert not (indexed["tmp"] / "mrr.json.ranks.json").exists()
+
+
 def test_recompose_command(tmp_path, capsys):
     from qdecomp.recompose import ParagraphLogits
     a = [ParagraphLogits("p1", (("s1", 2.0), ("s2", 0.0)), 0.0),
@@ -1132,6 +1187,18 @@ def test_bad_logits_record_names_its_line(tmp_path, capsys, record, shown):
     assert not out.exists()
 
 
+def test_logits_without_any_span_is_data_error(tmp_path, capsys):
+    logits = tmp_path / "logits.jsonl"
+    logits.write_text(_logits_record(paragraph_id="p1", span_ids=()) + "\n"
+                      + _logits_record(paragraph_id="p2", span_ids=()) + "\n")
+    out = tmp_path / "answer.json"
+    assert main(["recompose", "--logits", str(logits), "--out",
+                 str(out)]) == 2
+    assert (f"{logits}: no span in any paragraph record"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_internal_error_exit_code(tmp_path, capsys):
     # corrupt index directory: meta.json missing
     d = tmp_path / "idx"
@@ -1162,6 +1229,20 @@ def test_train_classifier_bad_flag_is_usage_error(tmp_path, capsys, flags):
                 + flags) == 1
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_holdout_leaving_no_training_question_is_data_error(tmp_path,
+                                                            capsys):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    save_corpus(make_corpus(["Who is t001?", "Who is t002?"]), a)
+    save_corpus(make_corpus(["Where is e001?"], prefix="b"), b)
+    out = tmp_path / "clf.json"
+    assert main(["train-classifier", "--labeled", f"a={a}", "--labeled",
+                 f"b={b}", "--holdout", "0.6", "--out", str(out)]) == 2
+    assert (f"{b}: no training question for label 'b': --holdout 0.6 holds "
+            f"out 1 of 1") in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "clf.json.manifest.json").exists()
 
 
 def test_synth_eval_negative_seed_is_usage_error(tmp_path, capsys):

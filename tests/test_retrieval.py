@@ -1,5 +1,7 @@
 import json
 import math
+from functools import partial
+from itertools import combinations
 from types import SimpleNamespace
 from unittest import mock
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdecomp import embeddings, retrieval
+from qdecomp import embeddings, retrieval, synthbench
 from qdecomp.corpus import Question, QuestionCorpus
 from qdecomp.embeddings import embed_blocks, make_vector_table
 from qdecomp.retrieval import (
@@ -30,6 +32,7 @@ from qdecomp.retrieval import (
 
 from conftest import make_corpus
 from oracles import (embed_sum_oracle, general_argmax_oracle,
+                     greedy_general_oracle,
                      pair_argmax_oracle, topk_oracle, variable_argmin_oracle,
                      variable_beam_oracle)
 
@@ -329,17 +332,84 @@ def test_bounded_n3_search_lists_every_tie_of_the_triu_search(
         assert len(ties) > 1
     else:
         upper = np.triu(np.ones((len(sims),) * 2, dtype=bool), 1)
-        bound = retrieval._block_bounds(sims, sims, -gram, upper)
+        bound, _ = retrieval._block_bounds(-0.0, (sims,), -gram, upper)
         assert min(bound[t[0]] for t in ties) < best
     if not pruned:
         monkeypatch.setattr(retrieval, "_block_bounds",
-                            lambda lead, *_: np.full(len(lead) - 2, np.inf))
+                            lambda _, members, *__: (
+                                np.full(len(members[0]) - 2, np.inf), 0.0))
     rows = list(range(len(sims)))
     for tie in ties:
         chosen, score = retrieval._exhaustive(ids_favouring(len(sims), tie),
                                               rows, sims, gram, 3)
         assert tuple(chosen) == tie
         assert repr(score) == repr(best)
+
+
+def exhaustive_order(sims, gram, i, j, k):
+    """Triple i < j < k scored in _exhaustive's operation order."""
+    return ((sims[j] + sims[k]) - gram[j, k]) + ((sims[i] - gram[i, j])
+                                                 - gram[i, k])
+
+
+def count_order(start, members, pairs, i, j, k):
+    """Triple i < j < k scored in synthbench._count_better's operation
+    order: start, each position's member terms, then the three pairs."""
+    total = start
+    for p in (i, j, k):
+        for v in members:
+            total = total + v[p]
+    for a, b in ((i, j), (i, k), (j, k)):
+        total = total + pairs[a, b]
+    return total
+
+
+def assert_bounded(score, start, members, pairs):
+    """Every triple's score is at most its block's bound plus the margin."""
+    m = len(members[0])
+    upper = np.arange(m)[:, None] < np.arange(m)
+    bound, margin = retrieval._block_bounds(start, members, pairs, upper)
+    for i, j, k in combinations(range(m), 3):
+        assert score(i, j, k) <= bound[i] + margin, (i, j, k)
+
+
+@st.composite
+def row_pools(draw, most):
+    """3 to most nonzero rows, on an integer grid (exact ties) or normal,
+    some of them copies of others, and a nonzero query of the same kind."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m, dim = draw(st.integers(3, most)), draw(st.integers(1, 5))
+    grid = draw(st.booleans())
+    rows = nonzero_rows(rng, m, dim, grid=grid)
+    copies = draw(st.integers(0, m))
+    rows[rng.integers(m, size=copies)] = rows[rng.integers(m, size=copies)]
+    return rows, nonzero_rows(rng, 1, dim, grid=grid)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_pools(14))
+def test_block_margin_covers_both_score_orders(case):
+    # one margin serves _exhaustive's order and _count_better's order of
+    # either objective's terms
+    rows, query = case
+    index, _ = index_from_rows(rows)
+    pool, unit = list(range(len(rows))), query / np.linalg.norm(query)
+    sims, gram = retrieval._unit_pool(index, pool, unit)
+    assert_bounded(partial(exhaustive_order, sims, gram), -0.0, (sims,),
+                   -gram)
+    for objective in synthbench.OBJECTIVES:
+        terms = synthbench._objective_terms(objective, index, pool, query,
+                                            unit)
+        assert_bounded(partial(count_order, *terms), *terms)
+
+
+@pytest.mark.parametrize("seed", BOUND_BELOW_A_TIE)
+def test_block_margin_covers_a_best_triple_above_its_bound(seed):
+    # in these pools a best triple scores above its block's float64 bound
+    sims, gram = copied_pool(seed)
+    terms = -0.0, (sims,), -gram
+    assert_bounded(partial(exhaustive_order, sims, gram), *terms)
+    assert_bounded(partial(count_order, *terms), *terms)
 
 
 @pytest.mark.parametrize("m, mode", [(392, "exhaustive"), (393, "greedy")])
@@ -442,6 +512,35 @@ def test_general_falls_back_to_greedy_above_cap():
     assert got.search_mode == "greedy"
     assert len(got.sub_question_ids) == 4
     assert got.sub_question_ids == tuple(sorted(got.sub_question_ids))
+
+
+@st.composite
+def greedy_pools(draw):
+    """row_pools of up to 60 rows, K up to 60 and a subset size n from 3 to
+    12 that the pool holds."""
+    rows, query = draw(row_pools(60))
+    k = draw(st.integers(3, 60))
+    return rows, query, k, draw(st.integers(3, min(12, k, len(rows))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(greedy_pools())
+def test_general_greedy_matches_the_greedy_oracle(case):
+    # a cap of 0 sends n = 3 to greedy too; n = 2 is always the pair search
+    rows, query, k, n = case
+    index, table = index_from_rows(rows)
+    query_for(table, query)
+    question = Question.from_text("q", "qq")
+    with mock.patch.object(retrieval, "EXHAUSTIVE_SUBSET_CAP", 0):
+        got = pseudo_decompose_general(index, question, n=n, k=k)
+    _, unit = embed_sum_unit(table, question)
+    pool, _ = topk_oracle(unit, index.unit_matrix, index.ids, k)
+    cand = index.unit_matrix[pool].astype(np.float64)
+    want, score = greedy_general_oracle(cand @ unit, cand @ cand.T,
+                                        [index.ids[r] for r in pool], n)
+    assert got.search_mode == "greedy"
+    assert got.sub_question_ids == want
+    assert repr(got.objective_score) == repr(score)
 
 
 def test_variable_matches_brute_force():
