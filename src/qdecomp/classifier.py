@@ -56,22 +56,46 @@ class Prediction:
 _BLOCK = 1024  # questions scored per numpy pass
 
 
-def _mean_embeddings(emb, flat, starts, lengths):
-    """Row i is emb[flat[starts[i]:starts[i] + lengths[i]]].mean(axis=0)
-    taken alone, bit for bit, or zeros where lengths[i] is 0.
+def _length_groups(flat, starts, lengths, batch_size):
+    """The one grouping rule of _mean_embeddings, for rows taken in batches
+    of batch_size: per batch, a list of (rows, tokens), one pair per
+    nonzero length ell. rows are the positions in the batch of the rows of
+    length ell, in order; tokens is the (len(rows), ell) array of their
+    token ids. Rows of length 0 are in no group.
+
+    One lexsort over (batch, length) orders every row; one gather lays the
+    token ids out in that order, so each group's tokens are one contiguous
+    slice."""
+    n = len(lengths)
+    order = np.lexsort((lengths, np.arange(n) // batch_size))
+    ell = lengths[order]
+    tokens = flat[_ranges(starts[order], starts[order] + ell)]
+    batch, rows = np.divmod(order, batch_size)
+    first = np.flatnonzero(np.diff(batch, prepend=-1)
+                           | np.diff(ell, prepend=-1))
+    offset = np.cumsum(ell) - ell
+    groups = [[] for _ in range(0, n, batch_size)]
+    for b, lo, hi, e, at in zip(batch[first].tolist(), first.tolist(),
+                                [*first[1:].tolist(), n], ell[first].tolist(),
+                                offset[first].tolist()):
+        if e:
+            groups[b].append((rows[lo:hi], tokens[at:at + (hi - lo) * e]
+                              .reshape(hi - lo, e)))
+    return groups
+
+
+def _mean_embeddings(emb, groups, n):
+    """Row i of n is the mean of emb over row i's token ids, bit for bit
+    emb[ids].mean(axis=0) taken alone, or zeros where it has none.
 
     mean's summation order depends on the layout (at dim 1 numpy sums the
-    column pairwise), so rows of equal length are stacked and reduced along
-    the same axis by numpy's own reduction."""
-    h = np.zeros((len(lengths), emb.shape[1]))
-    order = np.argsort(lengths, kind="stable")
-    cuts = (np.flatnonzero(np.diff(lengths[order])) + 1).tolist()
-    for lo, hi in zip([0] + cuts, cuts + [len(order)]):
-        rows = order[lo:hi]
-        ell = int(lengths[rows[0]])
-        if ell:
-            tokens = flat[starts[rows, None] + np.arange(ell)]
-            h[rows] = np.add.reduce(emb[tokens], axis=1) / ell
+    column pairwise), so each group of rows of equal length (see
+    _length_groups) is stacked and reduced along the same axis by numpy's
+    own reduction."""
+    h = np.zeros((n, emb.shape[1]))
+    for rows, tokens in groups:
+        h[rows] = (np.add.reduce(emb.take(tokens, axis=0), axis=1)
+                   / tokens.shape[1])
     return h
 
 
@@ -99,6 +123,14 @@ def train_classifier(labeled, config=TrainingConfig()):
     and one backward pass; the result is bit for bit that of scoring and
     updating one example at a time. An epoch whose mean loss is not finite
     (the weights have diverged) raises ValueError naming it.
+
+    Every index array a batch uses depends only on the epoch's permutation,
+    so each epoch plans all its batches at once: _length_groups gives each
+    batch's length groups, and one gather gives every batch's scatter
+    indices. The batch loop only slices them. The embedding update is one
+    np.add.at on the flat embeddings at token * dim + column: it adds
+    element (token, column) its updates in token order, as the row-wise
+    np.add.at does, so each element's sum is the same.
     """
     labels = tuple(lab for _, lab in labeled)
     if len(labels) < 2:
@@ -127,35 +159,43 @@ def train_classifier(labeled, config=TrainingConfig()):
     bias = np.zeros(len(labels))
 
     n = len(token_lists)
-    n_batches = max(1, math.ceil(n / config.batch_size))
-    total_steps = config.epochs * n_batches
+    batch_size = config.batch_size
+    bounds = [*range(0, n, batch_size), n]  # batch b: bounds[b]:bounds[b + 1]
+    total_steps = config.epochs * (len(bounds) - 1)
     step = 0
     epoch_losses = []
+    emb_flat = emb.reshape(-1)  # a view: emb is C-contiguous
+    cols = np.arange(dim)
     for epoch in range(config.epochs):
         order = substream(config.seed, "classifier-shuffle", epoch).permutation(n)
+        e_starts, e_lengths, e_targets = (starts[order], lengths[order],
+                                          targets[order])
+        groups = _length_groups(flat, e_starts, e_lengths, batch_size)
+        scatter = flat[_ranges(e_starts, e_starts + e_lengths)] * dim
+        cuts = np.concatenate(([0], np.cumsum(e_lengths)))[bounds].tolist()
         loss_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start:start + config.batch_size]
+        for b, (start, end) in enumerate(zip(bounds, bounds[1:])):
             lr = config.learning_rate * (1.0 - step / total_steps)
             step += 1
-            b_starts, b_lengths = starts[batch], lengths[batch]
-            h = _mean_embeddings(emb, flat, b_starts, b_lengths)
+            b_lengths = e_lengths[start:end]
+            h = _mean_embeddings(emb, groups[b], end - start)
             d = _probabilities(weight, bias, h)
-            target = (np.arange(len(batch)), targets[batch])
+            target = (np.arange(end - start), e_targets[start:end])
             for p in d[target].tolist():
                 loss_sum += -math.log(max(p, 1e-300))
             d[target] -= 1.0
             grad_w = _sequential_sum(d[:, :, None] * h[:, None, :])
             grad_b = _sequential_sum(d)
             gh = np.matmul(weight.T[None], d[:, :, None])[:, :, 0]
-            scale = lr / len(batch)
+            scale = lr / (end - start)
             weight -= scale * grad_w
             bias -= scale * grad_b
             # one row per feature, in example order: a featureless example
             # is repeated zero times, so its divisor only has to be nonzero
             updates = -(scale / np.maximum(b_lengths, 1))[:, None] * gh
-            np.add.at(emb, flat[_ranges(b_starts, b_starts + b_lengths)],
-                      np.repeat(updates, b_lengths, axis=0))
+            np.add.at(emb_flat,
+                      (scatter[cuts[b]:cuts[b + 1], None] + cols).ravel(),
+                      np.repeat(updates, b_lengths, axis=0).ravel())
         epoch_losses.append(loss_sum / n)
         if not math.isfinite(epoch_losses[-1]):
             raise ValueError(f"training diverged: epoch {epoch + 1} has mean "
@@ -177,8 +217,9 @@ def predict(model, token_lists):
     token_lists = iter(token_lists)
     while block := list(islice(token_lists, _BLOCK)):
         flat, starts, lengths = _features(block, model.vocab)
-        probs = _probabilities(model.weight, model.bias, _mean_embeddings(
-            model.embeddings, flat, starts, lengths))
+        h = _mean_embeddings(model.embeddings, _length_groups(
+            flat, starts, lengths, len(block))[0], len(block))
+        probs = _probabilities(model.weight, model.bias, h)
         degenerate = lengths == 0
         probs[degenerate] = 1.0 / k  # whose argmax is 0, the first label
         for p, best, flag in zip(probs, np.argmax(probs, axis=1).tolist(),

@@ -573,6 +573,8 @@ def cmd_metrics(opts):
                 raise ValueError(f"{opts['records']}:{lineno}: question has "
                                  f"no tokens")
             records.append(RoundTripRecord(question, fields[1], fields[2]))
+        if not records:
+            raise ValueError(f"{opts['records']}: no records")
         payload = dataclasses.asdict(roundtrip_report(records))
         write_json(payload, run.output(opts["out"]), indent=2)
     print(json.dumps(payload, sort_keys=True))

@@ -290,7 +290,20 @@ def load_corpus(*paths):
 
 
 def save_corpus(corpus, path):
-    """Write a corpus as JSONL; inverse of load_corpus for id/text content."""
-    write_jsonl(({"id": qid, "text": text}
-                 for qid, text in zip(corpus.ids, corpus.texts)),
-                path, separators=(",", ":"))
+    """Write a corpus as JSONL; inverse of load_corpus for id/text content.
+
+    Each line is built from its two strings by encode_basestring, the
+    string encoder that _encoder()'s ensure_ascii=False policy uses, with
+    the keys in sorted order and no spaces, so the lines are those of
+    write_jsonl(..., separators=(",", ":")). A text UTF-8 cannot encode (a
+    lone surrogate) raises ValueError naming path:line.
+    """
+    quote = json.encoder.encode_basestring
+    with open(path, "w", encoding="utf-8") as fh:
+        for lineno, (qid, text) in enumerate(zip(corpus.ids, corpus.texts),
+                                             start=1):
+            try:
+                fh.write('{"id":' + quote(qid) + ',"text":' + quote(text)
+                         + "}\n")
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None

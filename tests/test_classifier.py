@@ -165,6 +165,15 @@ def _saved_bytes(model, path):
          min_count=1, seed=0, text_seed=1)
 @example(sizes=[4, 7], dim=16, epochs=3, learning_rate=4.0, batch_size=3,
          min_count=2, seed=5, text_seed=2)
+# one example per batch
+@example(sizes=[5, 6], dim=2, epochs=2, learning_rate=1.0, batch_size=1,
+         min_count=1, seed=1, text_seed=3)
+# one batch per epoch: batch_size at least the 12 examples
+@example(sizes=[4, 3, 5], dim=16, epochs=3, learning_rate=0.5,
+         batch_size=40, min_count=1, seed=2, text_seed=4)
+# every example with features has 11 tokens: one length group per batch
+@example(sizes=[1, 4], dim=1, epochs=2, learning_rate=1.0, batch_size=2,
+         min_count=1, seed=3, text_seed=41884)
 def test_batched_classifier_equals_per_example_oracle(
         tmp_path_factory, sizes, dim, epochs, learning_rate, batch_size,
         min_count, seed, text_seed):
@@ -226,6 +235,22 @@ def test_stacked_matmul_is_one_gemv_per_row(k, dim):
     for i in range(50):
         assert forward[i].tobytes() == (w @ h[i]).tobytes()
         assert backward[i].tobytes() == (w.T @ d[i]).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16, 33])
+def test_flat_add_at_is_the_row_wise_add_at(dim):
+    # element (row, column) of m.reshape(-1) is at row * dim + column, and
+    # np.add.at adds in index order, so each element sees its rows in order
+    rng = np.random.default_rng(dim + 7)
+    rows = rng.integers(0, 6, 40)  # six rows, each repeated
+    updates = rng.normal(size=(40, dim)) * 10.0 ** rng.integers(-8, 9,
+                                                                 (40, dim))
+    m = rng.normal(size=(6, dim))
+    row_wise, flat = m.copy(), m.copy()
+    np.add.at(row_wise, rows, updates)
+    np.add.at(flat.reshape(-1), (rows[:, None] * dim + np.arange(dim)).ravel(),
+              updates.ravel())
+    assert flat.tobytes() == row_wise.tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 16])

@@ -263,6 +263,17 @@ def test_metrics_names_a_records_line_whose_question_has_no_tokens(
     assert not (tmp_path / "report.json.manifest.json").exists()
 
 
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_metrics_names_a_records_file_with_no_records(tmp_path, capsys, text):
+    records = tmp_path / "records.tsv"
+    records.write_text(text)
+    out = tmp_path / "report.json"
+    assert main(["metrics", "--records", str(records), "--out", str(out)]) == 2
+    assert f"error: {records}: no records" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "report.json.manifest.json").exists()
+
+
 @pytest.fixture
 def indexed(workspace):
     """The workspace plus a word-vector index over its single-hop corpus."""

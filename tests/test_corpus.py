@@ -2,7 +2,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qdecomp.corpus import (
     DEFAULT_WH_WORDS,
@@ -148,6 +148,42 @@ def test_corpus_jsonl_round_trip(tmp_path):
     # stable serialization: keys sorted, no whitespace padding
     first = p.read_text().splitlines()[0]
     assert first == json.dumps(json.loads(first), sort_keys=True, separators=(",", ":"))
+
+
+# strings JSON must escape or may keep: a quote, a backslash, every control
+# character, DEL, the two separators JavaScript treats as line ends, a
+# character outside the BMP and non-ASCII letters
+_JSON_EDGE_STRINGS = ['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028",
+                      "\u2029", "\U0001f600", "naïve Ωmega 中文"]
+_NO_SURROGATES = st.text(st.characters(blacklist_categories=("Cs",)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(st.tuples(_NO_SURROGATES, _NO_SURROGATES),
+                        unique_by=lambda r: r[0]))
+@example(records=[(s, s) for s in _JSON_EDGE_STRINGS])
+@example(records=[("all", "".join(_JSON_EDGE_STRINGS))])
+def test_save_corpus_writes_the_lines_of_write_jsonl(tmp_path_factory,
+                                                     records):
+    tmp = tmp_path_factory.mktemp("lines")
+    save_corpus(QuestionCorpus([i for i, _ in records],
+                               [t for _, t in records]), tmp / "corpus.jsonl")
+    write_jsonl(({"id": i, "text": t} for i, t in records),
+                tmp / "jsonl.jsonl", separators=(",", ":"))
+    assert ((tmp / "corpus.jsonl").read_bytes()
+            == (tmp / "jsonl.jsonl").read_bytes())
+
+
+def test_save_corpus_names_the_line_of_a_lone_surrogate(tmp_path):
+    src = tmp_path / "in.jsonl"
+    src.write_text('{"id": "a", "text": "Who is it?"}\n'
+                   '{"id": "zz", "text": "Who is \\ud800?"}\n')
+    corpus = load_corpus(src)
+    assert corpus.texts[1] == "Who is \ud800?"
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(out))}:2: .*surrogates"):
+        save_corpus(corpus, out)
 
 
 def test_json_writers_sort_keys_keep_non_ascii_and_refuse_nan(tmp_path):
