@@ -228,11 +228,6 @@ def predict(model, token_lists):
                              degenerate=flag)
 
 
-def classify(model, question):
-    """Predict one question's label: predict over a batch of one."""
-    return next(predict(model, [question.tokens]))
-
-
 def evaluate_classifier(model, heldout):
     """Accuracy of argmax predictions over [(corpus, label), ...]."""
     total = 0

@@ -36,12 +36,12 @@ from .embeddings import load_vector_table, vector_file_dim
 from .metrics import RoundTripRecord, roundtrip_report
 from .noising import NoiseConfig, noise_corpus
 from .recompose import ensemble_average, ranked_spans, read_logits_jsonl
-from .retrieval import (DecomposeConfig, LengthFilter, METHODS,
+from .retrieval import (DecomposeConfig, LengthFilter, METHODS, OBJECTIVES,
                         build_index, build_pseudo_decomposition_dataset,
                         load_index, read_dataset_tsv, save_index,
                         write_dataset_rows, write_dataset_tsv, _read_tsv)
 from .rng import substream
-from .synthbench import (OBJECTIVES, build_synthetic_compositional, mrr_eval)
+from .synthbench import build_synthetic_compositional, mrr_eval
 
 
 class UsageError(Exception):
@@ -372,6 +372,8 @@ def cmd_train_classifier(opts):
         label, sep, path = spec.partition("=")
         if not sep or not label or not path:
             raise UsageError(f"--labeled expects LABEL=PATH, got {spec!r}")
+        if label in dict(pairs):
+            raise UsageError(f"--labeled repeats the label {label!r}")
         pairs.append((label, path))
     if not 0.0 <= opts["holdout"] < 1.0:
         raise UsageError("--holdout must be in [0, 1)")

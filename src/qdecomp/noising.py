@@ -14,6 +14,7 @@ from itertools import islice
 
 import numpy as np
 
+from .corpus import tokenize_cased
 from .rng import substream_uniforms
 
 NOISE_BLOCK = 1024  # token lists noised per pass of the core
@@ -34,8 +35,9 @@ class NoiseConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
         if self.shuffle_window < 0:
             raise ValueError("shuffle_window must be non-negative")
-        if not self.mask_token:
-            raise ValueError("mask_token must be non-empty")
+        # noised tokens are joined by spaces and tokenized again downstream
+        if tokenize_cased(self.mask_token) != [self.mask_token]:
+            raise ValueError(f"mask_token {self.mask_token!r} is not one token")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

@@ -131,19 +131,25 @@ def read_logits_jsonl(path):
     {"paragraph_id", "no_answer_logit", "spans": [{"span_id", "logit"}]}.
 
     The values are passed to ParagraphLogits as read, so a record that
-    lacks a field or that it refuses (a logit that is a bool, a string or
-    too large, say) raises ValueError naming path:line, and a file with no
-    record, or with no span in any record, one naming path.
+    lacks a field, that it refuses (a logit that is a bool, a string or
+    too large, say) or that repeats a paragraph id raises ValueError naming
+    path:line, and a file with no record, or no span in any, one naming path.
     """
     out = []
+    first_line = {}  # each paragraph id's line
     for lineno, obj in read_jsonl(path):
         try:
             entries = tuple((s["span_id"], s["logit"]) for s in obj["spans"])
-            out.append(ParagraphLogits(
+            paragraph = ParagraphLogits(
                 paragraph_id=obj["paragraph_id"], span_entries=entries,
-                no_answer_logit=obj["no_answer_logit"]))
+                no_answer_logit=obj["no_answer_logit"])
+            first = first_line.setdefault(paragraph.paragraph_id, lineno)
+            if first != lineno:
+                raise ValueError(f"paragraph {paragraph.paragraph_id!r} "
+                                 f"repeats (first at line {first})")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}:{lineno}: bad logits record: {exc}") from exc
+        out.append(paragraph)
     if not out:
         raise ValueError(f"{path}: no paragraph records")
     if not any(p.span_entries for p in out):

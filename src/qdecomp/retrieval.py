@@ -9,6 +9,9 @@ Three retrieval objectives over a top-K candidate pool:
             vectors), searched with a width-limited beam over subset sizes
 
 plus a seeded uniform random baseline.
+
+Every subset search and count, synth-eval's included, reads the terms of
+_objective_terms, and every selector breaks score ties by id rank.
 """
 
 import math
@@ -34,6 +37,10 @@ METHOD_GENERAL = "general"
 METHOD_VARIABLE = "variable"
 METHOD_RANDOM = "random"
 METHODS = (METHOD_FIXED, METHOD_GENERAL, METHOD_VARIABLE, METHOD_RANDOM)
+
+OBJECTIVE_SIM_DIVERSITY = "sim-diversity"
+OBJECTIVE_SUM_DISTANCE = "sum-distance"
+OBJECTIVES = (OBJECTIVE_SIM_DIVERSITY, OBJECTIVE_SUM_DISTANCE)
 
 # Exhaustive subset search is only attempted when the number of subsets is
 # at most this; beyond it (and for N > 3) greedy forward selection is used.
@@ -432,11 +439,47 @@ def _query_rows(index, question, k, query):
     return query
 
 
-def _unit_pool(index, rows, unit):
-    """(sims, gram) of a top-K pool in float64: each candidate's similarity
-    to the unit query, and the candidates' pairwise similarities."""
-    cand = index.unit_matrix[rows].astype(np.float64)
-    return cand @ unit, cand @ cand.T
+def _objective_terms(objective, index, rows, raw_q, unit):
+    """(start, member terms, pair terms) of the objective over a pool.
+
+    A size-n subset of pool positions c_1 < ... < c_n scores start, plus
+    each member's terms in member order, plus pairs[c_a, c_b] for each pair
+    in (1, 2), (1, 3), (2, 3) order, added left to right; higher is better.
+    sim-diversity is sum(sims) - sum(gram): start -0.0 (the additive
+    identity), the sims and pairs -gram (x + (-g) is x - g). sum-distance
+    is the squared distance |q - sum(raws)|**2 expanded as qq - 2 q.r + r.r
+    per member + 2 r.r' per pair, negated: round-to-nearest is symmetric,
+    so every step rounds to exactly the negation of the unnegated step.
+    """
+    if objective == OBJECTIVE_SIM_DIVERSITY:
+        cand = index.unit_matrix[rows].astype(np.float64)
+        return -0.0, (cand @ unit,), -(cand @ cand.T)
+    raws = index.raw_matrix[rows].astype(np.float64)
+    gram = raws @ raws.T
+    return (-float(raw_q @ raw_q), (2.0 * (raws @ raw_q), -np.diag(gram)),
+            -2.0 * gram)
+
+
+def _member_sums(start, members):
+    """lead_p, start plus position p's member terms, and own_p, its member
+    terms alone, each added left to right."""
+    lead, own = start + members[0], members[0]
+    for v in members[1:]:
+        lead, own = lead + v, own + v
+    return lead, own
+
+
+def _pair_block(start, members, pairs):
+    """_member_sums' lead and own, the (K, K) mask of j < k, and the block
+    of lead_j, then k's member terms, then pairs[j, k], added left to right:
+    each pair's score in the order of _objective_terms."""
+    lead, own = _member_sums(start, members)
+    block = lead[:, None] + members[0]
+    for v in members[1:]:
+        block += v
+    block += pairs
+    m = len(lead)
+    return lead, own, np.arange(m)[:, None] < np.arange(m), block
 
 
 def _block_bounds(start, members, pairs, upper):
@@ -463,12 +506,7 @@ def _block_bounds(start, members, pairs, upper):
     * W. As L >= 7, the margin exceeds these by more than 2 * u64 * W, which
     covers rounding bound + margin; the factor covers rounding the margin.
     """
-    lead = start
-    for v in members:
-        lead = lead + v
-    own = members[0]
-    for v in members[1:]:
-        own = own + v
+    lead, own = _member_sums(start, members)
     m = len(lead)
     tails = np.where(upper, own + pairs, -np.inf)
     top_two = np.partition(tails, m - 2, axis=1)[:, m - 2:].sum(axis=1)
@@ -481,15 +519,13 @@ def _block_bounds(start, members, pairs, upper):
     return top_two[:m - 2] + lead[:m - 2] + after[1:m - 1], margin
 
 
-def _exhaustive(index, rows, sims, gram, n):
+def _exhaustive(id_ranks, start, members, pairs, n):
     """Best size-n subset of pool positions (n is 2 or 3) and its score.
 
-    A subset scores the sum of its sims minus the sum of its pairs' gram
-    entries. n = 2 scores one (K, K) block of pairs (j, k), each as
-    (s_j + s_k) - g_jk; n = 3 scores one (K-i-1)**2 block of (j, k) per
-    first member i, each as that pair's value plus (s_i - g_ij - g_ik). Only
-    j < k counts. Every tie of the best value is listed, and the one with
-    the smallest sorted id tuple wins.
+    n = 2 scores the (K, K) _pair_block; n = 3 scores one (K-i-1)**2 block
+    of (j, k) per first member i, each as that pair's value plus ((own_i +
+    pairs_ij) + pairs_ik). Only j < k counts. Every tie of the best value
+    is listed, and the one with the smallest sorted id_ranks (ids) wins.
 
     n = 3 visits the blocks by descending _block_bounds and stops at the
     first block whose bound plus margin is below the best value so far: no
@@ -497,34 +533,68 @@ def _exhaustive(index, rows, sims, gram, n):
     which only grows. So the chosen subset and its score bits are those of
     a scan of all blocks.
     """
-    m = len(sims)
-    pair_part = sims[:, None] + sims[None, :] - gram
-    upper = np.arange(m)[:, None] < np.arange(m)
+    _, own, upper, pair_block = _pair_block(start, members, pairs)
 
     def blocks():  # (leading positions, offset of j and k, block)
         if n == 2:
-            yield (), 0, pair_part
+            yield (), 0, pair_block
             return
-        bound, margin = _block_bounds(-0.0, (sims,), -gram, upper)
+        bound, margin = _block_bounds(start, members, pairs, upper)
         for i in np.argsort(-bound, kind="stable").tolist():
             if bound[i] + margin < best:  # best: the scan's value so far
                 return
-            gi = gram[i, i + 1:]
-            yield ((i,), i + 1, pair_part[i + 1:, i + 1:]
-                   + (sims[i] - gi[:, None] - gi[None, :]))
+            pi = pairs[i, i + 1:]
+            yield ((i,), i + 1, pair_block[i + 1:, i + 1:]
+                   + ((own[i] + pi[:, None]) + pi[None, :]))
 
     best, ties = -np.inf, []
     for head, at, block in blocks():
-        pairs = upper[at:, at:]
-        vmax = float(block.max(where=pairs, initial=-np.inf))
+        mask = upper[at:, at:]
+        vmax = float(block.max(where=mask, initial=-np.inf))
         if vmax > best:
             best, ties = vmax, []
         if vmax == best:
-            jj, kk = np.nonzero((block == vmax) & pairs)
+            jj, kk = np.nonzero((block == vmax) & mask)
             ties.extend(head + (j, k) for j, k in zip((jj + at).tolist(),
                                                       (kk + at).tolist()))
-    chosen = min(ties, key=lambda t: sorted(index.ids[rows[p]] for p in t))
+    chosen = min(ties, key=lambda t: sorted(id_ranks[list(t)].tolist()))
     return chosen, best
+
+
+def _count_better(start, members, pairs, gold):
+    """Subsets of the pool scoring strictly above the gold positions.
+
+    Scores follow _objective_terms exactly, gold's included. n = 2 is the
+    (K, K) _pair_block masked to j < k. For n = 3 each first member i has a
+    (K-i-1)**2 block of (j, k), masked the same way, skipped when its
+    _block_bounds bound plus margin is not above gold: then it holds none.
+    """
+    score = start
+    for p in gold:
+        for v in members:
+            score = score + v[p]
+    for a, b in combinations(gold, 2):
+        score = score + pairs[a, b]
+    if len(gold) == 2:
+        _, _, upper, block = _pair_block(start, members, pairs)
+        return int(np.count_nonzero((block > score) & upper))
+
+    lead, _ = _member_sums(start, members)
+    upper = np.arange(len(lead))[:, None] < np.arange(len(lead))
+    bound, margin = _block_bounds(start, members, pairs, upper)
+    better = 0
+    for i in np.flatnonzero(bound + margin > score).tolist():
+        rest = slice(i + 1, None)
+        sub = [v[rest] for v in members]
+        acc, _ = _member_sums(lead[i], sub)
+        block = acc[:, None] + sub[0]
+        for v in sub[1:]:
+            block += v
+        block += pairs[i, rest][:, None]
+        block += pairs[i, rest]
+        block += pairs[rest, rest]
+        better += int(np.count_nonzero((block > score) & upper[rest, rest]))
+    return better
 
 
 def _decomposition(index, question, rows, positions, score, method,
@@ -543,22 +613,13 @@ def pseudo_decompose_fixed(index, question, k=1000, query=None):
     pair. query, when given, is the question's (raw, unit, top-K rows)
     from the batched dataset build.
     """
-    _, unit, rows = _query_rows(index, question, k, query)
+    raw_q, unit, rows = _query_rows(index, question, k, query)
     if len(rows) < 2:
         raise ValueError("need at least two candidates to form a pair")
-    sims, gram = _unit_pool(index, rows, unit)
-    chosen, best = _exhaustive(index, rows, sims, gram, 2)
+    terms = _objective_terms(OBJECTIVE_SIM_DIVERSITY, index, rows, raw_q, unit)
+    chosen, best = _exhaustive(index.id_rank[rows], *terms, 2)
     return _decomposition(index, question, rows, chosen, best, METHOD_FIXED,
                           "exhaustive")
-
-
-def _subset_score(sims, gram, positions):
-    """Objective value of a candidate subset (unordered pairwise penalty)."""
-    pos = list(positions)
-    total = float(sims[pos].sum())
-    for a, b in combinations(pos, 2):
-        total -= float(gram[a, b])
-    return total
 
 
 def pseudo_decompose_general(index, question, n, k=1000, query=None):
@@ -574,26 +635,29 @@ def pseudo_decompose_general(index, question, n, k=1000, query=None):
         raise ValueError("N must be at least 2")
     if n == 2:
         return pseudo_decompose_fixed(index, question, k, query)
-    _, unit, rows = _query_rows(index, question, k, query)
+    raw_q, unit, rows = _query_rows(index, question, k, query)
     m = len(rows)
     if m < n:
         raise ValueError(f"need at least {n} candidates, have {m}")
-    sims, gram = _unit_pool(index, rows, unit)
+    terms = _objective_terms(OBJECTIVE_SIM_DIVERSITY, index, rows, raw_q, unit)
+    ranks = index.id_rank[rows]
     if n == 3 and math.comb(m, n) <= EXHAUSTIVE_SUBSET_CAP:
         search_mode = "exhaustive"
-        chosen, score = _exhaustive(index, rows, sims, gram, n)
+        chosen, score = _exhaustive(ranks, *terms, n)
     else:
         search_mode = "greedy"
-        ranks = index.id_rank[rows]
+        _, (sims,), pairs = terms
         chosen = []
         for _ in range(n):
-            # take's C-ordered gather sums each row pairwise; gram[:, chosen]
+            # take's C-ordered gather sums each row pairwise; pairs[:, chosen]
             # is column-major and adds column by column, unequal from 8 on
-            gains = sims - gram.take(chosen, axis=1).sum(axis=1)
+            gains = sims + pairs.take(chosen, axis=1).sum(axis=1)
             gains[chosen] = -np.inf
             ties = np.flatnonzero(gains == gains.max())
             chosen.append(int(ties[np.argmin(ranks[ties])]))
-        score = _subset_score(sims, gram, chosen)
+        score = float(sims[chosen].sum())
+        for a, b in combinations(chosen, 2):
+            score += float(pairs[a, b])
     return _decomposition(index, question, rows, chosen, score,
                           METHOD_GENERAL, search_mode)
 

@@ -5,28 +5,23 @@ inner question marks). A decomposition's rank is one plus the number of
 size-n candidate subsets that score strictly better than the gold subset
 under the chosen objective; MRR averages reciprocal ranks.
 
-mrr_eval embeds every composite and finds its top-K pool in one batched
-pass, the dataset builder's. The count scores subsets block by block in
-one fixed operation order, never holding all C(K, n) scores, and skips
-each n = 3 block that a bound, widened by a proven rounding margin, shows
-to hold nothing better than gold; the ranks are those of scoring and
-comparing every subset.
+Only that policy is here: the objectives' terms and the count of better
+subsets are retrieval's (_objective_terms, _count_better), the terms and
+block walks the selectors read too. mrr_eval embeds every composite and
+finds its top-K pool in one batched pass, the dataset builder's.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .corpus import Question, QuestionCorpus
 from .embeddings import make_vector_table
-from .retrieval import _block_bounds, _query_rows, _scan_queries, _unit_pool
+from .retrieval import (OBJECTIVE_SIM_DIVERSITY, OBJECTIVE_SUM_DISTANCE,
+                        OBJECTIVES, _count_better, _objective_terms,
+                        _query_rows, _scan_queries)
 from .rng import substream
-
-OBJECTIVE_SIM_DIVERSITY = "sim-diversity"
-OBJECTIVE_SUM_DISTANCE = "sum-distance"
-OBJECTIVES = (OBJECTIVE_SIM_DIVERSITY, OBJECTIVE_SUM_DISTANCE)
 
 
 @dataclass(frozen=True)
@@ -70,71 +65,6 @@ def build_synthetic_compositional(corpus, n, count, seed):
     return out
 
 
-def _objective_terms(objective, index, rows, raw_q, unit):
-    """(start, member terms, pair terms) of the objective over a pool.
-
-    A size-n subset of pool positions c_1 < ... < c_n scores start, plus
-    each member's terms in member order, plus pairs[c_a, c_b] for each pair
-    in (1, 2), (1, 3), (2, 3) order, added left to right; higher is better.
-    sim-diversity is sum(sims) - sum(gram) (start -0.0 is the additive
-    identity). sum-distance is the squared distance |q - sum(raws)|**2
-    expanded as qq - 2 q.r + r.r per member + 2 r.r' per pair, negated:
-    round-to-nearest is symmetric, so every step rounds to exactly the
-    negation of the unnegated step.
-    """
-    if objective == OBJECTIVE_SIM_DIVERSITY:
-        sims, gram = _unit_pool(index, rows, unit)
-        return -0.0, (sims,), -gram
-    raws = index.raw_matrix[rows].astype(np.float64)
-    gram = raws @ raws.T
-    return (-float(raw_q @ raw_q), (2.0 * (raws @ raw_q), -np.diag(gram)),
-            -2.0 * gram)
-
-
-def _count_better(start, members, pairs, gold):
-    """Subsets of the pool scoring strictly above the gold positions.
-
-    Scores follow _objective_terms exactly, gold's included. n = 2 is one
-    (K, K) block masked to j < k. For n = 3 each first member i has a
-    (K-i-1)**2 block of (j, k), masked the same way, unless its
-    retrieval._block_bounds bound plus margin is not above gold, which
-    proves the block holds nothing above gold.
-    """
-    lead = start
-    for v in members:
-        lead = lead + v
-    score = start
-    for p in gold:
-        for v in members:
-            score = score + v[p]
-    for a, b in combinations(gold, 2):
-        score = score + pairs[a, b]
-    m = len(lead)
-    upper = np.arange(m)[:, None] < np.arange(m)
-    if len(gold) == 2:
-        block = lead[:, None] + members[0]
-        for v in members[1:]:
-            block += v
-        block += pairs
-        return int(np.count_nonzero((block > score) & upper))
-
-    bound, margin = _block_bounds(start, members, pairs, upper)
-    better = 0
-    for i in np.flatnonzero(bound + margin > score).tolist():
-        rest = slice(i + 1, None)
-        acc = lead[i]
-        for v in members:
-            acc = acc + v[rest]
-        block = acc[:, None] + members[0][rest]
-        for v in members[1:]:
-            block += v[rest]
-        block += pairs[i, rest][:, None]
-        block += pairs[i, rest]
-        block += pairs[rest, rest]
-        better += int(np.count_nonzero((block > score) & upper[rest, rest]))
-    return better
-
-
 def decomposition_rank(objective, composite, gold_sub_ids, index, query, k):
     """Rank of the gold subset among all size-n subsets of the top-K pool.
 
@@ -144,11 +74,10 @@ def decomposition_rank(objective, composite, gold_sub_ids, index, query, k):
     composite's (raw, unit, top-K rows) from mrr_eval's batched scan, or
     None to embed and scan the composite here.
 
-    The count never holds all C(K, n) scores. n = 2 scores one (K, K)
-    block of pairs; n = 3 scores K - 2 blocks, one (K-i-1)**2 block of
-    (j, k) pairs per first member i, and skips a block when its bound plus
-    the rounding margin is not above gold (see retrieval._block_bounds for
-    the bound and the margin). Subsets and gold are scored in one fixed
+    The count is retrieval._count_better over the objective's
+    retrieval._objective_terms. It never holds all C(K, n) scores, skips
+    each n = 3 block that a bound widened by a proven rounding margin shows
+    to hold nothing above gold, and scores subsets and gold in one fixed
     operation order, so the rank is that of scoring and comparing every
     subset.
     """

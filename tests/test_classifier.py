@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 from qdecomp.classifier import (
     LinearTextClassifier,
     TrainingConfig,
-    classify,
     evaluate_classifier,
     load_classifier,
     predict,
@@ -55,7 +54,8 @@ def test_labels_sorted_and_probs_normalized():
     train, _ = synthetic_labeled_split(seed=6, n_train=30, n_heldout=0)
     m = train_classifier(train, CFG)
     assert list(m.labels) == sorted(m.labels)
-    pred = classify(m, Question.from_text("x", "alpha beta the ?"))
+    q = Question.from_text("x", "alpha beta the ?")
+    pred = next(predict(m, [q.tokens]))
     assert pred.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
     assert pred.label == "a"
     assert not pred.degenerate
@@ -64,7 +64,8 @@ def test_labels_sorted_and_probs_normalized():
 def test_all_unknown_words_degenerate():
     train, _ = synthetic_labeled_split(seed=7, n_train=30, n_heldout=0)
     m = train_classifier(train, CFG)
-    pred = classify(m, Question.from_text("x", "zzzz qqqq"))
+    q = Question.from_text("x", "zzzz qqqq")
+    pred = next(predict(m, [q.tokens]))
     assert pred.degenerate
     assert pred.probabilities[0] == pytest.approx(pred.probabilities[1], abs=1e-12)
 
@@ -141,8 +142,9 @@ def test_save_load_round_trip_exact(tmp_path):
     assert back.vocab == m.vocab
     assert back.labels == m.labels
     q = Question.from_text("x", "alpha the azure ?")
-    np.testing.assert_array_equal(classify(back, q).probabilities,
-                                  classify(m, q).probabilities)
+    got = next(predict(back, [q.tokens]))
+    want = next(predict(m, [q.tokens]))
+    np.testing.assert_array_equal(got.probabilities, want.probabilities)
 
 
 def _saved_bytes(model, path):

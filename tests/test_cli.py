@@ -1183,9 +1183,12 @@ def _logits_record(paragraph_id="p2", logit=1.0, span_ids=("s1",),
      "logit '2.5' for 's1' is not a finite number"),
     (_logits_record(logit=1e308, no_answer=-1e308),
      "minus the no-answer logit -1e+308 overflows"),
+    (_logits_record(paragraph_id="p1"),
+     "paragraph 'p1' repeats (first at line 1)"),
 ], ids=["logit-string", "logit-nan-string", "logit-overflow", "int-paragraph",
         "mixed-span-ids", "repeated-span", "no-answer-missing", "not-object",
-        "logit-bool", "logit-numeric-string", "adjusted-overflow"])
+        "logit-bool", "logit-numeric-string", "adjusted-overflow",
+        "repeated-paragraph"])
 def test_bad_logits_record_names_its_line(tmp_path, capsys, record, shown):
     logits = tmp_path / "logits.jsonl"
     logits.write_text(_logits_record(paragraph_id="p1") + "\n\n" + record
@@ -1242,6 +1245,18 @@ def test_train_classifier_bad_flag_is_usage_error(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_train_classifier_repeated_label_is_usage_error(tmp_path, capsys):
+    # the corpora do not exist: the label must be rejected before they are read
+    out = tmp_path / "clf.json"
+    assert main(["train-classifier", "--labeled", f"a={tmp_path / 'a.jsonl'}",
+                 "--labeled", f"b={tmp_path / 'b.jsonl'}",
+                 "--labeled", f"a={tmp_path / 'c.jsonl'}",
+                 "--out", str(out)]) == 1
+    assert ("usage error: --labeled repeats the label 'a'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_holdout_leaving_no_training_question_is_data_error(tmp_path,
                                                             capsys):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -1272,8 +1287,11 @@ def test_synth_eval_negative_seed_is_usage_error(tmp_path, capsys):
     ["--mask-prob", "2"],
     ["--shuffle-window", "-1"],
     ["--mask-token", ""],
+    ["--mask-token", " "],
+    ["--mask-token", "a b"],
     ["--seed", "-1"],
-], ids=["mask-prob", "shuffle-window", "mask-token", "seed"])
+], ids=["mask-prob", "shuffle-window", "mask-token", "mask-token-space",
+        "mask-token-two-tokens", "seed"])
 def test_noise_bad_flag_is_usage_error(tmp_path, capsys, flags):
     out = tmp_path / "noised.jsonl"
     assert main(["noise", "--corpus", str(tmp_path / "c.jsonl"),

@@ -2,7 +2,6 @@ import json
 import math
 from functools import partial
 from itertools import combinations
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -272,11 +271,10 @@ def test_general_n3_ties_match_the_triu_search(seed):
     assert repr(got.objective_score) == repr(best)
 
 
-def ids_favouring(m, tie):
-    """An index stand-in whose ids sort the positions of tie first, so the
-    smallest-sorted-id rule picks tie from any list of ties holding it."""
-    return SimpleNamespace(ids=tuple(f"{'a' if p in tie else 'b'}{p:03d}"
-                                     for p in range(m)))
+def ranks_favouring(m, tie):
+    """Id ranks that put the positions of tie first, so the smallest-sorted-
+    id rule picks tie from any list of ties holding it."""
+    return np.argsort(sorted(range(m), key=lambda p: (p not in tie, p)))
 
 
 def axis_pool(seed):
@@ -338,10 +336,9 @@ def test_bounded_n3_search_lists_every_tie_of_the_triu_search(
         monkeypatch.setattr(retrieval, "_block_bounds",
                             lambda _, members, *__: (
                                 np.full(len(members[0]) - 2, np.inf), 0.0))
-    rows = list(range(len(sims)))
     for tie in ties:
-        chosen, score = retrieval._exhaustive(ids_favouring(len(sims), tie),
-                                              rows, sims, gram, 3)
+        chosen, score = retrieval._exhaustive(ranks_favouring(len(sims), tie),
+                                              -0.0, (sims,), -gram, 3)
         assert tuple(chosen) == tie
         assert repr(score) == repr(best)
 
@@ -353,7 +350,7 @@ def exhaustive_order(sims, gram, i, j, k):
 
 
 def count_order(start, members, pairs, i, j, k):
-    """Triple i < j < k scored in synthbench._count_better's operation
+    """Triple i < j < k scored in retrieval._count_better's operation
     order: start, each position's member terms, then the three pairs."""
     total = start
     for p in (i, j, k):
@@ -394,12 +391,13 @@ def test_block_margin_covers_both_score_orders(case):
     rows, query = case
     index, _ = index_from_rows(rows)
     pool, unit = list(range(len(rows))), query / np.linalg.norm(query)
-    sims, gram = retrieval._unit_pool(index, pool, unit)
-    assert_bounded(partial(exhaustive_order, sims, gram), -0.0, (sims,),
-                   -gram)
+    terms = retrieval._objective_terms(retrieval.OBJECTIVE_SIM_DIVERSITY,
+                                       index, pool, query, unit)
+    _, (sims,), pairs = terms
+    assert_bounded(partial(exhaustive_order, sims, -pairs), *terms)
     for objective in synthbench.OBJECTIVES:
-        terms = synthbench._objective_terms(objective, index, pool, query,
-                                            unit)
+        terms = retrieval._objective_terms(objective, index, pool, query,
+                                           unit)
         assert_bounded(partial(count_order, *terms), *terms)
 
 
