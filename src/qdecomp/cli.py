@@ -385,6 +385,8 @@ def cmd_train_classifier(opts):
               *(path for _, path in pairs)) as run:
         for label, path in pairs:
             corpus = load_corpus(path)
+            if not len(corpus):
+                raise ValueError(f"{path}: no records for label {label!r}")
             train, hold = _split_holdout(corpus, opts["holdout"], rng)
             if not len(train):
                 raise ValueError(f"{path}: no training question for label "
@@ -488,10 +490,11 @@ def _load_bound_index(opts, run):
     finally:  # a bad --vectors is reported first, whatever else is wrong
         digest = run.get(opts["vectors"])
     if digest != index.vectors_sha256:
+        dim = vector_file_dim(opts["vectors"])
+        rows = "no vector rows" if dim is None else f"dimension {dim}"
         raise ValueError(
-            f"{opts['vectors']} (sha256 {digest}, dimension "
-            f"{vector_file_dim(opts['vectors'])}) is not the word-vector file "
-            f"index {opts['index']} was built from (sha256 "
+            f"{opts['vectors']} (sha256 {digest}, {rows}) is not the "
+            f"word-vector file index {opts['index']} was built from (sha256 "
             f"{index.vectors_sha256}, dimension {index.vectors.dim})")
     return index
 

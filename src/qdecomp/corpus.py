@@ -1,8 +1,9 @@
 """Question corpora: tokenization, question harvesting from raw lines and
 JSONL I/O. This module owns reading as well as writing: every text and JSON
 input is opened here (open_text, read_json), so each decode failure names
-its file and line, and every JSON artifact is written here under one
-policy, with the kinds of value its loaders accept."""
+its file and line; every text artifact is written here, by write_lines, so
+each write failure names its file and line; and every JSON artifact is
+encoded here under one policy, with the kinds of value its loaders accept."""
 
 import json
 import math
@@ -190,9 +191,29 @@ def _encoder(indent=None, separators=None):
                             separators=separators)
 
 
+def write_lines(path, lines):
+    """The one way a text artifact is written: each line, then "\\n", as
+    UTF-8 through fh.write. A ValueError or OSError raised while a line is
+    built or written (a NaN, a lone surrogate, a full disk) raises
+    ValueError naming path:line, or path alone if raised as the file closes
+    and its last buffered lines reach the disk."""
+    fh = open(path, "w", encoding="utf-8")
+    lineno = 1  # the line being built or written; 0 once all are written
+    try:
+        with fh:
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
+                lineno += 1
+            lineno = 0
+    except (ValueError, OSError) as exc:
+        where = f"{path}:{lineno}" if lineno else path
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def write_json(value, path, indent=None):
-    """Write one JSON document and a newline. A NaN or infinite value raises
-    ValueError naming path, before the file is opened.
+    """Write one JSON document and a newline, line by line. A NaN or
+    infinite value raises ValueError naming path, before the file is opened.
 
     encode() runs the C encoder when there is no indent; json.dump always
     streams through the pure-Python one.
@@ -201,22 +222,13 @@ def write_json(value, path, indent=None):
         text = _encoder(indent).encode(value)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    write_lines(path, text.split("\n"))
 
 
 def write_jsonl(values, path, separators=None):
     """Write one JSON document per line through one encoder. A NaN or
     infinite value raises ValueError naming path:line."""
-    encode = _encoder(separators=separators).encode
-    with open(path, "w", encoding="utf-8") as fh:
-        for lineno, value in enumerate(values, start=1):
-            try:
-                fh.write(encode(value))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            fh.write("\n")
+    write_lines(path, map(_encoder(separators=separators).encode, values))
 
 
 COUNT, STRING, NUMBER = ("a non-negative integer", "a string",
@@ -295,15 +307,8 @@ def save_corpus(corpus, path):
     Each line is built from its two strings by encode_basestring, the
     string encoder that _encoder()'s ensure_ascii=False policy uses, with
     the keys in sorted order and no spaces, so the lines are those of
-    write_jsonl(..., separators=(",", ":")). A text UTF-8 cannot encode (a
-    lone surrogate) raises ValueError naming path:line.
+    write_jsonl(..., separators=(",", ":")).
     """
     quote = json.encoder.encode_basestring
-    with open(path, "w", encoding="utf-8") as fh:
-        for lineno, (qid, text) in enumerate(zip(corpus.ids, corpus.texts),
-                                             start=1):
-            try:
-                fh.write('{"id":' + quote(qid) + ',"text":' + quote(text)
-                         + "}\n")
-            except UnicodeEncodeError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    write_lines(path, ('{"id":' + quote(qid) + ',"text":' + quote(text) + "}"
+                       for qid, text in zip(corpus.ids, corpus.texts)))

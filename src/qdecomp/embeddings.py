@@ -10,7 +10,7 @@ from itertools import chain
 
 import numpy as np
 
-from .corpus import open_text
+from .corpus import open_text, write_lines
 
 # Token lists summed per embed_blocks block: a float64 (256, 300) block is
 # 600 KB, so the accumulator stays small whatever the number of texts.
@@ -351,11 +351,9 @@ def _ranges(starts, ends):
 
 def save_vector_table(table, path):
     """Write a table in the text format load_vector_table reads."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table)} {table.dim}\n")
-        for word, row in table.vocab.items():
-            comps = " ".join(map(repr, table.matrix[row].tolist()))
-            fh.write(f"{word} {comps}\n")
+    rows = (f"{word} {' '.join(map(repr, table.matrix[row].tolist()))}"
+            for word, row in table.vocab.items())
+    write_lines(path, chain([f"{len(table)} {table.dim}"], rows))
 
 
 def make_vector_table(entries):

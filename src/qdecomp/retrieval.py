@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .corpus import (COUNT, JSON_KINDS, STRING, STRINGS, open_text,
-                     read_json, write_json)
+                     read_json, write_json, write_lines)
 from .embeddings import _U32, _U64, VectorTable, _gamma, embed_blocks
 from .rng import child_seed
 
@@ -214,7 +214,11 @@ def save_index(index, dirpath, vectors_sha256):
     for name, matrix in (("unit.npy", index.unit_matrix),
                          ("raw.npy", index.raw_matrix),
                          ("vectors.npy", table.matrix)):
-        np.save(os.path.join(dirpath, name), matrix)
+        path = os.path.join(dirpath, name)
+        try:  # numpy's write errors name no file
+            np.save(path, matrix)
+        except OSError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_matrix(path, shape, finite=True):
@@ -882,10 +886,7 @@ DATASET_COLUMNS = ("question_id", "question_text", "decomposition_text",
 def write_dataset_rows(rows, path):
     """Write rows of string fields as a headerless TSV, with the tabs and
     line breaks of every field turned into spaces."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for fields in rows:
-            fh.write("\t".join(map(_tsv_field, fields)))
-            fh.write("\n")
+    write_lines(path, ("\t".join(map(_tsv_field, fields)) for fields in rows))
 
 
 def write_dataset_tsv(records, path):

@@ -306,11 +306,17 @@ def test_decompose_bad_flag_is_usage_error(indexed, capsys, flags):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["decompose", "synth-eval"])
-def test_vector_dimension_mismatch_is_data_error(indexed, capsys, command):
+@pytest.mark.parametrize("command, dim", [
+    ("decompose", 16), ("synth-eval", 16), ("decompose", None),
+], ids=["decompose", "synth-eval", "decompose-empty-vec"])
+def test_vector_dimension_mismatch_is_data_error(indexed, capsys, command,
+                                                 dim):
     narrow = indexed["tmp"] / "narrow.vec"
-    save_vector_table(synthetic_vector_table(
-        corpus_vocabulary(indexed["corpus"]), dim=16, seed=42), narrow)
+    if dim is None:
+        narrow.write_bytes(b"")
+    else:
+        save_vector_table(synthetic_vector_table(
+            corpus_vocabulary(indexed["corpus"]), dim=dim, seed=42), narrow)
     out = indexed["tmp"] / "out"
     argv = [command, "--index", str(indexed["idx"]), "--vectors", str(narrow),
             "--out", str(out)]
@@ -321,7 +327,9 @@ def test_vector_dimension_mismatch_is_data_error(indexed, capsys, command):
                  "--objective", "sum-distance", "--count", "5", "--k", "20"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "dimension 16" in err and "dimension 24" in err
+    assert "dimension 24" in err
+    assert ("dimension 16" if dim else f"{narrow} (sha256 ") in err
+    assert ("no vector rows" in err) == (dim is None)
     assert not out.exists()
 
 
@@ -770,31 +778,31 @@ def _noise_fails_on_record_10(monkeypatch):
     monkeypatch.setattr(cli, "noise_corpus", noise_corpus)
 
 
-@pytest.mark.parametrize("case, fault, code", [
-    ("extract", _disk_full("corpus", 1), 2),
-    ("extract", _disk_full("corpus", 2), 2),
-    ("train-classifier", _disk_full("corpus", 1), 2),
-    ("train-classifier", _disk_full("corpus", 2), 2),
-    ("classify", _disk_full("corpus", 1), 2),
-    ("build-index", _np_save_fails(2), 2),
-    ("build-index", _disk_full("corpus", 3), 2),
-    ("route", _disk_full("corpus", 1), 2),
-    ("route", _disk_full("corpus", 2), 2),
-    ("decompose", _disk_full("retrieval", 1), 2),
-    ("edit", _disk_full("corpus", 1), 2),
-    ("noise", _disk_full("corpus", 2), 2),
-    ("noise-in-place", _noise_fails_on_record_10, 3),
-    ("metrics", _disk_full("corpus", 1), 2),
-    ("synth-eval", _disk_full("corpus", 1), 2),
-    ("synth-eval", _disk_full("corpus", 2), 2),
-    ("recompose", _disk_full("corpus", 1), 2),
+@pytest.mark.parametrize("case, fault, code, target", [
+    ("extract", _disk_full("corpus", 1), 2, "out"),
+    ("extract", _disk_full("corpus", 2), 2, "out.manifest.json"),
+    ("train-classifier", _disk_full("corpus", 1), 2, "out"),
+    ("train-classifier", _disk_full("corpus", 2), 2, "out2"),
+    ("classify", _disk_full("corpus", 1), 2, "out"),
+    ("build-index", _np_save_fails(2), 2, "out/raw.npy"),
+    ("build-index", _disk_full("corpus", 3), 2, "out.manifest.json"),
+    ("route", _disk_full("corpus", 1), 2, "out"),
+    ("route", _disk_full("corpus", 2), 2, "out2"),
+    ("decompose", _disk_full("corpus", 1), 2, "out"),
+    ("edit", _disk_full("corpus", 2), 2, "out.manifest.json"),
+    ("noise", _disk_full("corpus", 2), 2, "out.manifest.json"),
+    ("noise-in-place", _noise_fails_on_record_10, 3, None),
+    ("metrics", _disk_full("corpus", 1), 2, "out"),
+    ("synth-eval", _disk_full("corpus", 1), 2, "out2"),
+    ("synth-eval", _disk_full("corpus", 2), 2, "out"),
+    ("recompose", _disk_full("corpus", 1), 2, "out"),
 ], ids=["extract", "extract-manifest", "train-classifier-model",
         "train-classifier-report", "classify", "build-index",
         "build-index-manifest", "route-single", "route-multi",
         "decompose", "edit", "noise", "noise-in-place", "metrics",
         "synth-eval-ranks", "synth-eval-report", "recompose"])
 def test_failed_write_changes_no_file(chain, capsys, monkeypatch, case,
-                                      fault, code):
+                                      fault, code, target):
     tmp = chain["tmp"]
     if case == "build-index":  # a previous index, replaced on success
         shutil.copytree(chain["idx"], tmp / "out")
@@ -805,8 +813,60 @@ def test_failed_write_changes_no_file(chain, capsys, monkeypatch, case,
     before = _tree_bytes([tmp])
     fault(monkeypatch)
     assert main(_writer_argv(chain, case)) == code
+    if target is not None:  # a full disk, named by the file it fills
+        err = capsys.readouterr().err
+        line = "" if target.endswith(".npy") else "1:"
+        assert f"error: {tmp / target}:{line} [Errno 28] No space" in err
     assert not list(tmp.rglob(".*.tmp"))
     assert _tree_bytes([tmp]) == before
+
+
+def _surrogate_run(chain, command):
+    """argv of a run whose output would hold a lone surrogate, and the place
+    its error must name: a question text (decompose's TSV, at the line of
+    the question), an id (build-index's meta.json), a classifier term (the
+    model) and a paragraph id (recompose's indented answer JSON)."""
+    tmp = chain["tmp"]
+    out, sur = tmp / "out", tmp / "sur.jsonl"
+    c = {key: str(value) for key, value in chain.items()}
+    if command == "recompose":
+        sur.write_text(json.dumps({
+            "paragraph_id": "p\ud800", "no_answer_logit": 0.1,
+            "spans": [{"span_id": "s1", "logit": 2.0}]}) + "\n")
+        return ["recompose", "--logits", str(sur), "--out", str(out)], \
+            f"{out}:3"
+    key = "single" if command == "build-index" else "multi"
+    lines = chain[key].read_text(encoding="utf-8").splitlines(keepends=True)
+    text = json.loads(lines[0])["text"]
+    record = ({"id": "\ud800", "text": text} if command == "build-index"
+              else {"id": "sur", "text": f"{text} \ud800"})
+    lines.insert(2, json.dumps(record) + "\n")  # \ud800 as a JSON escape
+    sur.write_text("".join(lines), encoding="utf-8")
+    if command == "decompose":
+        return ["decompose", "--questions", str(sur), "--index", c["idx"],
+                "--vectors", c["vec"], "--k", "20", "--out", str(out)], \
+            f"{out}:3"
+    if command == "build-index":
+        return ["build-index", "--corpus", str(sur), "--vectors", c["vec"],
+                "--out", str(out), "--no-length-filter"], \
+            f"{out / 'meta.json'}:1"
+    return ["train-classifier", "--labeled", f"single={c['single']}",
+            "--labeled", f"multi={sur}", "--holdout", "0", "--epochs", "1",
+            "--out", str(out)], f"{out}:1"
+
+
+@pytest.mark.parametrize("command", ["decompose", "build-index",
+                                     "train-classifier", "recompose"])
+def test_lone_surrogate_names_the_output_and_writes_nothing(chain, capsys,
+                                                            command):
+    argv, place = _surrogate_run(chain, command)
+    assert main(argv) == 2
+    assert (f"error: {place}: 'utf-8' codec can't encode character "
+            f"'\\ud800'") in capsys.readouterr().err
+    tmp = chain["tmp"]
+    assert not (tmp / "out").exists()
+    assert not (tmp / "out.manifest.json").exists()
+    assert not list(tmp.rglob(".*.tmp"))
 
 
 def _bad_byte(key, line):
@@ -1267,6 +1327,19 @@ def test_holdout_leaving_no_training_question_is_data_error(tmp_path,
                  f"b={b}", "--holdout", "0.6", "--out", str(out)]) == 2
     assert (f"{b}: no training question for label 'b': --holdout 0.6 holds "
             f"out 1 of 1") in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "clf.json.manifest.json").exists()
+
+
+def test_empty_labeled_file_is_data_error(tmp_path, capsys):
+    a, empty = tmp_path / "a.jsonl", tmp_path / "empty.jsonl"
+    save_corpus(make_corpus(["Who is t001?", "Who is t002?"]), a)
+    empty.write_bytes(b"")
+    out = tmp_path / "clf.json"
+    assert main(["train-classifier", "--labeled", f"single={a}", "--labeled",
+                 f"multi={empty}", "--out", str(out)]) == 2
+    assert (f"error: {empty}: no records for label 'multi'\n"
+            == capsys.readouterr().err)
     assert not out.exists()
     assert not (tmp_path / "clf.json.manifest.json").exists()
 

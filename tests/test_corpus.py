@@ -1,9 +1,11 @@
+import errno
 import json
 import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qdecomp.corpus
 from qdecomp.corpus import (
     DEFAULT_WH_WORDS,
     Question,
@@ -18,6 +20,7 @@ from qdecomp.corpus import (
     tokenize_with_spans,
     write_json,
     write_jsonl,
+    write_lines,
 )
 
 from conftest import make_corpus
@@ -198,6 +201,48 @@ def test_json_writers_sort_keys_keep_non_ascii_and_refuse_nan(tmp_path):
     assert not (tmp_path / "nan.json").exists()  # refused before opening
     with pytest.raises(ValueError, match=f"^{re.escape(str(lines))}:2: "):
         write_jsonl([[1.0], [float("inf")]], lines)
+
+
+class _FailsAtClose:
+    """A text file whose close fails as a full disk does, when its buffered
+    lines are flushed."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, text):
+        return self._fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_write_lines_names_the_line_being_built_or_written(tmp_path,
+                                                           monkeypatch):
+    path = tmp_path / "out.txt"
+    write_lines(path, ["a", "b é"])
+    assert path.read_bytes() == "a\nb é\n".encode("utf-8")
+
+    def lines():
+        yield from ("a", "b")
+        raise ValueError("cannot build")
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}:3: cannot build$"):
+        write_lines(path, lines())
+    # an indented document is written a line at a time
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "
+                                         f"'utf-8' codec can't encode"):
+        write_json({"a": 1, "b": "\ud800"}, path, indent=2)
+    monkeypatch.setattr(qdecomp.corpus, "open",
+                        lambda *args, **kwargs: _FailsAtClose(
+                            open(*args, **kwargs)), raising=False)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                         r"\[Errno 28\] No space"):
+        write_lines(path, ["a", "b"])
 
 
 @pytest.mark.parametrize("data, line", [

@@ -1,6 +1,7 @@
 """The runtime depends only on numpy: every absolute import in the package
-names numpy or a module of the standard library. Inputs are read in one
-place: only corpus.py parses JSON or opens a file to read text."""
+names numpy or a module of the standard library. Inputs are read and text
+artifacts written in one place: only corpus.py parses JSON or opens a file
+to read or to write text."""
 
 import ast
 import sys
@@ -27,6 +28,14 @@ def test_package_imports_only_numpy_and_the_standard_library():
     assert not foreign
 
 
+def _open_mode(call):
+    """The mode of an open() call: "r" when none is given, and None when it
+    is not a string literal."""
+    modes = call.args[1:2] + [k.value for k in call.keywords
+                              if k.arg == "mode"]
+    return getattr(modes[0], "value", None) if modes else "r"
+
+
 def _input_reads(path):
     """(line, call) of each json.load or json.loads call and each open() in
     text read mode (no mode, or one without "b", "w", "a", "x" or "+") in a
@@ -39,9 +48,7 @@ def _input_reads(path):
                 and isinstance(func.value, ast.Name) and func.value.id == "json"):
             yield node.lineno, f"json.{func.attr}"
         elif isinstance(func, ast.Name) and func.id == "open":
-            modes = node.args[1:2] + [k.value for k in node.keywords
-                                      if k.arg == "mode"]
-            mode = getattr(modes[0], "value", None) if modes else "r"
+            mode = _open_mode(node)
             if not isinstance(mode, str) or not set(mode) & set("bwax+"):
                 yield node.lineno, "open"
 
@@ -53,4 +60,25 @@ def test_only_corpus_reads_text_and_json():
     elsewhere = {(path.name, line, call) for path in sources
                  if path.name != "corpus.py"
                  for line, call in _input_reads(path)}
+    assert not elsewhere
+
+
+def _text_writes(path):
+    """Line of each open() call in text write mode (a mode holding "w",
+    "a", "x" or "+" and no "b", or a mode that is not a string literal) in
+    a source file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            mode = _open_mode(node)
+            if not isinstance(mode, str) or (set(mode) & set("wax+")
+                                             and "b" not in mode):
+                yield node.lineno
+
+
+def test_only_corpus_writes_text():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(list(_text_writes(PACKAGE / "corpus.py"))) == 1
+    elsewhere = {(path.name, line) for path in sources
+                 if path.name != "corpus.py" for line in _text_writes(path)}
     assert not elsewhere
