@@ -14,8 +14,9 @@ import pathlib
 import sys
 
 from qdecomp.cli import main as cli
-from qdecomp.corpus import QuestionCorpus, save_corpus
+from qdecomp.corpus import QuestionCorpus, save_corpus, write_tsv
 from qdecomp.embeddings import save_vector_table
+from qdecomp.retrieval import read_dataset_tsv
 from qdecomp.synthbench import (build_synthetic_compositional,
                                 build_synthetic_singlehop_corpus,
                                 corpus_vocabulary, synthetic_vector_table)
@@ -91,11 +92,8 @@ def run(args):
 
     # round-trip records: treat the edited decomposition as its own
     # reconstruction so the report exercises the full metric stack
-    from qdecomp.retrieval import read_dataset_tsv
     rows = read_dataset_tsv(d / "edited.tsv")
-    with open(d / "records.tsv", "w", encoding="utf-8") as fh:
-        for r in rows:
-            fh.write(f"{r[1]}\t{r[2]}\t{r[2]}\n")
+    write_tsv(((r[1], r[2], r[2]) for r in rows), d / "records.tsv")
     step(["metrics", "--records", str(d / "records.tsv"),
           "--out", str(d / "report.json")])
     print(f"done; artifacts in {d}")

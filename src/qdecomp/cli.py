@@ -30,7 +30,8 @@ from .classifier import (TrainingConfig, evaluate_classifier,
                          save_classifier, train_classifier)
 from .corpus import (DEFAULT_WH_WORDS, Question, QuestionCorpus,
                      extract_candidate_questions, load_corpus, open_text,
-                     read_json, save_corpus, write_json, write_jsonl)
+                     read_json, read_tsv, save_corpus, write_json,
+                     write_jsonl, write_tsv)
 from .editing import edit_sub_question_texts, split_sub_question_texts
 from .embeddings import load_vector_table, vector_file_dim
 from .metrics import RoundTripRecord, roundtrip_report
@@ -39,7 +40,7 @@ from .recompose import ensemble_average, ranked_spans, read_logits_jsonl
 from .retrieval import (DecomposeConfig, LengthFilter, METHODS, OBJECTIVES,
                         build_index, build_pseudo_decomposition_dataset,
                         load_index, read_dataset_tsv, save_index,
-                        write_dataset_rows, write_dataset_tsv, _read_tsv)
+                        write_dataset_tsv)
 from .rng import substream
 from .synthbench import build_synthetic_compositional, mrr_eval
 
@@ -263,6 +264,17 @@ def _config_tokens(flag, keywords, value):
     return tokens
 
 
+def _check_utf8(name, value):
+    """A usage error naming name when a string, or a list's string, holds a
+    lone surrogate (an argv byte not UTF-8, or a config "\\udcff" escape)."""
+    for item in value if isinstance(value, list) else [value]:
+        try:
+            str(item).encode("utf-8")
+        except UnicodeEncodeError:
+            raise UsageError(f"{name}: value {item!r} is not valid UTF-8, so "
+                             f"no manifest can record it") from None
+
+
 def _resolve(parser, args):
     """Merge defaults, then --config values, then explicitly passed flags.
 
@@ -279,12 +291,15 @@ def _resolve(parser, args):
       string, parsed by the flag's type= and choices=; booleans, lists and
       objects are rejected.
 
-    A value that breaks a rule, an unknown key and a missing required option
-    are usage errors, raised before any input is read.
+    A value that breaks a rule or is not UTF-8, an unknown key and a missing
+    required option are usage errors, raised before any input is read.
     """
     options = COMMANDS[args.command][2]
+    rows = {_dest(flag): (flag, kw) for flag, _, kw in options}
     given = _given(args)
     config_path = given.pop("config", None)
+    for key, value in given.items():
+        _check_utf8(rows[key][0], value)
     opts = {_dest(flag): None if default is REQUIRED else default
             for flag, default, _ in options if flag != "--config"}
     if config_path:
@@ -297,10 +312,10 @@ def _resolve(parser, args):
         if unknown:
             raise UsageError(
                 f"{config_path}: unknown config keys: {sorted(unknown)}")
-        rows = {_dest(flag): (flag, kw) for flag, _, kw in options}
         for key, value in cfg.items():
             if value is None:
                 continue
+            _check_utf8(f"{config_path}: key {key!r}", value)
             try:
                 tokens = _config_tokens(*rows[key], value)
                 opts.update(_given(parser.parse_args([args.command] + tokens)))
@@ -544,7 +559,7 @@ def cmd_edit(opts):
             question = Question.from_text(fields[0], fields[1])
             subs = split_sub_question_texts(fields[2])
             fields[2] = " ".join(edit_sub_question_texts(question, subs))
-        write_dataset_rows(rows, run.output(opts["out"]))
+        write_tsv(rows, run.output(opts["out"]))
     _progress(f"edit: rewrote {len(rows)} decompositions")
     return 0
 
@@ -572,7 +587,7 @@ def cmd_metrics(opts):
     with _Run(opts, "metrics", opts["out"], opts["records"]) as run:
         # columns: question, decomposition, round trip
         records = []
-        for lineno, fields in _read_tsv(opts["records"], 3):
+        for lineno, fields in read_tsv(opts["records"], 3):
             question = Question.from_text(f"r{lineno:08d}", fields[0])
             if not question.tokens:
                 raise ValueError(f"{opts['records']}:{lineno}: question has "

@@ -1,9 +1,9 @@
-"""Question corpora: tokenization, question harvesting from raw lines and
-JSONL I/O. This module owns reading as well as writing: every text and JSON
-input is opened here (open_text, read_json), so each decode failure names
-its file and line; every text artifact is written here, by write_lines, so
-each write failure names its file and line; and every JSON artifact is
-encoded here under one policy, with the kinds of value its loaders accept."""
+"""Question corpora: tokenization, question harvesting, and the JSON, JSONL,
+text and TSV formats. Every text and JSON input is opened here (open_text,
+read_json), so each decode failure names its file and line; every text
+artifact is written here, by write_lines, so each write failure names its
+file and line; every JSON artifact is encoded here under one policy, with
+the kinds of value its loaders accept; the TSV syntax is here alone."""
 
 import json
 import math
@@ -229,6 +229,32 @@ def write_jsonl(values, path, separators=None):
     """Write one JSON document per line through one encoder. A NaN or
     infinite value raises ValueError naming path:line."""
     write_lines(path, map(_encoder(separators=separators).encode, values))
+
+
+def _tsv_field(text):
+    return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
+
+
+def write_tsv(rows, path):
+    """Write rows of string fields as a headerless TSV, with the tabs and
+    line breaks of every field turned into spaces."""
+    write_lines(path, ("\t".join(map(_tsv_field, fields)) for fields in rows))
+
+
+def read_tsv(path, columns):
+    """(line number, fields) of each non-blank line of a headerless TSV; a
+    line without exactly `columns` tab-separated fields raises ValueError
+    naming path:line."""
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != columns:
+                raise ValueError(f"{path}:{lineno}: expected {columns} "
+                                 f"columns, got {len(fields)}")
+            yield lineno, fields
 
 
 COUNT, STRING, NUMBER = ("a non-negative integer", "a string",

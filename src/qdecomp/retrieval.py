@@ -2,7 +2,7 @@
 
 Three retrieval objectives over a top-K candidate pool:
 
-* fixed2:   argmax over pairs of  q.s1 + q.s2 - s1.s2   (unit vectors)
+* fixed2:   general at N = 2, argmax of  q.s1 + q.s2 - s1.s2  (unit vectors)
 * general:  the size-N form, sum of query similarities minus the sum of
             pairwise similarities over unordered candidate pairs
 * variable: argmin over subsets of  ||v_q - sum v_s||_2  (un-normalized
@@ -24,8 +24,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .corpus import (COUNT, JSON_KINDS, STRING, STRINGS, open_text,
-                     read_json, write_json, write_lines)
+from .corpus import (COUNT, JSON_KINDS, STRING, STRINGS, read_json,
+                     read_tsv, write_json, write_tsv)
 from .embeddings import _U32, _U64, VectorTable, _gamma, embed_blocks
 from .rng import child_seed
 
@@ -156,10 +156,10 @@ def build_index(corpus, source, filters=None):
     """Embed every corpus question that passes the length filters.
 
     Questions whose embedding is zero (all tokens out of vocabulary) are
-    excluded and counted. An index that would be empty is an error. The
-    questions are summed by embed_blocks, block by block, straight into
-    preallocated float32 matrices; each row's unit vector is its sum over
-    its _norms, exactly as _scan_queries normalizes a query.
+    excluded and counted; an index that would be empty is an error giving
+    both counts. The questions are summed by embed_blocks, block by block,
+    straight into preallocated float32 matrices; each row's unit vector is
+    its sum over its _norms, exactly as _scan_queries normalizes a query.
     """
     tokens = corpus.tokens
     kept = [r for r, toks in enumerate(tokens) if filters is None
@@ -175,7 +175,9 @@ def build_index(corpus, source, filters=None):
         unit[at:at + len(sums)] = sums / _norms(sums)[:, None]
         rows.extend((start + nonzero).tolist())
     if not rows:
-        raise ValueError("index is empty after filtering and vocabulary checks")
+        raise ValueError(f"index is empty: of {len(corpus)} questions, "
+                         f"{len(corpus) - len(kept)} fall outside the token "
+                         f"bounds and {len(kept)} have no in-vocabulary token")
     embedded = [kept[r] for r in rows]  # their rows in the corpus
     return EmbeddedIndex(ids=tuple(corpus.ids[r] for r in embedded),
                          texts=tuple(corpus.texts[r] for r in embedded),
@@ -611,41 +613,28 @@ def _decomposition(index, question, rows, positions, score, method,
 
 
 def pseudo_decompose_fixed(index, question, k=1000, query=None):
-    """Best pair under the pair objective, searched exhaustively in the top-K.
-
-    Ties break toward the lexicographically smallest (lower id, higher id)
-    pair. query, when given, is the question's (raw, unit, top-K rows)
-    from the batched dataset build.
-    """
-    raw_q, unit, rows = _query_rows(index, question, k, query)
-    if len(rows) < 2:
-        raise ValueError("need at least two candidates to form a pair")
-    terms = _objective_terms(OBJECTIVE_SIM_DIVERSITY, index, rows, raw_q, unit)
-    chosen, best = _exhaustive(index.id_rank[rows], *terms, 2)
-    return _decomposition(index, question, rows, chosen, best, METHOD_FIXED,
-                          "exhaustive")
+    """The fixed2 pair: pseudo_decompose_general at N = 2."""
+    return pseudo_decompose_general(index, question, n=2, k=k, query=query)
 
 
 def pseudo_decompose_general(index, question, n, k=1000, query=None):
     """Best size-N subset under the generalized objective.
 
-    Exhaustive for N <= 3 while the subset count stays within
-    EXHAUSTIVE_SUBSET_CAP; otherwise greedy forward selection (the chosen
-    mode is recorded in search_mode). N=2 is exactly the fixed2 search,
-    whatever the cap. query, when given, is the question's (raw, unit,
-    top-K rows) from the batched dataset build.
+    N = 2 (fixed2, and recorded so) is searched exhaustively whatever
+    EXHAUSTIVE_SUBSET_CAP, N = 3 while the subset count stays within it;
+    otherwise greedy forward selection runs (search_mode records which).
+    Ties break toward the smallest sorted ids. query, when given, is the
+    question's (raw, unit, top-K rows) from the batched dataset build.
     """
     if n < 2:
         raise ValueError("N must be at least 2")
-    if n == 2:
-        return pseudo_decompose_fixed(index, question, k, query)
     raw_q, unit, rows = _query_rows(index, question, k, query)
     m = len(rows)
     if m < n:
         raise ValueError(f"need at least {n} candidates, have {m}")
     terms = _objective_terms(OBJECTIVE_SIM_DIVERSITY, index, rows, raw_q, unit)
     ranks = index.id_rank[rows]
-    if n == 3 and math.comb(m, n) <= EXHAUSTIVE_SUBSET_CAP:
+    if n == 2 or n == 3 and math.comb(m, n) <= EXHAUSTIVE_SUBSET_CAP:
         search_mode = "exhaustive"
         chosen, score = _exhaustive(ranks, *terms, n)
     else:
@@ -663,7 +652,8 @@ def pseudo_decompose_general(index, question, n, k=1000, query=None):
         for a, b in combinations(chosen, 2):
             score += float(pairs[a, b])
     return _decomposition(index, question, rows, chosen, score,
-                          METHOD_GENERAL, search_mode)
+                          METHOD_FIXED if n == 2 else METHOD_GENERAL,
+                          search_mode)
 
 
 def _extensions(beam, m):
@@ -741,14 +731,10 @@ def _random_from_index(index, question, n, seed):
     if len(index) < n:
         raise ValueError(f"index has {len(index)} rows, need {n}")
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(index), size=n, replace=False)
-    return PseudoDecomposition(
-        question_id=question.id,
-        sub_question_ids=tuple(index.ids[int(i)] for i in idx),
-        sub_texts=tuple(index.texts[int(i)] for i in idx),
-        objective_score=float("nan"),
-        method=METHOD_RANDOM,
-    )
+    idx = rng.choice(len(index), size=n, replace=False).tolist()
+    return PseudoDecomposition(question.id, tuple(index.ids[i] for i in idx),
+                               tuple(index.texts[i] for i in idx),
+                               float("nan"), METHOD_RANDOM)
 
 
 @dataclass(frozen=True)
@@ -845,8 +831,7 @@ def build_pseudo_decomposition_dataset(questions, index, config):
     questions = tuple(questions)
     k = None if config.method == METHOD_RANDOM else config.k
     queries = _scan_queries(index, [q.tokens for q in questions], k)
-    records = []
-    failures = []
+    records, failures = [], []
     for pos, (q, query) in enumerate(zip(questions, queries)):
         try:
             if query is None:
@@ -870,52 +855,23 @@ def build_pseudo_decomposition_dataset(questions, index, config):
     return DatasetBuildResult(records=tuple(records), failures=tuple(failures))
 
 
-def _tsv_field(text):
-    return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
-
-
 def decomposition_text(decomposition):
     """Sub-questions joined by a single space."""
     return " ".join(decomposition.sub_texts)
 
 
+# the dataset TSV's columns; corpus.read_tsv and write_tsv own its syntax
 DATASET_COLUMNS = ("question_id", "question_text", "decomposition_text",
                    "objective_score", "method")
 
 
-def write_dataset_rows(rows, path):
-    """Write rows of string fields as a headerless TSV, with the tabs and
-    line breaks of every field turned into spaces."""
-    write_lines(path, ("\t".join(map(_tsv_field, fields)) for fields in rows))
-
-
 def write_dataset_tsv(records, path):
-    """Write (question, decomposition) pairs as a headerless 5-column TSV."""
-    write_dataset_rows(((q.id, q.raw_text, decomposition_text(d),
-                         repr(float(d.objective_score)), d.method)
-                        for q, d in records), path)
-
-
-def _read_tsv(path, columns):
-    """(line number, fields) of each non-blank line of a headerless TSV.
-
-    Raises ValueError naming path:lineno for a line without exactly
-    `columns` tab-separated fields.
-    """
-    rows = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != columns:
-                raise ValueError(f"{path}:{lineno}: expected {columns} "
-                                 f"columns, got {len(fields)}")
-            rows.append((lineno, fields))
-    return rows
+    """Write (question, decomposition) pairs as a TSV of DATASET_COLUMNS."""
+    write_tsv(((q.id, q.raw_text, decomposition_text(d),
+                repr(float(d.objective_score)), d.method)
+               for q, d in records), path)
 
 
 def read_dataset_tsv(path):
-    """Rows of the 5-column dataset TSV as lists of strings."""
-    return [fields for _, fields in _read_tsv(path, len(DATASET_COLUMNS))]
+    """Rows of the dataset TSV (DATASET_COLUMNS) as lists of strings."""
+    return [fields for _, fields in read_tsv(path, len(DATASET_COLUMNS))]

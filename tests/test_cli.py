@@ -2,6 +2,7 @@ import errno
 import hashlib
 import importlib
 import json
+import os
 import shutil
 import threading
 
@@ -1446,6 +1447,39 @@ def test_config_null_and_list_rules(workspace, capsys):
     assert config["corpus"] == [str(workspace["single"])]
     assert (config["min_tokens"], config["max_tokens"]) == (2, 20)
     assert config["no_length_filter"] is False
+
+
+_NOT_UTF8 = "is not valid UTF-8, so no manifest can record it"
+
+
+def test_flag_value_not_utf8_is_a_usage_error(tmp_path, capsys):
+    lines = tmp_path / os.fsdecode(b"in\xff.txt")  # "in\udcff.txt"
+    lines.write_text("Who is x?\n")
+    before = sorted(tmp_path.iterdir())
+    assert main(["extract", "--lines", str(lines), "--out",
+                 str(tmp_path / "out.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: --lines: value {str(lines)!r} {_NOT_UTF8}" in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("extract", {"lines": "in\udcff.txt", "out": "c.jsonl"}, "lines"),
+    ("build-index", {"corpus": ["a.jsonl", "b\udcff.jsonl"],
+                     "vectors": "v.vec", "out": "idx"}, "corpus"),
+], ids=["string", "list-item"])
+def test_config_value_not_utf8_is_a_usage_error(tmp_path, monkeypatch,
+                                                capsys, command, config, key):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert "\\udcff" in cfg.read_text()  # a JSON escape, read as a surrogate
+    before = sorted(tmp_path.iterdir())
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {cfg}: key {key!r}: value " in err
+    assert _NOT_UTF8 in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def _golden_run(chain, command):

@@ -14,6 +14,7 @@ from qdecomp.corpus import (
     load_corpus,
     open_text,
     read_json,
+    read_tsv,
     save_corpus,
     tokenize,
     tokenize_cased,
@@ -21,6 +22,7 @@ from qdecomp.corpus import (
     write_json,
     write_jsonl,
     write_lines,
+    write_tsv,
 )
 
 from conftest import make_corpus
@@ -273,6 +275,25 @@ def test_read_json_names_a_malformed_document(tmp_path):
     with pytest.raises(ValueError,
                        match=f"^{re.escape(str(path))}: malformed JSON: "):
         read_json(path)
+
+
+def test_tsv_fields_lose_their_tabs_and_line_breaks(tmp_path):
+    path = tmp_path / "t.tsv"
+    write_tsv([("a\tb", "c\nd\re"), ("", "é")], path)
+    assert path.read_bytes() == "a b\tc d e\n\té\n".encode("utf-8")
+    assert list(read_tsv(path, 2)) == [(1, ["a b", "c d e"]),
+                                       (2, ["", "é"])]
+
+
+def test_read_tsv_skips_blank_lines_and_names_a_short_line(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("a\tb\tc\n\nd\te\tf\ng\th\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: "
+                                         f"expected 3 columns, got 2$"):
+        list(read_tsv(path, 3))
+    path.write_text("a\tb\tc\n\nd\te\tf\n", encoding="utf-8")
+    assert list(read_tsv(path, 3)) == [(1, ["a", "b", "c"]),
+                                       (3, ["d", "e", "f"])]
 
 
 def test_load_corpus_reports_line_numbers(tmp_path):

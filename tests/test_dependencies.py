@@ -1,7 +1,7 @@
 """The runtime depends only on numpy: every absolute import in the package
 names numpy or a module of the standard library. Inputs are read and text
-artifacts written in one place: only corpus.py parses JSON or opens a file
-to read or to write text."""
+artifacts written in one place: only corpus.py parses JSON, opens a file
+to read or to write text, or holds the tab of the TSV syntax."""
 
 import ast
 import sys
@@ -81,4 +81,21 @@ def test_only_corpus_writes_text():
     assert len(list(_text_writes(PACKAGE / "corpus.py"))) == 1
     elsewhere = {(path.name, line) for path in sources
                  if path.name != "corpus.py" for line in _text_writes(path)}
+    assert not elsewhere
+
+
+def _tab_literals(path):
+    """Line of each string constant holding a tab (an f-string's literal
+    parts included) in a source file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "\t" in node.value):
+            yield node.lineno
+
+
+def test_only_corpus_splits_and_joins_tsv_fields():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert list(_tab_literals(PACKAGE / "corpus.py"))
+    elsewhere = {(path.name, line) for path in sources
+                 if path.name != "corpus.py" for line in _tab_literals(path)}
     assert not elsewhere

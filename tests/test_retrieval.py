@@ -499,6 +499,17 @@ def test_general_n2_agrees_with_fixed():
     assert a.objective_score == b.objective_score
 
 
+def test_fixed_and_general_share_the_pool_size_check():
+    index, table = index_from_rows(np.array([[1.0, 0.5]]))
+    query_for(table, [1.0, 0.0])
+    question = Question.from_text("q", "qq")
+    for select in (partial(pseudo_decompose_fixed, k=5),
+                   partial(pseudo_decompose_general, n=2, k=5)):
+        with pytest.raises(ValueError,
+                           match="^need at least 2 candidates, have 1$"):
+            select(index, question)
+
+
 def test_general_falls_back_to_greedy_above_cap():
     rng = np.random.default_rng(13)
     rows = nonzero_rows(rng, 250, 4)
@@ -668,6 +679,23 @@ def test_build_index_empty_is_error(tiny_table):
     corpus = make_corpus(["zzz yyy"])
     with pytest.raises(ValueError, match="empty"):
         build_index(corpus, tiny_table, filters=None)
+
+
+def test_empty_index_counts_the_questions_outside_the_token_bounds(
+        tiny_table):
+    corpus = make_corpus(["who ?", "who wrote the hamlet ?", "zzz yyy"])
+    with pytest.raises(ValueError, match=r"^index is empty: of 3 questions, "
+                       r"3 fall outside the token bounds and 0 have no "
+                       r"in-vocabulary token$"):
+        build_index(corpus, tiny_table, filters=LengthFilter(6, 20))
+
+
+def test_empty_index_counts_the_questions_without_vocabulary(tiny_table):
+    corpus = make_corpus(["who ?", "zzz yyy xxx qqq", "yyy zzz xxx www"])
+    with pytest.raises(ValueError, match=r"^index is empty: of 3 questions, "
+                       r"1 fall outside the token bounds and 2 have no "
+                       r"in-vocabulary token$"):
+        build_index(corpus, tiny_table, filters=LengthFilter(4, 20))
 
 
 def test_index_save_load_round_trip(tmp_path):

@@ -17,9 +17,8 @@ from qdecomp.synthbench import (build_synthetic_compositional,
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_traced_cli_spans_carry_their_labels(tmp_path, monkeypatch, capsys):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracer = importlib.import_module("tracer")
+def _indexed(tmp_path):
+    """A synthetic corpus, its vector file, corpus file and built index."""
     corpus = build_synthetic_singlehop_corpus(60, seed=41)
     table = synthetic_vector_table(corpus_vocabulary(corpus), dim=24, seed=42)
     vec, single, idx = (tmp_path / "vectors.vec", tmp_path / "single.jsonl",
@@ -28,6 +27,13 @@ def test_traced_cli_spans_carry_their_labels(tmp_path, monkeypatch, capsys):
     save_corpus(corpus, single)
     assert cli.main(["build-index", "--corpus", str(single), "--vectors",
                      str(vec), "--out", str(idx), "--no-length-filter"]) == 0
+    return corpus, vec, single, idx
+
+
+def test_traced_cli_spans_carry_their_labels(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    corpus, vec, single, idx = _indexed(tmp_path)
     traced = tracer.Tracer()
     traced.install()
     try:
@@ -59,6 +65,44 @@ def test_traced_cli_spans_carry_their_labels(tmp_path, monkeypatch, capsys):
     # the dataset note counts every attempted question
     [dataset] = spans["retrieval.dataset"]
     assert (dataset["attempted"], dataset["failed"]) == (len(corpus), 0)
+
+
+def test_traced_fixed2_and_variable_runs_time_each_question_once(
+        tmp_path, monkeypatch, capsys):
+    """fixed2 runs as general at N = 2 with n passed by keyword, so the
+    nested general span is labelled general2 and left out of the select
+    metrics: each question gets one select time, under its method."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    corpus, vec, single, idx = _indexed(tmp_path)
+    for method in ("fixed2", "variable"):
+        traced = tracer.Tracer()
+        traced.install()
+        try:
+            assert cli.main(["decompose", "--questions", str(single),
+                             "--index", str(idx), "--vectors", str(vec),
+                             "--method", method, "--k", "20", "--out",
+                             str(tmp_path / f"{method}.tsv")]) == 0
+        finally:
+            traced.uninstall()
+        capsys.readouterr()
+        [dataset] = [s.note for s in traced.spans
+                     if s.name == "retrieval.dataset"]
+        assert (dataset["attempted"], dataset["failed"]) == (len(corpus), 0)
+        selects = [s for s in traced.spans if s.name == "retrieval.select"]
+        top = [s for s in selects if s.parent.name != "retrieval.select"]
+        nested = [s for s in selects if s.parent.name == "retrieval.select"]
+        assert len(top) == len(corpus)
+        assert {s.note for s in top} == {method}
+        if method == "fixed2":
+            assert [s.note for s in nested] == ["general2"] * len(top)
+            assert {id(s.parent) for s in nested} == {id(s) for s in top}
+        else:
+            assert not nested
+        metrics, _ = tracer.layer_metrics(traced.spans)
+        assert f"retrieval.select_ms.{method}" in metrics
+        assert not [name for name in metrics
+                    if name.startswith("retrieval.select_ms.general")]
 
 
 def test_traced_corpus_chain_records_its_spans(tmp_path, monkeypatch,
