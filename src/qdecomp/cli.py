@@ -29,8 +29,8 @@ from .classifier import (TrainingConfig, evaluate_classifier,
                          load_classifier, predict, route_mined_questions,
                          save_classifier, train_classifier)
 from .corpus import (DEFAULT_WH_WORDS, Question, QuestionCorpus,
-                     extract_candidate_questions, load_corpus, open_text,
-                     read_json, read_tsv, save_corpus, write_json,
+                     extract_candidate_questions, load_corpus, read_json,
+                     read_lines, read_tsv, save_corpus, write_json,
                      write_jsonl, write_tsv)
 from .editing import edit_sub_question_texts, split_sub_question_texts
 from .embeddings import load_vector_table, vector_file_dim
@@ -354,8 +354,7 @@ def cmd_extract(opts):
     wh = frozenset(w.strip().lower() for w in opts["wh_words"].split(",")
                    if w.strip())
     with _Run(opts, "extract", opts["out"], opts["lines"]) as run:
-        with open_text(opts["lines"]) as fh:
-            lines = fh.readlines()
+        lines = [line for _, line in read_lines(opts["lines"])]
         questions = extract_candidate_questions(lines, wh_words=wh,
                                                 id_prefix=opts["id_prefix"],
                                                 dedup=opts["dedup"])
@@ -400,8 +399,6 @@ def cmd_train_classifier(opts):
               *(path for _, path in pairs)) as run:
         for label, path in pairs:
             corpus = load_corpus(path)
-            if not len(corpus):
-                raise ValueError(f"{path}: no records for label {label!r}")
             train, hold = _split_holdout(corpus, opts["holdout"], rng)
             if not len(train):
                 raise ValueError(f"{path}: no training question for label "
@@ -593,8 +590,6 @@ def cmd_metrics(opts):
                 raise ValueError(f"{opts['records']}:{lineno}: question has "
                                  f"no tokens")
             records.append(RoundTripRecord(question, fields[1], fields[2]))
-        if not records:
-            raise ValueError(f"{opts['records']}: no records")
         payload = dataclasses.asdict(roundtrip_report(records))
         write_json(payload, run.output(opts["out"]), indent=2)
     print(json.dumps(payload, sort_keys=True))

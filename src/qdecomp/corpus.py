@@ -1,9 +1,12 @@
 """Question corpora: tokenization, question harvesting, and the JSON, JSONL,
 text and TSV formats. Every text and JSON input is opened here (open_text,
-read_json), so each decode failure names its file and line; every text
-artifact is written here, by write_lines, so each write failure names its
-file and line; every JSON artifact is encoded here under one policy, with
-the kinds of value its loaders accept; the TSV syntax is here alone."""
+read_json), so each decode failure names its file and line; every record
+file (JSONL, TSV, extract's lines) is read by one loop, read_lines, which
+refuses a file with no records, naming it; every text artifact is written
+here, by write_lines, so each write failure names its file and line; every
+JSON artifact is encoded here under one policy, with the kinds of value its
+loaders accept; the TSV syntax is here alone. The .vec reader and the
+library functions keep their own empty checks."""
 
 import json
 import math
@@ -169,18 +172,29 @@ def read_json(path):
             raise ValueError(f"{path}: malformed JSON: {exc}") from None
 
 
+def read_lines(path, strip=str.strip):
+    """(line number, line) of each line of a record file that strip leaves
+    non-empty: the one loop over every record input. A file with no such
+    line, 0 bytes or blank lines alone, raises ValueError naming path."""
+    kept = False
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if strip(line):
+                kept = True
+                yield lineno, line
+    if not kept:
+        raise ValueError(f"{path}: no records")
+
+
 def read_jsonl(path):
     """(line number, value) of each non-blank line of a JSONL file; a line
     that is not JSON raises ValueError naming path:line."""
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                value = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
-            yield lineno, value
+    for lineno, line in read_lines(path):
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
+        yield lineno, value
 
 
 def _encoder(indent=None, separators=None):
@@ -245,16 +259,12 @@ def read_tsv(path, columns):
     """(line number, fields) of each non-blank line of a headerless TSV; a
     line without exactly `columns` tab-separated fields raises ValueError
     naming path:line."""
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != columns:
-                raise ValueError(f"{path}:{lineno}: expected {columns} "
-                                 f"columns, got {len(fields)}")
-            yield lineno, fields
+    for lineno, line in read_lines(path, lambda line: line.rstrip("\n")):
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != columns:
+            raise ValueError(f"{path}:{lineno}: expected {columns} "
+                             f"columns, got {len(fields)}")
+        yield lineno, fields
 
 
 COUNT, STRING, NUMBER = ("a non-negative integer", "a string",

@@ -150,8 +150,6 @@ def read_logits_jsonl(path):
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}:{lineno}: bad logits record: {exc}") from exc
         out.append(paragraph)
-    if not out:
-        raise ValueError(f"{path}: no paragraph records")
     if not any(p.span_entries for p in out):
         raise ValueError(f"{path}: no span in any paragraph record")
     return out

@@ -475,17 +475,17 @@ def _member_sums(start, members):
     return lead, own
 
 
-def _pair_block(start, members, pairs):
-    """_member_sums' lead and own, the (K, K) mask of j < k, and the block
-    of lead_j, then k's member terms, then pairs[j, k], added left to right:
-    each pair's score in the order of _objective_terms."""
+def _pair_block(start, members, *pairs):
+    """_member_sums' own, and the block of lead_j, then k's member terms,
+    then each of pairs in turn, added left to right: with the (K, K) pair
+    terms alone, each pair's score in the order of _objective_terms."""
     lead, own = _member_sums(start, members)
     block = lead[:, None] + members[0]
     for v in members[1:]:
         block += v
-    block += pairs
-    m = len(lead)
-    return lead, own, np.arange(m)[:, None] < np.arange(m), block
+    for p in pairs:
+        block += p
+    return own, block
 
 
 def _block_bounds(start, members, pairs, upper):
@@ -539,7 +539,8 @@ def _exhaustive(id_ranks, start, members, pairs, n):
     which only grows. So the chosen subset and its score bits are those of
     a scan of all blocks.
     """
-    _, own, upper, pair_block = _pair_block(start, members, pairs)
+    own, pair_block = _pair_block(start, members, pairs)
+    upper = np.arange(len(own))[:, None] < np.arange(len(own))
 
     def blocks():  # (leading positions, offset of j and k, block)
         if n == 2:
@@ -581,24 +582,19 @@ def _count_better(start, members, pairs, gold):
             score = score + v[p]
     for a, b in combinations(gold, 2):
         score = score + pairs[a, b]
+    upper = np.arange(len(pairs))[:, None] < np.arange(len(pairs))
     if len(gold) == 2:
-        _, _, upper, block = _pair_block(start, members, pairs)
+        _, block = _pair_block(start, members, pairs)
         return int(np.count_nonzero((block > score) & upper))
 
     lead, _ = _member_sums(start, members)
-    upper = np.arange(len(lead))[:, None] < np.arange(len(lead))
     bound, margin = _block_bounds(start, members, pairs, upper)
     better = 0
     for i in np.flatnonzero(bound + margin > score).tolist():
         rest = slice(i + 1, None)
-        sub = [v[rest] for v in members]
-        acc, _ = _member_sums(lead[i], sub)
-        block = acc[:, None] + sub[0]
-        for v in sub[1:]:
-            block += v
-        block += pairs[i, rest][:, None]
-        block += pairs[i, rest]
-        block += pairs[rest, rest]
+        _, block = _pair_block(lead[i], [v[rest] for v in members],
+                               pairs[i, rest][:, None], pairs[i, rest],
+                               pairs[rest, rest])
         better += int(np.count_nonzero((block > score) & upper[rest, rest]))
     return better
 

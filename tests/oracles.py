@@ -271,9 +271,10 @@ def load_corpus_oracle(path):
     """The per-line JSONL corpus reader load_corpus replaced: a json.loads
     per line, each record tokenized by tokenize_oracle. Returns the (id,
     text, tokens) of each record, or raises its ValueErrors, with their line
-    numbers; a repeated id raises "duplicate question id: <id>" after the
-    whole file is read. A line holding a byte that is not UTF-8 raises
-    naming that byte (_check_utf8).
+    numbers; a file with no record raises "<path>: no records", and a
+    repeated id "duplicate question id: <id>", after the whole file is
+    read. A line holding a byte that is not UTF-8 raises naming that byte
+    (_check_utf8).
     """
     questions = []
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -293,6 +294,8 @@ def load_corpus_oracle(path):
             if not isinstance(qid, str) or not isinstance(text, str):
                 raise ValueError(f"{path}:{lineno}: 'id' and 'text' must be strings")
             questions.append((qid, text, tuple(tokenize_oracle(text))))
+    if not questions:
+        raise ValueError(f"{path}: no records")
     seen = set()
     for qid, _, _ in questions:
         if qid in seen:

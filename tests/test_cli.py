@@ -625,15 +625,16 @@ def test_decompose_with_every_question_skipped_is_data_error(indexed,
     assert not (indexed["tmp"] / "oov.tsv.manifest.json").exists()
 
 
-def test_decompose_of_an_empty_corpus_writes_an_empty_tsv(indexed, capsys):
+def test_decompose_of_an_empty_corpus_writes_no_tsv(indexed, capsys):
     questions = indexed["tmp"] / "empty.jsonl"
     questions.write_text("")
     out = indexed["tmp"] / "empty.tsv"
     assert main(["decompose", "--questions", str(questions),
                  "--index", str(indexed["idx"]),
-                 "--vectors", str(indexed["vec"]), "--out", str(out)]) == 0
-    assert out.read_text() == ""
-    assert "wrote 0 records, skipped 0" in capsys.readouterr().err
+                 "--vectors", str(indexed["vec"]), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {questions}: no records\n"
+    assert not out.exists()
+    assert not (indexed["tmp"] / "empty.tsv.manifest.json").exists()
 
 
 @pytest.mark.parametrize("command", ["decompose", "synth-eval"])
@@ -945,6 +946,56 @@ def test_unreadable_input_is_named(chain, capsys, case, corrupt):
     assert shown in capsys.readouterr().err
     assert not list(tmp.rglob(".*.tmp"))
     assert _tree_bytes([tmp]) == before
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+@pytest.mark.parametrize("case, key", [
+    ("extract", "lines"), ("train-classifier", "multi"),
+    ("classify", "single"), ("route", "mined"), ("build-index", "multi"),
+    ("decompose", "multi"), ("noise", "single"), ("edit", "pseudo"),
+    ("metrics", "records"), ("synth-eval", "single"),
+    ("recompose", "logits")])
+def test_an_input_with_no_records_is_named(chain, capsys, case, key, text):
+    """One rule for every record and line input: a file holding no record
+    exits 2 naming it, and leaves no output, manifest or temp file."""
+    tmp, empty = chain["tmp"], chain[key]
+    empty.write_text(text)
+    before = _tree_bytes([tmp])
+    assert main(_writer_argv(chain, case)) == 2
+    assert capsys.readouterr().err == f"error: {empty}: no records\n"
+    assert not list(tmp.rglob(".*.tmp"))
+    assert _tree_bytes([tmp]) == before
+
+
+def test_an_emptied_output_is_refused_by_the_stage_that_reads_it(indexed,
+                                                                 capsys):
+    tmp, ids = indexed["tmp"], indexed["corpus"].ids
+    noised = tmp / "noised.jsonl"
+    assert main(["noise", "--corpus", str(indexed["single"]), "--out",
+                 str(noised), "--drop-prob", "1.0"]) == 0
+    assert noised.read_text() == "".join(
+        f'{{"id":"{qid}","text":""}}\n' for qid in ids)
+    capsys.readouterr()
+    assert main(["build-index", "--corpus", str(noised), "--vectors",
+                 str(indexed["vec"]), "--out", str(tmp / "idx2")]) == 2
+    assert (f"index is empty: of {len(ids)} questions, {len(ids)} fall "
+            f"outside the token bounds and 0 have no in-vocabulary token"
+            in capsys.readouterr().err)
+    assert main(["decompose", "--questions", str(noised), "--index",
+                 str(indexed["idx"]), "--vectors", str(indexed["vec"]),
+                 "--out", str(tmp / "noised.tsv")]) == 2
+    assert f"skipped all {len(ids)} questions" in capsys.readouterr().err
+    lines, mined = tmp / "plain.txt", tmp / "none.jsonl"
+    lines.write_text("This line is not a question.\n")
+    assert main(["extract", "--lines", str(lines), "--out", str(mined)]) == 0
+    assert "extract: kept 0 of 1 lines" in capsys.readouterr().err
+    assert mined.read_bytes() == b""
+    assert main(["train-classifier", "--labeled",
+                 f"single={indexed['single']}", "--labeled",
+                 f"multi={mined}", "--out", str(tmp / "clf.json")]) == 2
+    assert capsys.readouterr().err == f"error: {mined}: no records\n"
+    assert not (tmp / "idx2").exists() and not (tmp / "noised.tsv").exists()
+    assert not (tmp / "clf.json").exists()
 
 
 @pytest.mark.parametrize("case", ["metrics", "noise", "build-index"])
@@ -1339,8 +1390,7 @@ def test_empty_labeled_file_is_data_error(tmp_path, capsys):
     out = tmp_path / "clf.json"
     assert main(["train-classifier", "--labeled", f"single={a}", "--labeled",
                  f"multi={empty}", "--out", str(out)]) == 2
-    assert (f"error: {empty}: no records for label 'multi'\n"
-            == capsys.readouterr().err)
+    assert capsys.readouterr().err == f"error: {empty}: no records\n"
     assert not out.exists()
     assert not (tmp_path / "clf.json.manifest.json").exists()
 

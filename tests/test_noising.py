@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 from unittest import mock
 
@@ -120,9 +122,16 @@ def _noise_cli_equals_oracle(tmp, token_lists, window, drop, mask, seed):
     corpus.write_text("".join(
         json.dumps({"id": qid, "text": " ".join(tokens)}) + "\n"
         for qid, tokens in records), encoding="utf-8")
-    assert main(["noise", "--corpus", str(corpus), "--out", str(out),
-                 "--shuffle-window", str(window), "--drop-prob", str(drop),
-                 "--mask-prob", str(mask), "--seed", str(seed)]) == 0
+    argv = ["noise", "--corpus", str(corpus), "--out", str(out),
+            "--shuffle-window", str(window), "--drop-prob", str(drop),
+            "--mask-prob", str(mask), "--seed", str(seed)]
+    if not records:  # a 0-byte corpus has no records to noise
+        with redirect_stderr(io.StringIO()) as err:
+            assert main(argv) == 2
+        assert err.getvalue() == f"error: {corpus}: no records\n"
+        assert not out.exists()
+        return
+    assert main(argv) == 0
     expected = noise_jsonl_oracle(records, mask, drop, window, "<mask>", seed)
     assert out.read_bytes() == expected.encode("utf-8")
 
