@@ -404,6 +404,9 @@ def cmd_train_classifier(opts):
                 raise ValueError(f"{path}: no training question for label "
                                  f"{label!r}: --holdout {opts['holdout']} "
                                  f"holds out {len(hold)} of {len(corpus)}")
+            if not any(train.tokens):
+                raise ValueError(f"{path}: no training text for label "
+                                 f"{label!r} holds a token")
             train_sets.append((train, label))
             if len(hold):
                 heldout_sets.append((hold, label))

@@ -51,10 +51,10 @@ EXHAUSTIVE_SUBSET_CAP = 10_000_000
 # _topk_rows call.
 _SCAN_BLOCK = 1 << 20
 
-# Float64 elements of gathered candidate rows held per block of variable
-# beam extensions (512 KB, so a block stays in cache): at the CLI defaults
-# (K=1000, beam 100, 300-d) an unblocked size-3 pass would gather
-# 100K x 3 x 300 of them.
+# Float64 elements of gathered candidate rows held per block of the variable
+# beam's exact distances (512 KB, so a block stays in cache). Only each
+# size's shortlist is gathered, about beam_width * size keys; the block
+# bounds the memory of a shortlist that near ties widen.
 _BEAM_BLOCK = 1 << 16
 
 def _norms(rows):
@@ -652,27 +652,11 @@ def pseudo_decompose_general(index, question, n, k=1000, query=None):
                           search_mode)
 
 
-def _extensions(beam, m):
-    """Distinct keys of every beam state extended by one unused position.
-
-    beam is a (states, size) array of keys, each a row of ascending pool
-    positions. Returns a (keys, size + 1) array of ascending-position rows
-    in lexicographic order.
-    """
-    unused = (beam[:, :, None] != np.arange(m)).all(axis=1)
-    prev, extra = np.nonzero(unused)
-    keys = np.sort(np.column_stack([beam[prev], extra]), axis=1)
-    keys = keys[np.lexsort(keys.T[::-1])]
-    fresh = np.ones(len(keys), dtype=bool)
-    fresh[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    return keys[fresh]
-
-
 def pseudo_decompose_variable(index, question, max_n, k=1000, beam_width=100,
                               query=None):
     """Best subset of size 1..max_N minimizing ||v_q - sum v_s||.
 
-    Beam search: states of size m extend by every unused candidate, the
+    Beam search: states of size s extend by every unused candidate, the
     beam_width lowest-distance states survive per size, and the global best
     across sizes wins. Ties prefer fewer sub-questions, then lexicographic
     ids. A state's distance is norm(v_q - raws[key].sum(axis=0)), with key
@@ -680,14 +664,46 @@ def pseudo_decompose_variable(index, question, max_n, k=1000, beam_width=100,
     different paths are numerically identical. query, when given, is the
     question's (raw, unit, top-K rows) from the batched dataset build.
 
-    Each size is scored as arrays. The distinct extensions of the beam are
-    taken in blocks of _BEAM_BLOCK // (size * d) keys. A block's subset
-    sums come from raws[keys].sum(axis=1), the same reduction over the same
-    rows in the same order as raws[list(key)].sum(axis=0), and their
-    residuals' _norms are np.linalg.norm's bit for bit, so every extension
-    gets its exact distance. The beam keeps the states at or below the
-    beam_width-th smallest distance, ordered by (distance, sorted ids)
-    through their members' id ranks, and cuts them to beam_width.
+    Each size s scores every (state b, unused position x) pair
+    approximately, as one (states, K) array and with no key built, from the
+    sum-distance terms of _objective_terms: A = parent_b + (r_x.r_x -
+    2 q.r_x) + sum over i in b of 2 gram[i, x], where parent_b is b's
+    distance squared (q.q for the empty state). A key has at most s parents
+    in the beam, so the J = beam_width * s smallest upper bounds A + M hold
+    at least beam_width distinct keys, and T, the J-th smallest of them, is
+    at least the beam_width-th smallest squared distance of all extensions.
+    Only the shortlist, the pairs with A - M <= T (every pair when there are
+    at most J), becomes keys: sorted, deduplicated, and scored in blocks of
+    _BEAM_BLOCK // (s * d) keys by raws[keys].sum(axis=1), the same
+    reduction over the same rows in the same order as
+    raws[list(key)].sum(axis=0), and _norms, which are np.linalg.norm's bit
+    for bit. The beam keeps the keys at or below the beam_width-th smallest
+    distance, ordered by (distance, sorted ids) through their members' id
+    ranks, and cuts them to beam_width. Every key of that beam has its
+    squared distance, and so each of its pairs' A - M, at or below T, so
+    the beam and its distance bits are those of scoring every extension.
+
+    The margin M of a pair, whose key k has size s, is gamma_{2n} * N**2
+    with n = 2d + 5s + 4, N = |q| + sum over the members i of k of |r_i|,
+    and gamma_n = _gamma(n, 2**-53). Every bound below holds for any order
+    of a sum or a BLAS dot (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 3.1). Let D(k) = |q - sum r_i|**2, the real value.
+    - Exact path. The subset sum is within gamma_{s-1} * sum |r_i| of the
+      real one and the subtraction rounds once, so the residual is within
+      gamma_s * N of the real one, whose norm is at most N. Its d-term dot,
+      the sqrt and squaring give a dist(k)**2 within gamma_{d+2s+2} * N**2
+      of D(k).
+    - Approximate path. parent_b is within gamma_{d+2s+1} * N**2 of D(b)
+      by the exact path at size s - 1 and one more rounding (q.q, a d-term
+      dot, is within gamma_d * |q|**2). q.r_x, r_x.r_x and gram[i, x] are
+      d-term dots, each within gamma_d of the product of its norms. The
+      terms' real magnitudes sum to at most N**2, and A adds s + 2 of them,
+      so |A - D(k)| <= gamma_{d+3s+2} * N**2.
+    So |A - dist(k)**2| <= gamma_n * N**2. N is computed from the same dots'
+    square roots, within a relative gamma_{d+s+1}, so M is at least 2 *
+    gamma_n * N**2 less a few roundings of it, which leaves more than
+    2**-52 * N**2 beyond gamma_n * N**2: enough that fl(A + M) is at least
+    dist(k)**2. And A - M <= dist(k)**2 <= T gives fl(A - M) <= T.
     """
     if max_n < 1:
         raise ValueError("max_N must be at least 1")
@@ -697,23 +713,41 @@ def pseudo_decompose_variable(index, question, max_n, k=1000, beam_width=100,
     m = len(rows)
     raws = index.raw_matrix[rows].astype(np.float64)
     ranks = index.id_rank[rows]
+    start, (twice_qr, neg_rr), neg_pairs = _objective_terms(
+        OBJECTIVE_SUM_DISTANCE, index, rows, raw_q, None)
+    gains = -(twice_qr + neg_rr)  # r.r - 2 q.r
+    norm_q, norms = math.sqrt(-start), np.sqrt(-neg_rr)
     best_dist, best_key = np.inf, None
-    beam = np.zeros((1, 0), dtype=np.intp)
+    beam, parents = np.zeros((1, 0), dtype=np.intp), np.array([-start])
     for size in range(1, max_n + 1):
-        keys = _extensions(beam, m)
-        if not len(keys):
+        free = (beam[:, :, None] != np.arange(m)).all(axis=1)
+        if not free.any():
             break
+        approx = (parents[:, None] + gains) - neg_pairs[beam].sum(axis=1)
+        reach = (norm_q + norms[beam].sum(axis=1))[:, None] + norms
+        n = 2 * raws.shape[1] + 5 * size + 4
+        margin = _gamma(2 * n, _U64) * (reach * reach)
+        cut = beam_width * size
+        if cut < np.count_nonzero(free):
+            upper = np.where(free, approx + margin, np.inf).ravel()
+            free &= approx - margin <= np.partition(upper, cut - 1)[cut - 1]
+        prev, extra = np.nonzero(free)
+        keys = np.sort(np.column_stack([beam[prev], extra]), axis=1)
+        keys = keys[np.lexsort(keys.T[::-1])]
+        fresh = np.ones(len(keys), dtype=bool)
+        fresh[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        keys = keys[fresh]
         dists = np.empty(len(keys))
         step = max(1, _BEAM_BLOCK // (size * raws.shape[1]))
-        for start in range(0, len(keys), step):
-            dists[start:start + step] = _norms(
-                raw_q - raws[keys[start:start + step]].sum(axis=1))
+        for at in range(0, len(keys), step):
+            dists[at:at + step] = _norms(
+                raw_q - raws[keys[at:at + step]].sum(axis=1))
         if len(keys) > beam_width:
             near = dists <= np.partition(dists, beam_width - 1)[beam_width - 1]
             keys, dists = keys[near], dists[near]
         member_ranks = np.sort(ranks[keys], axis=1)
         order = np.lexsort((*member_ranks.T[::-1], dists))[:beam_width]
-        beam = keys[order]
+        beam, parents = keys[order], dists[order] ** 2
         # a later size replaces the best only on a strictly smaller distance
         if dists[order[0]] < best_dist:
             best_dist, best_key = dists[order[0]], beam[0]

@@ -1383,6 +1383,22 @@ def test_holdout_leaving_no_training_question_is_data_error(tmp_path,
     assert not (tmp_path / "clf.json.manifest.json").exists()
 
 
+def test_label_whose_texts_hold_no_token_is_data_error(tmp_path, capsys):
+    # what noise --drop-prob 1.0 writes: every record kept, every text empty
+    a, blank = tmp_path / "a.jsonl", tmp_path / "blank.jsonl"
+    save_corpus(make_corpus(["Who is t001?", "Who is t002?"]), a)
+    blank.write_text('{"id":"m0","text":""}\n{"id":"m1","text":" "}\n',
+                     encoding="utf-8")
+    out = tmp_path / "clf.json"
+    assert main(["train-classifier", "--labeled", f"single={a}", "--labeled",
+                 f"multi={blank}", "--min-count", "1", "--holdout", "0",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {blank}: no training text for label 'multi' holds a token\n")
+    assert not out.exists()
+    assert not (tmp_path / "clf.json.manifest.json").exists()
+
+
 def test_empty_labeled_file_is_data_error(tmp_path, capsys):
     a, empty = tmp_path / "a.jsonl", tmp_path / "empty.jsonl"
     save_corpus(make_corpus(["Who is t001?", "Who is t002?"]), a)

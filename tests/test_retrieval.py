@@ -661,6 +661,33 @@ def test_variable_beam_equals_plain_beam(case):
         assert got.objective_score == want_dist
 
 
+def test_variable_shortlist_keeps_the_beam_of_near_tie_pools():
+    # beam_cases' permuted-row family on larger pools: every residual norm
+    # agrees up to rounding, so many (state, position) pairs fall within the
+    # shortlist's margin of its cut, and with beam_width below the pool size
+    # the shortlist is a strict subset of the extensions
+    rng = np.random.default_rng(30)
+    for trial in range(400):
+        m = int(rng.integers(8, 41))
+        dim = int(rng.integers(2, 17))
+        base = rng.normal(size=dim)
+        rows = np.array([rng.permutation(base) for _ in range(m)])
+        for dst in rng.choice(m, size=int(rng.integers(0, m // 2 + 1)),
+                              replace=False):
+            rows[dst] = rows[rng.integers(m)]
+        beam_width, max_n = int(rng.integers(1, m)), int(rng.integers(2, 5))
+        index, table = index_from_rows(rows)
+        q = query_for(table, np.full(dim, rng.normal()))
+        raw_q, unit = embed_sum_unit(table, q)
+        pool, _ = topk_oracle(unit, index.unit_matrix, index.ids, m)
+        want = variable_beam_oracle(raw_q, index.raw_matrix[pool],
+                                    [index.ids[p] for p in pool], max_n,
+                                    beam_width)
+        got = pseudo_decompose_variable(index, q, max_n=max_n, k=m,
+                                        beam_width=beam_width)
+        assert (got.sub_question_ids, got.objective_score) == want, trial
+
+
 # ---- index construction and persistence ----
 
 def test_build_index_length_filter_and_oov_counts(tiny_table):
