@@ -26,7 +26,8 @@ import numpy as np
 
 from .corpus import (COUNT, JSON_KINDS, STRING, STRINGS, read_json,
                      read_tsv, write_json, write_tsv)
-from .embeddings import _U32, _U64, VectorTable, _gamma, embed_blocks
+from .embeddings import (_U32, _U64, VectorTable, _gamma, _ranges,
+                         embed_blocks)
 from .rng import child_seed
 
 # the one embedding an index holds, named in its meta.json
@@ -56,6 +57,11 @@ _SCAN_BLOCK = 1 << 20
 # size's shortlist is gathered, about beam_width * size keys; the block
 # bounds the memory of a shortlist that near ties widen.
 _BEAM_BLOCK = 1 << 16
+
+# Subset entries _count_better scores per chunk of the rows it keeps (about
+# 4 MB of gathered indices and scores); a single longer row is one chunk.
+_COUNT_BLOCK = 1 << 16
+
 
 def _norms(rows):
     """Euclidean norm of each row of a 2-D array, as one BLAS dot per row by
@@ -460,7 +466,12 @@ def _objective_terms(objective, index, rows, raw_q, unit):
     if objective == OBJECTIVE_SIM_DIVERSITY:
         cand = index.unit_matrix[rows].astype(np.float64)
         return -0.0, (cand @ unit,), -(cand @ cand.T)
-    raws = index.raw_matrix[rows].astype(np.float64)
+    return _distance_terms(index.raw_matrix[rows].astype(np.float64), raw_q)
+
+
+def _distance_terms(raws, raw_q):
+    """_objective_terms' sum-distance terms of the float64 pool rows raws,
+    for a caller that holds those rows already."""
     gram = raws @ raws.T
     return (-float(raw_q @ raw_q), (2.0 * (raws @ raw_q), -np.diag(gram)),
             -2.0 * gram)
@@ -488,23 +499,23 @@ def _pair_block(start, members, *pairs):
     return own, block
 
 
-def _block_bounds(start, members, pairs, upper):
-    """Upper bound of each first-member block of a pool's size-3 subsets,
-    and the one rounding margin to prune by.
+def _bound_margin(start, members, pairs):
+    """The rounding margin of _block_bounds and _row_bounds: gamma_{2L}(u64)
+    * W * (1 + 2**-40).
 
     A subset i < j < k of pool positions has L = 3 * len(members) + 4
     terms: start, each member vector's entries at i, j and k, and the pairs
     entries (i, j), (i, k), (j, k), whose magnitudes sum to at most W =
-    |start| + 3 * sum(max|v| for v in members) + 3 * max|pairs|. Block i,
-    every subset with first member i, is bounded by (its two largest t_ij)
-    + lead_i + (its largest pairs[j, k]), added left to right in float64,
-    where lead_i is start plus i's member terms and t_ij is j's member
-    terms plus pairs[i, j]. upper is the (K, K) mask of j < k. Returns the
-    bounds of blocks 0 .. K - 3 and margin = gamma_{2L}(u64) * W * (1 +
-    2**-40).
+    |start| + 3 * sum(max|v| for v in members) + 3 * max|pairs|. Let lead_i
+    be start plus i's member terms and t_ij be j's member terms plus
+    pairs[i, j], each as computed. Both bounds add four float64 operands
+    left to right, (a + b) + lead_i + c, with a + b >= t_ij + t_ik and c >=
+    pairs[j, k] for every subset i < j < k they bound: in _block_bounds a
+    and b are row i's two largest t, in _row_bounds t_ij and row i's
+    largest t past j.
 
-    An entry of block i that adds its L terms in any order is at most
-    fl(bound_i + margin). It is within gamma_{L-1}(u64) * W of its terms'
+    An entry of such a subset that adds its L terms in any order is at most
+    fl(bound + margin). It is within gamma_{L-1}(u64) * W of its terms'
     exact sum (Higham, Accuracy and Stability of Numerical Algorithms,
     section 3.1), which exceeds the exact sum of the bound's four operands
     by at most gamma_{len(members)} * W (the roundings of lead_i and t_ij),
@@ -512,17 +523,51 @@ def _block_bounds(start, members, pairs, upper):
     * W. As L >= 7, the margin exceeds these by more than 2 * u64 * W, which
     covers rounding bound + margin; the factor covers rounding the margin.
     """
+    terms = 3 * len(members) + 4
+    width = (abs(start) + 3 * sum(float(np.abs(v).max()) for v in members)
+             + 3 * float(np.abs(pairs).max()))
+    return _gamma(2 * terms, _U64) * width * (1.0 + 2.0 ** -40)
+
+
+def _block_bounds(start, members, pairs, upper):
+    """Upper bound of each first-member block of a pool's size-3 subsets,
+    and the one rounding margin to prune by (_bound_margin).
+
+    Block i, every subset with first member i, is bounded by (its two
+    largest t_ij) + lead_i + (its largest pairs[j, k]), added left to right
+    in float64, with t_ij and lead_i as in _bound_margin. upper is the
+    (K, K) mask of j < k. Returns the bounds of blocks 0 .. K - 3 and the
+    margin.
+    """
     lead, own = _member_sums(start, members)
     m = len(lead)
     tails = np.where(upper, own + pairs, -np.inf)
     top_two = np.partition(tails, m - 2, axis=1)[:, m - 2:].sum(axis=1)
     row_best = pairs.max(axis=1, where=upper, initial=-np.inf)
     after = np.maximum.accumulate(row_best[::-1])[::-1]  # max over rows >= j
-    terms = 3 * len(members) + 4
-    width = (abs(start) + 3 * sum(float(np.abs(v).max()) for v in members)
-             + 3 * float(np.abs(pairs).max()))
-    margin = _gamma(2 * terms, _U64) * width * (1.0 + 2.0 ** -40)
-    return top_two[:m - 2] + lead[:m - 2] + after[1:m - 1], margin
+    return (top_two[:m - 2] + lead[:m - 2] + after[1:m - 1],
+            _bound_margin(start, members, pairs))
+
+
+def _row_bounds(start, members, pairs, upper):
+    """Upper bound of each (i, j) row of a pool's size-3 subsets, every
+    i < j < k over k, and the rounding margin (_bound_margin).
+
+    Row (i, j) is bounded by (t_ij + max over k > j of t_ik) + lead_i +
+    (max over k > j of pairs[j, k]), added left to right in float64, with
+    t_ij and lead_i as in _bound_margin. Its first sum is at most row i's
+    two largest t and its last operand at most block i's largest pairs, so
+    it is at most block i's bound in _block_bounds. upper is the (K, K)
+    mask of j < k. Returns a (K, K - 1) array of row bounds, -inf where
+    j <= i, and the margin.
+    """
+    lead, own = _member_sums(start, members)
+    tails = np.where(upper, own + pairs, -np.inf)
+    # after[:, j] is the largest tails[:, k] over k > j
+    after = np.maximum.accumulate(tails[:, :0:-1], axis=1)[:, ::-1]
+    row_best = pairs.max(axis=1, where=upper, initial=-np.inf)
+    return ((tails[:, :-1] + after) + lead[:, None] + row_best[:-1],
+            _bound_margin(start, members, pairs))
 
 
 def _exhaustive(id_ranks, start, members, pairs, n):
@@ -572,9 +617,12 @@ def _count_better(start, members, pairs, gold):
     """Subsets of the pool scoring strictly above the gold positions.
 
     Scores follow _objective_terms exactly, gold's included. n = 2 is the
-    (K, K) _pair_block masked to j < k. For n = 3 each first member i has a
-    (K-i-1)**2 block of (j, k), masked the same way, skipped when its
-    _block_bounds bound plus margin is not above gold: then it holds none.
+    (K, K) _pair_block masked to j < k. For n = 3 only the (i, j) rows
+    whose _row_bounds bound plus margin is above gold can hold a better
+    subset, and only their (i, j, k > j) entries are scored: gathered flat,
+    in chunks of whole rows of at most _COUNT_BLOCK entries (or one longer
+    row), each in _pair_block's order: lead_i, j's member terms, k's member
+    terms, then pairs[i, j], pairs[i, k] and pairs[j, k].
     """
     score = start
     for p in gold:
@@ -582,20 +630,35 @@ def _count_better(start, members, pairs, gold):
             score = score + v[p]
     for a, b in combinations(gold, 2):
         score = score + pairs[a, b]
-    upper = np.arange(len(pairs))[:, None] < np.arange(len(pairs))
+    m = len(pairs)
+    upper = np.arange(m)[:, None] < np.arange(m)
     if len(gold) == 2:
         _, block = _pair_block(start, members, pairs)
         return int(np.count_nonzero((block > score) & upper))
 
     lead, _ = _member_sums(start, members)
-    bound, margin = _block_bounds(start, members, pairs, upper)
-    better = 0
-    for i in np.flatnonzero(bound + margin > score).tolist():
-        rest = slice(i + 1, None)
-        _, block = _pair_block(lead[i], [v[rest] for v in members],
-                               pairs[i, rest][:, None], pairs[i, rest],
-                               pairs[rest, rest])
-        better += int(np.count_nonzero((block > score) & upper[rest, rest]))
+    bound, margin = _row_bounds(start, members, pairs, upper)
+    # a 1-D flatnonzero is far faster than a 2-D nonzero
+    ii, jj = np.divmod(np.flatnonzero(bound + margin > score), m - 1)
+    heads = lead[ii]
+    for v in members:
+        heads = heads + v[jj]
+    sizes = m - 1 - jj
+    ends = np.cumsum(sizes)
+    better, at = 0, 0
+    while at < len(ii):
+        stop = max(at + 1, int(np.searchsorted(
+            ends, ends[at] - sizes[at] + _COUNT_BLOCK, side="right")))
+        i, j, size = ii[at:stop], jj[at:stop], sizes[at:stop]
+        k = _ranges(j + 1, m)
+        entries = np.repeat(heads[at:stop], size) + members[0][k]
+        for v in members[1:]:
+            entries += v[k]
+        entries += np.repeat(pairs[i, j], size)
+        entries += pairs.take(np.repeat(i * m, size) + k)
+        entries += pairs.take(np.repeat(j * m, size) + k)
+        better += int(np.count_nonzero(entries > score))
+        at = stop
     return better
 
 
@@ -713,8 +776,7 @@ def pseudo_decompose_variable(index, question, max_n, k=1000, beam_width=100,
     m = len(rows)
     raws = index.raw_matrix[rows].astype(np.float64)
     ranks = index.id_rank[rows]
-    start, (twice_qr, neg_rr), neg_pairs = _objective_terms(
-        OBJECTIVE_SUM_DISTANCE, index, rows, raw_q, None)
+    start, (twice_qr, neg_rr), neg_pairs = _distance_terms(raws, raw_q)
     gains = -(twice_qr + neg_rr)  # r.r - 2 q.r
     norm_q, norms = math.sqrt(-start), np.sqrt(-neg_rr)
     best_dist, best_key = np.inf, None

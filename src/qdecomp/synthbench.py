@@ -6,9 +6,10 @@ size-n candidate subsets that score strictly better than the gold subset
 under the chosen objective; MRR averages reciprocal ranks.
 
 Only that policy is here: the objectives' terms and the count of better
-subsets are retrieval's (_objective_terms, _count_better), the terms and
-block walks the selectors read too. mrr_eval embeds every composite and
-finds its top-K pool in one batched pass, the dataset builder's.
+subsets are retrieval's (_objective_terms, _count_better), the terms the
+selectors read and the rounding margin their n = 3 search shares. mrr_eval
+embeds every composite and finds its top-K pool in one batched pass, the
+dataset builder's.
 """
 
 import math
@@ -75,11 +76,12 @@ def decomposition_rank(objective, composite, gold_sub_ids, index, query, k):
     None to embed and scan the composite here.
 
     The count is retrieval._count_better over the objective's
-    retrieval._objective_terms. It never holds all C(K, n) scores, skips
-    each n = 3 block that a bound widened by a proven rounding margin shows
-    to hold nothing above gold, and scores subsets and gold in one fixed
-    operation order, so the rank is that of scoring and comparing every
-    subset.
+    retrieval._objective_terms. It scores subsets and gold in one fixed
+    operation order. For n = 3 it skips each (i, j) row of subsets that a
+    bound widened by a proven rounding margin shows to hold nothing above
+    gold, and scores the rest in chunks of a fixed number of entries, so
+    it never holds all C(K, 3) scores, yet the rank is that of scoring and
+    comparing every subset.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")

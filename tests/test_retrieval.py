@@ -410,6 +410,52 @@ def test_block_margin_covers_a_best_triple_above_its_bound(seed):
     assert_bounded(partial(count_order, *terms), *terms)
 
 
+def assert_row_bounded(score, start, members, pairs):
+    """Every triple's score is at most its (i, j) row's bound plus the
+    margin."""
+    m = len(members[0])
+    upper = np.arange(m)[:, None] < np.arange(m)
+    bound, margin = retrieval._row_bounds(start, members, pairs, upper)
+    for i, j, k in combinations(range(m), 3):
+        assert score(i, j, k) <= bound[i, j] + margin, (i, j, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_pools(14))
+def test_row_margin_covers_both_score_orders(case):
+    # _count_better prunes by row bounds: the block margin serves them too,
+    # for _exhaustive's order and _count_better's of either objective
+    rows, query = case
+    index, _ = index_from_rows(rows)
+    pool, unit = list(range(len(rows))), query / np.linalg.norm(query)
+    terms = retrieval._objective_terms(retrieval.OBJECTIVE_SIM_DIVERSITY,
+                                       index, pool, query, unit)
+    _, (sims,), pairs = terms
+    assert_row_bounded(partial(exhaustive_order, sims, -pairs), *terms)
+    for objective in synthbench.OBJECTIVES:
+        terms = retrieval._objective_terms(objective, index, pool, query,
+                                           unit)
+        assert_row_bounded(partial(count_order, *terms), *terms)
+
+
+# copied_pool seeds where, in both score orders, some triple scores above
+# the float64 bound of its (i, j) row, so only the rounding margin covers it
+ROW_BOUND_BELOW_A_TRIPLE = (1, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("seed", ROW_BOUND_BELOW_A_TRIPLE)
+def test_row_margin_covers_a_triple_above_its_row_bound(seed):
+    sims, gram = copied_pool(seed)
+    terms = -0.0, (sims,), -gram
+    upper = np.triu(np.ones((len(sims),) * 2, dtype=bool), 1)
+    bound, _ = retrieval._row_bounds(*terms, upper)
+    for score in (partial(exhaustive_order, sims, gram),
+                  partial(count_order, *terms)):
+        assert any(score(i, j, k) > bound[i, j]
+                   for i, j, k in combinations(range(len(sims)), 3))
+        assert_row_bounded(score, *terms)
+
+
 @pytest.mark.parametrize("m, mode", [(392, "exhaustive"), (393, "greedy")])
 def test_general_n3_cap_crossover(m, mode):
     # C(392, 3) = 9,962,680 is within the cap and C(393, 3) = 10,039,316

@@ -1,5 +1,6 @@
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -160,6 +161,64 @@ def test_rank_equals_full_enumeration(case):
                            len(gold))
         assert decomposition_rank(objective, composite, gold_ids, index, None,
                                   k) == want
+
+
+def seeded_rank_case(seed):
+    """rank_cases' kinds of row (grid, normal, permuted) and copies, from a
+    seed, in pools of 12 to 30 rows, with gold three rows that the query is
+    the sum of for even seeds."""
+    rng = np.random.default_rng(seed)
+    m, dim = int(rng.integers(12, 31)), int(rng.integers(1, 6))
+    kind = ("grid", "normal", "permuted")[seed % 3]
+    base = rng.normal(size=dim)
+    rows = np.zeros((m, dim))
+    for i in range(m):
+        while not rows[i].any():
+            if kind == "permuted":
+                rows[i] = rng.permutation(base) * rng.choice([0.5, 1.0, 2.0])
+            else:
+                rows[i] = (rng.integers(-3, 4, size=dim) if kind == "grid"
+                           else rng.normal(size=dim))
+    for dst in rng.choice(m, size=int(rng.integers(0, m)), replace=False):
+        rows[dst] = rows[rng.integers(m)]
+    gold = rng.choice(m, size=3, replace=False)
+    q_vec = rows[gold].sum(axis=0)
+    if seed % 2 or not q_vec.any():
+        q_vec = rng.normal(size=dim)
+    return rows, q_vec, gold
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_rank_is_the_same_under_any_chunk_budget(seed):
+    # _count_better scores the rows it keeps in chunks of whole rows under
+    # _COUNT_BLOCK entries; a chunk over the budget is a single row
+    rows, q_vec, gold = seeded_rank_case(seed)
+    index, table = query_index(rows, q_vec)
+    composite = Question.from_text("comp", "qq")
+    gold_ids = tuple(index.ids[g] for g in gold)
+    q_raw = table.matrix[table.vocab["qq"]].astype(np.float64)
+    q_unit = q_raw / np.linalg.norm(q_raw)
+    k = len(rows)
+    pool, _ = topk_oracle(q_unit, index.unit_matrix, index.ids, k)
+    ranges, chunks = retrieval._ranges, []
+
+    def spy(starts, ends):
+        chunks.append(ends - starts)
+        return ranges(starts, ends)
+
+    for objective in (OBJECTIVE_SIM_DIVERSITY, OBJECTIVE_SUM_DISTANCE):
+        want = rank_oracle(objective, q_raw, q_unit, index.unit_matrix[pool],
+                           index.raw_matrix[pool],
+                           [pool.index(g) for g in gold], 3)
+        for budget in (retrieval._COUNT_BLOCK, 1, 7):
+            chunks.clear()
+            with mock.patch.object(retrieval, "_COUNT_BLOCK", budget), \
+                    mock.patch.object(retrieval, "_ranges", spy):
+                got = decomposition_rank(objective, composite, gold_ids,
+                                         index, None, k)
+            assert got == want, (objective, budget)
+            for sizes in chunks:  # each row's K - 1 - j entries
+                assert sizes.sum() <= budget or len(sizes) == 1
 
 
 def test_mrr_eval_ranks_each_composite_as_decomposition_rank(monkeypatch):
