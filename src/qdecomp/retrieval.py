@@ -43,8 +43,9 @@ OBJECTIVE_SIM_DIVERSITY = "sim-diversity"
 OBJECTIVE_SUM_DISTANCE = "sum-distance"
 OBJECTIVES = (OBJECTIVE_SIM_DIVERSITY, OBJECTIVE_SUM_DISTANCE)
 
-# Exhaustive subset search is only attempted when the number of subsets is
-# at most this; beyond it (and for N > 3) greedy forward selection is used.
+# N = 3 subset search is exhaustive while the number of subsets is at most
+# this, and greedy forward selection beyond it and for N > 3; N = 2 is
+# exhaustive at any pool size.
 EXHAUSTIVE_SUBSET_CAP = 10_000_000
 
 # Float32 scores held per scan chunk (4 MB, small beside the index itself):
@@ -58,8 +59,9 @@ _SCAN_BLOCK = 1 << 20
 # bounds the memory of a shortlist that near ties widen.
 _BEAM_BLOCK = 1 << 16
 
-# Subset entries _count_better scores per chunk of the rows it keeps (about
-# 4 MB of gathered indices and scores); a single longer row is one chunk.
+# Subset entries per chunk of the size-3 rows that _row_chunks yields to
+# _exhaustive and _count_better (about 4 MB of gathered indices and
+# scores); a single longer row is one chunk.
 _COUNT_BLOCK = 1 << 16
 
 
@@ -500,19 +502,17 @@ def _pair_block(start, members, *pairs):
 
 
 def _bound_margin(start, members, pairs):
-    """The rounding margin of _block_bounds and _row_bounds: gamma_{2L}(u64)
-    * W * (1 + 2**-40).
+    """The rounding margin of _row_bounds: gamma_{2L}(u64) * W * (1 +
+    2**-40).
 
     A subset i < j < k of pool positions has L = 3 * len(members) + 4
     terms: start, each member vector's entries at i, j and k, and the pairs
     entries (i, j), (i, k), (j, k), whose magnitudes sum to at most W =
     |start| + 3 * sum(max|v| for v in members) + 3 * max|pairs|. Let lead_i
     be start plus i's member terms and t_ij be j's member terms plus
-    pairs[i, j], each as computed. Both bounds add four float64 operands
-    left to right, (a + b) + lead_i + c, with a + b >= t_ij + t_ik and c >=
-    pairs[j, k] for every subset i < j < k they bound: in _block_bounds a
-    and b are row i's two largest t, in _row_bounds t_ij and row i's
-    largest t past j.
+    pairs[i, j], each as computed. The bound of row (i, j) adds four float64
+    operands left to right, (t_ij + b) + lead_i + c, with b >= t_ik and c >=
+    pairs[j, k] for every k > j.
 
     An entry of such a subset that adds its L terms in any order is at most
     fl(bound + margin). It is within gamma_{L-1}(u64) * W of its terms'
@@ -529,37 +529,15 @@ def _bound_margin(start, members, pairs):
     return _gamma(2 * terms, _U64) * width * (1.0 + 2.0 ** -40)
 
 
-def _block_bounds(start, members, pairs, upper):
-    """Upper bound of each first-member block of a pool's size-3 subsets,
-    and the one rounding margin to prune by (_bound_margin).
-
-    Block i, every subset with first member i, is bounded by (its two
-    largest t_ij) + lead_i + (its largest pairs[j, k]), added left to right
-    in float64, with t_ij and lead_i as in _bound_margin. upper is the
-    (K, K) mask of j < k. Returns the bounds of blocks 0 .. K - 3 and the
-    margin.
-    """
-    lead, own = _member_sums(start, members)
-    m = len(lead)
-    tails = np.where(upper, own + pairs, -np.inf)
-    top_two = np.partition(tails, m - 2, axis=1)[:, m - 2:].sum(axis=1)
-    row_best = pairs.max(axis=1, where=upper, initial=-np.inf)
-    after = np.maximum.accumulate(row_best[::-1])[::-1]  # max over rows >= j
-    return (top_two[:m - 2] + lead[:m - 2] + after[1:m - 1],
-            _bound_margin(start, members, pairs))
-
-
 def _row_bounds(start, members, pairs, upper):
     """Upper bound of each (i, j) row of a pool's size-3 subsets, every
     i < j < k over k, and the rounding margin (_bound_margin).
 
     Row (i, j) is bounded by (t_ij + max over k > j of t_ik) + lead_i +
     (max over k > j of pairs[j, k]), added left to right in float64, with
-    t_ij and lead_i as in _bound_margin. Its first sum is at most row i's
-    two largest t and its last operand at most block i's largest pairs, so
-    it is at most block i's bound in _block_bounds. upper is the (K, K)
-    mask of j < k. Returns a (K, K - 1) array of row bounds, -inf where
-    j <= i, and the margin.
+    t_ij and lead_i as in _bound_margin. upper is the (K, K) mask of j < k.
+    Returns a (K, K - 1) array of row bounds, -inf where j <= i, and the
+    margin.
     """
     lead, own = _member_sums(start, members)
     tails = np.where(upper, own + pairs, -np.inf)
@@ -570,45 +548,66 @@ def _row_bounds(start, members, pairs, upper):
             _bound_margin(start, members, pairs))
 
 
+def _row_chunks(keep):
+    """The (i, j) rows of size-3 subsets that the (K, K - 1) mask keep
+    holds, in row-major order and in chunks of whole rows of at most
+    _COUNT_BLOCK entries, or one longer row: each chunk's i, j and row
+    sizes K - 1 - j, and its entries' k, every k > j of each row in turn."""
+    m = keep.shape[0]
+    # a 1-D flatnonzero is far faster than a 2-D nonzero
+    ii, jj = np.divmod(np.flatnonzero(keep), m - 1)
+    sizes = m - 1 - jj
+    ends = np.cumsum(sizes)
+    at = 0
+    while at < len(ii):
+        stop = max(at + 1, int(np.searchsorted(
+            ends, ends[at] - sizes[at] + _COUNT_BLOCK, side="right")))
+        i, j = ii[at:stop], jj[at:stop]
+        yield i, j, sizes[at:stop], _ranges(j + 1, m)
+        at = stop
+
+
 def _exhaustive(id_ranks, start, members, pairs, n):
     """Best size-n subset of pool positions (n is 2 or 3) and its score.
 
-    n = 2 scores the (K, K) _pair_block; n = 3 scores one (K-i-1)**2 block
-    of (j, k) per first member i, each as that pair's value plus ((own_i +
-    pairs_ij) + pairs_ik). Only j < k counts. Every tie of the best value
-    is listed, and the one with the smallest sorted id_ranks (ids) wins.
+    n = 2 scores the (K, K) _pair_block masked to j < k. n = 3 scores each
+    subset i < j < k as pair_block[j, k] + ((own_i + pairs_ij) + pairs_ik).
+    Every tie of the best value is listed, and the one with the smallest
+    sorted id_ranks (ids) wins.
 
-    n = 3 visits the blocks by descending _block_bounds and stops at the
-    first block whose bound plus margin is below the best value so far: no
-    entry of it, or of any later block (no larger bound), reaches the best,
-    which only grows. So the chosen subset and its score bits are those of
-    a scan of all blocks.
+    n = 3 first scores the row of _row_bounds' largest bound; its best is a
+    floor at most the best value. Then only the rows whose bound plus
+    margin is at least the floor are scored, through _row_chunks: an entry
+    of any other row is below the floor, so no tie is lost, and the chosen
+    subset and its score bits are those of scoring every subset.
     """
     own, pair_block = _pair_block(start, members, pairs)
-    upper = np.arange(len(own))[:, None] < np.arange(len(own))
+    m = len(own)
+    upper = np.arange(m)[:, None] < np.arange(m)
+    if n == 2:
+        best = float(pair_block.max(where=upper, initial=-np.inf))
+        jj, kk = np.nonzero((pair_block == best) & upper)
+        ties = zip(jj.tolist(), kk.tolist())
+    else:
+        def scores(i, j, sizes, k):
+            return pair_block.take(np.repeat(j * m, sizes) + k) + (
+                np.repeat(own[i] + pairs[i, j], sizes)
+                + pairs.take(np.repeat(i * m, sizes) + k))
 
-    def blocks():  # (leading positions, offset of j and k, block)
-        if n == 2:
-            yield (), 0, pair_block
-            return
-        bound, margin = _block_bounds(start, members, pairs, upper)
-        for i in np.argsort(-bound, kind="stable").tolist():
-            if bound[i] + margin < best:  # best: the scan's value so far
-                return
-            pi = pairs[i, i + 1:]
-            yield ((i,), i + 1, pair_block[i + 1:, i + 1:]
-                   + ((own[i] + pi[:, None]) + pi[None, :]))
-
-    best, ties = -np.inf, []
-    for head, at, block in blocks():
-        mask = upper[at:, at:]
-        vmax = float(block.max(where=mask, initial=-np.inf))
-        if vmax > best:
-            best, ties = vmax, []
-        if vmax == best:
-            jj, kk = np.nonzero((block == vmax) & mask)
-            ties.extend(head + (j, k) for j, k in zip((jj + at).tolist(),
-                                                      (kk + at).tolist()))
+        bound, margin = _row_bounds(start, members, pairs, upper)
+        i, j = divmod(int(bound.argmax()), m - 1)
+        floor = scores(i, j, m - 1 - j, np.arange(j + 1, m)).max()
+        best, ties = -np.inf, []
+        for i, j, sizes, k in _row_chunks(bound + margin >= floor):
+            entries = scores(i, j, sizes, k)
+            vmax = float(entries.max())
+            if vmax > best:
+                best, ties = vmax, []
+            if vmax == best:
+                at = np.flatnonzero(entries == vmax)
+                row = np.searchsorted(np.cumsum(sizes), at, side="right")
+                ties.extend(zip(i[row].tolist(), j[row].tolist(),
+                                k[at].tolist()))
     chosen = min(ties, key=lambda t: sorted(id_ranks[list(t)].tolist()))
     return chosen, best
 
@@ -619,10 +618,9 @@ def _count_better(start, members, pairs, gold):
     Scores follow _objective_terms exactly, gold's included. n = 2 is the
     (K, K) _pair_block masked to j < k. For n = 3 only the (i, j) rows
     whose _row_bounds bound plus margin is above gold can hold a better
-    subset, and only their (i, j, k > j) entries are scored: gathered flat,
-    in chunks of whole rows of at most _COUNT_BLOCK entries (or one longer
-    row), each in _pair_block's order: lead_i, j's member terms, k's member
-    terms, then pairs[i, j], pairs[i, k] and pairs[j, k].
+    subset, and only their entries are scored, through _row_chunks, each
+    in _pair_block's order: lead_i, j's member terms, k's member terms,
+    then pairs[i, j], pairs[i, k] and pairs[j, k].
     """
     score = start
     for p in gold:
@@ -638,27 +636,18 @@ def _count_better(start, members, pairs, gold):
 
     lead, _ = _member_sums(start, members)
     bound, margin = _row_bounds(start, members, pairs, upper)
-    # a 1-D flatnonzero is far faster than a 2-D nonzero
-    ii, jj = np.divmod(np.flatnonzero(bound + margin > score), m - 1)
-    heads = lead[ii]
-    for v in members:
-        heads = heads + v[jj]
-    sizes = m - 1 - jj
-    ends = np.cumsum(sizes)
-    better, at = 0, 0
-    while at < len(ii):
-        stop = max(at + 1, int(np.searchsorted(
-            ends, ends[at] - sizes[at] + _COUNT_BLOCK, side="right")))
-        i, j, size = ii[at:stop], jj[at:stop], sizes[at:stop]
-        k = _ranges(j + 1, m)
-        entries = np.repeat(heads[at:stop], size) + members[0][k]
+    better = 0
+    for i, j, sizes, k in _row_chunks(bound + margin > score):
+        heads = lead[i]
+        for v in members:
+            heads = heads + v[j]
+        entries = np.repeat(heads, sizes) + members[0][k]
         for v in members[1:]:
             entries += v[k]
-        entries += np.repeat(pairs[i, j], size)
-        entries += pairs.take(np.repeat(i * m, size) + k)
-        entries += pairs.take(np.repeat(j * m, size) + k)
+        entries += np.repeat(pairs[i, j], sizes)
+        entries += pairs.take(np.repeat(i * m, sizes) + k)
+        entries += pairs.take(np.repeat(j * m, sizes) + k)
         better += int(np.count_nonzero(entries > score))
-        at = stop
     return better
 
 

@@ -6,10 +6,10 @@ size-n candidate subsets that score strictly better than the gold subset
 under the chosen objective; MRR averages reciprocal ranks.
 
 Only that policy is here: the objectives' terms and the count of better
-subsets are retrieval's (_objective_terms, _count_better), the terms the
-selectors read and the rounding margin their n = 3 search shares. mrr_eval
-embeds every composite and finds its top-K pool in one batched pass, the
-dataset builder's.
+subsets are retrieval's (_objective_terms, _count_better): the terms the
+selectors read, and the n = 3 row bounds, margin and walk that the general
+search takes too. mrr_eval embeds every composite and finds its top-K pool
+in one batched pass, the dataset builder's.
 """
 
 import math
@@ -79,9 +79,9 @@ def decomposition_rank(objective, composite, gold_sub_ids, index, query, k):
     retrieval._objective_terms. It scores subsets and gold in one fixed
     operation order. For n = 3 it skips each (i, j) row of subsets that a
     bound widened by a proven rounding margin shows to hold nothing above
-    gold, and scores the rest in chunks of a fixed number of entries, so
-    it never holds all C(K, 3) scores, yet the rank is that of scoring and
-    comparing every subset.
+    gold, and scores the rest in chunks of a fixed number of entries (the
+    row walk of the general n = 3 search), so it never holds all C(K, 3)
+    scores, yet the rank is that of scoring and comparing every subset.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")

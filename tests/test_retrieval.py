@@ -309,9 +309,9 @@ def copied_pool(seed):
     return rows @ query, rows @ rows.T
 
 
-# copied_pool seeds where the float64 bound of a block holding a best
-# triple rounds below the best value, so only the rounding margin keeps
-# that triple
+# copied_pool seeds where the float64 bound of the (i, j) row holding a
+# best triple i < j < k rounds below the best value, so only the rounding
+# margin keeps that triple
 BOUND_BELOW_A_TIE = (34, 48, 95, 107, 134)
 
 
@@ -322,24 +322,45 @@ BOUND_BELOW_A_TIE = (34, 48, 95, 107, 134)
 def test_bounded_n3_search_lists_every_tie_of_the_triu_search(
         monkeypatch, pool, seed, pruned):
     # each tie of the full search must win under ids that favour it, so the
-    # bounded search lists every one; forced off (every bound +inf), it
-    # visits all blocks in row-major order and must agree as well
+    # bounded search lists every one; forced off (every j > i row bound
+    # +inf), it scores all rows in row-major order and must agree as well
     sims, gram = {"axis": axis_pool, "copied": copied_pool}[pool](seed)
     ties, best = triu_general3(sims, gram)
+    m = len(sims)
     if pool == "axis":
         assert len(ties) > 1
     else:
-        upper = np.triu(np.ones((len(sims),) * 2, dtype=bool), 1)
-        bound, _ = retrieval._block_bounds(-0.0, (sims,), -gram, upper)
-        assert min(bound[t[0]] for t in ties) < best
+        upper = np.triu(np.ones((m, m), dtype=bool), 1)
+        bound, _ = retrieval._row_bounds(-0.0, (sims,), -gram, upper)
+        assert min(bound[t[0], t[1]] for t in ties) < best
     if not pruned:
-        monkeypatch.setattr(retrieval, "_block_bounds",
-                            lambda _, members, *__: (
-                                np.full(len(members[0]) - 2, np.inf), 0.0))
+        every_row = np.where(np.arange(m)[:, None] < np.arange(m - 1),
+                             np.inf, -np.inf)
+        monkeypatch.setattr(retrieval, "_row_bounds",
+                            lambda *_: (every_row, 0.0))
     for tie in ties:
-        chosen, score = retrieval._exhaustive(ranks_favouring(len(sims), tie),
+        chosen, score = retrieval._exhaustive(ranks_favouring(m, tie),
                                               -0.0, (sims,), -gram, 3)
         assert tuple(chosen) == tie
+        assert repr(score) == repr(best)
+
+
+@pytest.mark.parametrize("budget", [1, 7])
+@pytest.mark.parametrize("pool, seed",
+                         [("axis", s) for s in range(0, 12, 3)]
+                         + [("copied", s) for s in BOUND_BELOW_A_TIE])
+def test_bounded_n3_search_is_the_same_under_any_chunk_budget(
+        monkeypatch, pool, seed, budget):
+    # a small budget splits the kept rows over many chunks, so the best
+    # rises from chunk to chunk and ties are gathered across chunks; ids
+    # that favour any triple, a tie or not, pick the tie the id rule picks
+    sims, gram = {"axis": axis_pool, "copied": copied_pool}[pool](seed)
+    ties, best = triu_general3(sims, gram)
+    monkeypatch.setattr(retrieval, "_COUNT_BLOCK", budget)
+    for triple in combinations(range(len(sims)), 3):
+        ranks = ranks_favouring(len(sims), triple)
+        chosen, score = retrieval._exhaustive(ranks, -0.0, (sims,), -gram, 3)
+        assert tuple(chosen) == min(ties, key=lambda t: sorted(ranks[list(t)]))
         assert repr(score) == repr(best)
 
 
@@ -361,15 +382,6 @@ def count_order(start, members, pairs, i, j, k):
     return total
 
 
-def assert_bounded(score, start, members, pairs):
-    """Every triple's score is at most its block's bound plus the margin."""
-    m = len(members[0])
-    upper = np.arange(m)[:, None] < np.arange(m)
-    bound, margin = retrieval._block_bounds(start, members, pairs, upper)
-    for i, j, k in combinations(range(m), 3):
-        assert score(i, j, k) <= bound[i] + margin, (i, j, k)
-
-
 @st.composite
 def row_pools(draw, most):
     """3 to most nonzero rows, on an integer grid (exact ties) or normal,
@@ -381,33 +393,6 @@ def row_pools(draw, most):
     copies = draw(st.integers(0, m))
     rows[rng.integers(m, size=copies)] = rows[rng.integers(m, size=copies)]
     return rows, nonzero_rows(rng, 1, dim, grid=grid)[0]
-
-
-@settings(max_examples=100, deadline=None)
-@given(row_pools(14))
-def test_block_margin_covers_both_score_orders(case):
-    # one margin serves _exhaustive's order and _count_better's order of
-    # either objective's terms
-    rows, query = case
-    index, _ = index_from_rows(rows)
-    pool, unit = list(range(len(rows))), query / np.linalg.norm(query)
-    terms = retrieval._objective_terms(retrieval.OBJECTIVE_SIM_DIVERSITY,
-                                       index, pool, query, unit)
-    _, (sims,), pairs = terms
-    assert_bounded(partial(exhaustive_order, sims, -pairs), *terms)
-    for objective in synthbench.OBJECTIVES:
-        terms = retrieval._objective_terms(objective, index, pool, query,
-                                           unit)
-        assert_bounded(partial(count_order, *terms), *terms)
-
-
-@pytest.mark.parametrize("seed", BOUND_BELOW_A_TIE)
-def test_block_margin_covers_a_best_triple_above_its_bound(seed):
-    # in these pools a best triple scores above its block's float64 bound
-    sims, gram = copied_pool(seed)
-    terms = -0.0, (sims,), -gram
-    assert_bounded(partial(exhaustive_order, sims, gram), *terms)
-    assert_bounded(partial(count_order, *terms), *terms)
 
 
 def assert_row_bounded(score, start, members, pairs):
@@ -423,8 +408,8 @@ def assert_row_bounded(score, start, members, pairs):
 @settings(max_examples=100, deadline=None)
 @given(row_pools(14))
 def test_row_margin_covers_both_score_orders(case):
-    # _count_better prunes by row bounds: the block margin serves them too,
-    # for _exhaustive's order and _count_better's of either objective
+    # both n = 3 searches prune by row bounds: one margin serves
+    # _exhaustive's order and _count_better's of either objective
     rows, query = case
     index, _ = index_from_rows(rows)
     pool, unit = list(range(len(rows))), query / np.linalg.norm(query)
@@ -443,7 +428,7 @@ def test_row_margin_covers_both_score_orders(case):
 ROW_BOUND_BELOW_A_TRIPLE = (1, 2, 3, 4, 5)
 
 
-@pytest.mark.parametrize("seed", ROW_BOUND_BELOW_A_TRIPLE)
+@pytest.mark.parametrize("seed", ROW_BOUND_BELOW_A_TRIPLE + BOUND_BELOW_A_TIE)
 def test_row_margin_covers_a_triple_above_its_row_bound(seed):
     sims, gram = copied_pool(seed)
     terms = -0.0, (sims,), -gram
