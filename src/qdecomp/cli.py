@@ -626,6 +626,12 @@ def cmd_synth_eval(opts):
         corpus = load_corpus(opts["corpus"])
         pool = corpus.take([row for row, qid in enumerate(corpus.ids)
                             if qid in index])
+        if pool.ids != index.ids or pool.texts != index.texts:
+            for qid, text in zip(pool.ids, pool.texts):
+                if text != index.texts[index.row_of(qid)]:
+                    raise ValueError(f"{opts['corpus']}: question {qid!r} has "
+                                     f"another text in index {opts['index']}, "
+                                     f"so it is not the index's corpus")
         if len(pool) < opts["n"]:
             raise ValueError(f"{opts['corpus']} shares {len(pool)} question "
                              f"ids with index {opts['index']}, need "

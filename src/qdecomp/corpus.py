@@ -1,12 +1,13 @@
 """Question corpora: tokenization, question harvesting, and the JSON, JSONL,
 text and TSV formats. Every text and JSON input is opened here (open_text,
 read_json), so each decode failure names its file and line; every record
-file (JSONL, TSV, extract's lines) is read by one loop, read_lines, which
-refuses a file with no records, naming it; every text artifact is written
-here, by write_lines, so each write failure names its file and line; every
-JSON artifact is encoded here under one policy, with the kinds of value its
-loaders accept; the TSV syntax is here alone. The .vec reader and the
-library functions keep their own empty checks."""
+file (JSONL, TSV, extract's lines) is read in blocks of whole lines by one
+reader, _read_blocks, which refuses a file with no records, naming it;
+every text artifact is written here, by write_lines, so each write failure
+names its file and line; every JSON artifact is encoded here under one
+policy, with the kinds of value its loaders accept; the TSV syntax is here
+alone. The .vec reader and the library functions keep their own empty
+checks."""
 
 import json
 import math
@@ -172,29 +173,50 @@ def read_json(path):
             raise ValueError(f"{path}: malformed JSON: {exc}") from None
 
 
-def read_lines(path, strip=str.strip):
-    """(line number, line) of each line of a record file that strip leaves
-    non-empty: the one loop over every record input. A file with no such
-    line, 0 bytes or blank lines alone, raises ValueError naming path."""
+_BLOCK = 1 << 18  # characters of whole lines read at once, and one line more
+
+# A line in save_corpus's layout whose strings hold no '"', "\\" or U+0000 to
+# U+001F, for which json.loads gives {"id": group 1, "text": group 2}.
+_SAVED_LINE = re.compile(r'\{"id":"([^"\\\x00-\x1f]*)",'
+                         r'"text":"([^"\\\x00-\x1f]*)"\}\n').match
+
+
+def _read_blocks(path, strip=str.strip):
+    """(first line number, lines) of each block of lines of a record file.
+    A file with no line that strip leaves non-empty (0 bytes, or blank lines
+    alone) raises ValueError naming path."""
     kept = False
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if strip(line):
-                kept = True
-                yield lineno, line
+        lineno = 1
+        while lines := fh.readlines(_BLOCK):
+            kept = kept or any(map(strip, lines))
+            yield lineno, lines
+            lineno += len(lines)
     if not kept:
         raise ValueError(f"{path}: no records")
+
+
+def read_lines(path, strip=str.strip):
+    """(line number, line) of each line of a record file that strip leaves
+    non-empty."""
+    for start, lines in _read_blocks(path, strip):
+        for lineno, line in enumerate(lines, start):
+            if strip(line):
+                yield lineno, line
+
+
+def _loads(path, lineno, line):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
 
 
 def read_jsonl(path):
     """(line number, value) of each non-blank line of a JSONL file; a line
     that is not JSON raises ValueError naming path:line."""
     for lineno, line in read_lines(path):
-        try:
-            value = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
-        yield lineno, value
+        yield lineno, _loads(path, lineno, line)
 
 
 def _encoder(indent=None, separators=None):
@@ -288,18 +310,28 @@ JSON_KINDS = {
 
 
 def _read_columns(path, ids, texts, lines):
-    """Append the id, text and line number of each record of a JSONL corpus."""
-    for lineno, obj in read_jsonl(path):
-        if not isinstance(obj, dict):
-            raise ValueError(f"{path}:{lineno}: expected a JSON object")
-        if "id" not in obj or "text" not in obj:
-            raise ValueError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
-        qid, text = obj["id"], obj["text"]
-        if not isinstance(qid, str) or not isinstance(text, str):
-            raise ValueError(f"{path}:{lineno}: 'id' and 'text' must be strings")
-        ids.append(qid)
-        texts.append(text)
-        lines.append(lineno)
+    """Append the id, text and line number of each record of a JSONL corpus.
+    _SAVED_LINE gives the strings of a line in save_corpus's layout; every
+    other line, its line end kept, goes through json.loads and its checks."""
+    for start, block in _read_blocks(path):
+        for lineno, line in enumerate(block, start):
+            saved = _SAVED_LINE(line)
+            if saved:
+                qid, text = saved.groups()
+            elif not line.strip():
+                continue
+            else:
+                obj = _loads(path, lineno, line)
+                if not isinstance(obj, dict):
+                    raise ValueError(f"{path}:{lineno}: expected a JSON object")
+                if "id" not in obj or "text" not in obj:
+                    raise ValueError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
+                qid, text = obj["id"], obj["text"]
+                if not isinstance(qid, str) or not isinstance(text, str):
+                    raise ValueError(f"{path}:{lineno}: 'id' and 'text' must be strings")
+            ids.append(qid)
+            texts.append(text)
+            lines.append(lineno)
 
 
 def _check_unique(ids, start, place):

@@ -11,7 +11,7 @@ import pytest
 
 from qdecomp import cli
 from qdecomp.cli import main
-from qdecomp.corpus import load_corpus, save_corpus
+from qdecomp.corpus import QuestionCorpus, load_corpus, save_corpus
 from qdecomp.embeddings import save_vector_table
 from qdecomp.retrieval import load_index, read_dataset_tsv
 from qdecomp.synthbench import (
@@ -1250,6 +1250,33 @@ def test_synth_eval_corpus_sharing_too_few_ids_is_data_error(indexed,
             f"need 3") in capsys.readouterr().err
     assert not out.exists()
     assert not (indexed["tmp"] / "mrr.json.ranks.json").exists()
+
+
+@pytest.mark.parametrize("reorder", [False, True],
+                         ids=["texts-rotated", "one-text-reversed-order"])
+def test_synth_eval_corpus_with_other_texts_is_data_error(indexed, capsys,
+                                                          reorder):
+    """The index's ids under other texts: all texts rotated by one row (the
+    first id differs), or the rows reversed and only one text changed."""
+    ids, texts = indexed["corpus"].ids, list(indexed["corpus"].texts)
+    if reorder:
+        ids, texts = ids[::-1], texts[::-1]
+        texts[40] = "Who is someone else?"
+        bad = ids[40]
+    else:
+        texts = texts[1:] + texts[:1]
+        bad = ids[0]
+    corpus = indexed["tmp"] / "other.jsonl"
+    save_corpus(QuestionCorpus(ids, texts), corpus)
+    out = indexed["tmp"] / "mrr.json"
+    assert main(["synth-eval", "--corpus", str(corpus),
+                 "--index", str(indexed["idx"]),
+                 "--vectors", str(indexed["vec"]), "--objective",
+                 "sum-distance", "--out", str(out)]) == 2
+    assert (f"error: {corpus}: question {bad!r} has another text in index "
+            f"{indexed['idx']}") in capsys.readouterr().err
+    assert sorted(p.name for p in indexed["tmp"].iterdir()
+                  if p.name.startswith("mrr")) == []
 
 
 def test_recompose_command(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import bisect
 import errno
 import json
 import re
@@ -14,6 +15,7 @@ from qdecomp.corpus import (
     load_corpus,
     open_text,
     read_json,
+    read_lines,
     read_tsv,
     save_corpus,
     tokenize,
@@ -318,6 +320,26 @@ def _record(qid, text):
     return json.dumps({"id": qid, "text": text}, ensure_ascii=False)
 
 
+def _saved(qid, text):
+    """The line save_corpus writes for one record."""
+    return json.dumps({"id": qid, "text": text}, ensure_ascii=False,
+                      sort_keys=True, separators=(",", ":"))
+
+
+def _unescaped(qid, text):
+    """save_corpus's layout with the strings written as they are."""
+    return '{"id":"' + qid + '","text":"' + text + '"}'
+
+
+_SAVED_D = _saved("d2", "Wer ist \u00e9? \U0001f600")
+# characters JSON must escape (the quote, the backslash, the control
+# characters) or may keep raw (DEL, U+2028, NEL, outside the BMP)
+_SAVED_CHARS = {"quote": '"', "backslash": "\\", "nul": "\x00", "tab": "\t",
+                "unit-separator": "\x1f", "delete": "\x7f",
+                "line-separator": "\u2028", "next-line": "\x85",
+                "non-bmp": "\U0001f600"}
+
+
 CORPUS_CASES = {
     "plain": f"{_A}\n{_B}\n",
     "blank-lines": f"\n{_A}\n\n\n{_B}\n\n",
@@ -363,6 +385,18 @@ CORPUS_CASES = {
     "empty": "",
     "only-blank": "\n \n",
     "bad-utf8": f"{_A}\n".encode() + b'{"id":"b","text":"\xff"}\n',
+    "empty-id": '{"id":"","text":"t"}\n' + _B + "\n",
+    "empty-id-and-text": '{"id":"","text":""}\n',
+    "reversed-keys": '{"text":"t","id":"a"}\n' + _B + "\n",
+    "space-after-last-object": f"{_B}\n{_A} ",
+    "saved-and-spaced-lines": f"{_A}\n" + _record("c", "Who is C?") + "\n"
+    + _B + "\n" + json.dumps({"text": "t", "id": "d"}) + f"\n{_SAVED_D}\n",
+    # save_corpus's line with the character in one string, escaped as JSON
+    # needs, and the same line with it unescaped
+    **{f"{layout}-{field}-{name}": line(*("a", f"x{c}y")[::step]) + f"\n{_B}\n"
+       for name, c in _SAVED_CHARS.items()
+       for field, step in (("text", 1), ("id", -1))
+       for layout, line in (("saved", _saved), ("unescaped", _unescaped))},
 }
 
 
@@ -391,9 +425,22 @@ def test_load_corpus_equals_per_line_oracle(tmp_path, name):
 _FRAGMENTS = ["", " ", "\t", "{", "}", '"id":', '"text":', ",", '"q"', "1",
               "null", "[", "]", "\\", '"\\n"', "\u2028", "\x85", "\x1c"]
 
+# how a record's line is written: json.dumps escaping non-ASCII or keeping
+# it, save_corpus's layout, and that layout with the strings unescaped
+_LAYOUTS = {
+    "ascii": lambda qid, text: json.dumps({"id": qid, "text": text}),
+    "non-ascii": _record,
+    "saved": _saved,
+    "unescaped": _unescaped,
+}
+_RECORD_CHARS = st.one_of(st.sampled_from(list(_SAVED_CHARS.values())),
+                          st.characters(blacklist_categories=("Cs",)))
+
 
 @given(st.lists(st.one_of(
-    st.tuples(st.text(max_size=12), st.text(max_size=30), st.booleans()),
+    st.tuples(st.text(_RECORD_CHARS, max_size=12),
+              st.text(_RECORD_CHARS, max_size=30),
+              st.sampled_from(sorted(_LAYOUTS))),
     st.lists(st.sampled_from(_FRAGMENTS), max_size=6).map("".join)),
     max_size=6),
     st.lists(st.sampled_from(["\n", "\r\n", "\r", " \n", "\n\n", "\t\r\n"]),
@@ -402,10 +449,10 @@ _FRAGMENTS = ["", " ", "\t", "{", "}", '"id":', '"text":', ",", '"q"', "1",
 def test_load_corpus_equals_oracle_on_random_lines(tmp_path_factory, parts,
                                                    ends, final_end):
     """Records (ids made distinct by their position) with random texts,
-    either escaping, and runs of JSON fragments, one a line, under random
-    line ends."""
-    lines = [json.dumps({"id": f"{i}{part[0]}", "text": part[1]},
-                        ensure_ascii=part[2])
+    often holding characters JSON escapes or may keep raw, in each of the
+    _LAYOUTS, and runs of JSON fragments, one a line, under random line
+    ends."""
+    lines = [_LAYOUTS[part[2]](f"{i}{part[0]}", part[1])
              if isinstance(part, tuple) else part
              for i, part in enumerate(parts)]
     body = "".join(line + end for line, end in zip(lines, ends))
@@ -413,6 +460,55 @@ def test_load_corpus_equals_oracle_on_random_lines(tmp_path_factory, parts,
         body = body[:-len(ends[len(lines) - 1])]
     p = tmp_path_factory.mktemp("corpus") / "c.jsonl"
     p.write_bytes(body.encode("utf-8"))
+    assert_loads_as_oracle(p)
+
+
+def test_a_saved_corpus_loads_without_json_loads(tmp_path, monkeypatch):
+    """Lines in save_corpus's layout whose strings need no escape are split
+    by one pattern; json.loads is reached only by a line in another
+    layout."""
+    corpus = make_corpus(["Who wrote Hamlet?", "", "Qui a écrit "
+                          "« Hamlet » ?  \x85\x7f\U0001f600"])
+    p = tmp_path / "c.jsonl"
+    save_corpus(corpus, p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    back = load_corpus(p)
+    assert (back.ids, back.texts) == (corpus.ids, corpus.texts)
+    with open(p, "a", encoding="utf-8") as fh:
+        fh.write(_record("z", "Who is Z?") + "\n")
+    with pytest.raises(AssertionError, match="json.loads called"):
+        load_corpus(p)
+
+
+@pytest.mark.parametrize("first", [0, qdecomp.corpus._BLOCK],
+                         ids=["short-first", "first-longer-than-a-block"])
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_a_corpus_of_several_blocks_names_its_lines(tmp_path, end, first):
+    """A record straddles the end of the first block read, as read in
+    characters once line ends are "\\n"; a malformed line in the second
+    block is named by its line number."""
+    block = qdecomp.corpus._BLOCK
+    lines = [_saved("first", "x" * first)] + [
+        _saved(f"q{i:06d}", f"Who is number {i}?") for i in range(block // 20)]
+    starts, at = [], 0
+    for line in lines:
+        starts.append(at)
+        at += len(line) + 1
+    straddling = bisect.bisect_right(starts, block)  # holds character block
+    assert block not in starts and block < at
+    p = tmp_path / "c.jsonl"
+    p.write_bytes(end.join(lines + [""]).encode("utf-8"))
+    assert [n for n, _ in read_lines(p)] == list(range(1, len(lines) + 1))
+    assert_loads_as_oracle(p)
+    bad = straddling + 3
+    lines[bad - 1] = '{"id":'
+    p.write_bytes(end.join(lines + [""]).encode("utf-8"))
+    with pytest.raises(ValueError, match=f":{bad}: malformed JSON line"):
+        load_corpus(p)
     assert_loads_as_oracle(p)
 
 
