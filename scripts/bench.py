@@ -5,7 +5,10 @@ Runs perfbench/run.py untraced (--trace 0) and traced (--trace 1) for every
 workload and seed, one run at a time, and writes the machine facts, the
 checkout's git SHA, src/ line count and tier-1 test count, and the median
 and interquartile range of every end-to-end metric (probe-adjusted and raw
-side by side) and every per-layer metric, with each run's value.
+side by side) and every per-layer metric, with each run's value. A run whose
+machine probe reads above STALLED times its reference ran on a stalled
+machine: it is run once more, the second run is the one kept, and each
+workload's "stalled_reruns" lists both probe readings.
 
 Example, from the root of a checkout:
     python3 scripts/bench.py --out BENCH_2.json
@@ -27,6 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("pipeline-10k", "decompose-50k", "select-10k")
 # Fixed so successive BENCH files measure the same runs.
 SEEDS = (5100, 5101, 5102)
+# Probe slowdown above which a run is taken as stalled and run again.
+STALLED = 3.0
 
 
 def run_once(checkout, workload, seed, trace):
@@ -45,6 +50,15 @@ def run_once(checkout, workload, seed, trace):
         report = json.load(fh)
     report["summary"] = json.loads(proc.stdout.strip().splitlines()[-1])
     return report
+
+
+def probe_ms(report):
+    """The run's mean machine probe in ms, and whether it reads above
+    STALLED times the probe's reference; (None, False) for a failed run."""
+    if report is None:
+        return None, False
+    probe = report["facts"]["machine_probe_ms"]
+    return probe["mean"], probe["mean"] > STALLED * probe["reference"]
 
 
 def tier1_tests(checkout):
@@ -89,9 +103,19 @@ def main(argv=None):
     failed = 0
     for workload in WORKLOADS:
         reports = {0: [], 1: []}
+        reruns = []
         for seed in SEEDS:
             for trace in (0, 1):
                 report = run_once(checkout, workload, seed, trace)
+                stalled_ms, stalled = probe_ms(report)
+                if stalled:
+                    print(f"{workload} seed {seed} trace {trace}: probe "
+                          f"{stalled_ms:.1f} ms, stalled; running it again",
+                          file=sys.stderr)
+                    report = run_once(checkout, workload, seed, trace)
+                    reruns.append({"seed": seed, "trace": trace,
+                                   "stalled_probe_ms": stalled_ms,
+                                   "rerun_probe_ms": probe_ms(report)[0]})
                 if report is None or not report["summary"]["correct"]:
                     failed += 1
                     print(f"{workload} seed {seed} trace {trace}: failed",
@@ -109,6 +133,7 @@ def main(argv=None):
             "end_to_end_raw": {k[4:]: v for k, v in e2e.items()
                                if k.startswith("raw.")},
             "per_layer": summarize(reports[1], "per_layer"),
+            "stalled_reruns": reruns,
         }
     if facts is None:
         print("bench: no run succeeded", file=sys.stderr)

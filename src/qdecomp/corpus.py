@@ -16,10 +16,17 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 # A token is either a run of non-space non-punctuation characters or a single
 # punctuation character from the fixed set below.
-_TOKEN_RE = re.compile(r"""[^\s?.,;:!"'()]+|[?.,;:!"'()]""")
+_PUNCT = "?.,;:!\"'()"
+_TOKEN_RE = re.compile(f"[^\\s{re.escape(_PUNCT)}]+|[{re.escape(_PUNCT)}]")
+
+# Texts per block of QuestionCorpus.tokens, and the characters that can join
+# them: not whitespace, not in _PUNCT, and made by lowering no character.
+_TOKEN_BLOCK = 1024
+_SEPARATORS = "\x00\x01\x02"
 
 DEFAULT_WH_WORDS = frozenset(
     {"who", "what", "when", "where", "why", "which", "whom", "whose"}
@@ -31,16 +38,39 @@ def tokenize_cased(text):
     return _TOKEN_RE.findall(text)
 
 
+def _spaced(text):
+    """text with a space on each side of every punctuation mark."""
+    for mark in _PUNCT:
+        text = text.replace(mark, f" {mark} ")
+    return text
+
+
 def tokenize(text):
     """Lowercase tokens of ``text``. Deterministic; produces no empty tokens.
 
-    The tokens are lowered in one call, joined by spaces: a space ends the
-    context that lowercasing a Greek final sigma reads, no character lowers
-    to a string holding a space, and no token holds one, so this equals
-    lowering each token on its own.
+    Punctuation marks are spaced, and the text lowered and split at
+    str.isspace characters, as _TOKEN_RE splits. Whitespace is neither cased
+    nor case-ignorable, so it ends the context that lowering a Greek final
+    sigma reads, and no character lowers to whitespace: this equals lowering
+    each token on its own.
     """
-    tokens = _TOKEN_RE.findall(text)
-    return " ".join(tokens).lower().split(" ") if tokens else []
+    return _spaced(text).lower().split()
+
+
+def _tokenize_block(texts):
+    """tokenize of each of texts, taken as one string.
+
+    The texts are joined by "\\n" + sep + "\\n", sep the first of _SEPARATORS
+    that no text holds; the block is spaced, lowered and cut at sep. sep
+    stands alone between newlines, neither cased nor case-ignorable, so each
+    text lowers as in tokenize, and no sep is made. A block holding every
+    separator is tokenized text by text.
+    """
+    for sep in _SEPARATORS:
+        block = f"\n{sep}\n".join(texts)
+        if block.count(sep) == len(texts) - 1:
+            return map(str.split, _spaced(block).lower().split(sep))
+    return map(tokenize, texts)
 
 
 def tokenize_with_spans(text):
@@ -65,23 +95,27 @@ class QuestionCorpus:
     """Questions with unique ids, held as two columns: ``ids`` and ``texts``.
 
     ``tokens`` (each text's ``tokenize``, as a tuple) is computed once, on
-    first use. Indexing and iteration build ``Question`` objects on demand.
-    A corpus holds no label: labels go with corpora where they are used, as
-    in train_classifier's (corpus, label) pairs.
+    first use, by _tokenize_block. Indexing and iteration build ``Question``
+    objects on demand. A corpus holds no label: labels go with corpora where
+    they are used, as in train_classifier's (corpus, label) pairs. rows, if
+    given, is the id -> row dict of ids, as load_corpus builds it.
     """
 
-    def __init__(self, ids, texts):
+    def __init__(self, ids, texts, rows=None):
         self.ids = tuple(ids)
         self.texts = tuple(texts)
         if len(self.texts) != len(self.ids):
             raise ValueError(f"{len(self.ids)} ids but {len(self.texts)} texts")
-        self._rows = dict(zip(self.ids, range(len(self.ids))))
+        self._rows = rows or dict(zip(self.ids, range(len(self.ids))))
         if len(self._rows) < len(self.ids):
             _check_unique(self.ids, 0, "row {}".format)
 
     @cached_property
     def tokens(self):
-        return tuple(tuple(tokenize(text)) for text in self.texts)
+        texts, block = self.texts, _TOKEN_BLOCK
+        return tuple(map(tuple, chain.from_iterable(
+            _tokenize_block(texts[start:start + block])
+            for start in range(0, len(texts), block))))
 
     def __len__(self):
         return len(self.ids)
@@ -337,8 +371,6 @@ def _read_columns(path, ids, texts, lines):
 def _check_unique(ids, start, place):
     """Raise at the first id of ids[start:] that occurs twice there, naming
     the places (``place(row)``) of both occurrences."""
-    if len(set(ids[start:])) == len(ids) - start:
-        return
     seen = {}
     for row in range(start, len(ids)):
         first = seen.setdefault(ids[row], row)
@@ -352,9 +384,10 @@ def load_corpus(*paths):
 
     Malformed lines and missing fields raise ValueError naming the line
     number. An id read twice raises naming both of its places: first
-    within each file, as it is read, then across the files.
+    within each file, as it is read, then across the files. Each id is
+    hashed once, into the corpus's id -> row dict.
     """
-    ids, texts, lines, starts = [], [], [], []
+    ids, texts, lines, starts, rows = [], [], [], [], {}
 
     def place(row):
         i = bisect_right(starts, row) - 1
@@ -363,10 +396,12 @@ def load_corpus(*paths):
     for path in paths:
         starts.append(len(ids))
         _read_columns(path, ids, texts, lines)
-        _check_unique(ids, starts[-1], place)
-    if len(paths) > 1:
+        rows.update(zip(ids[starts[-1]:], range(starts[-1], len(ids))))
+        if len(rows) < len(ids):
+            _check_unique(ids, starts[-1], place)
+    if len(rows) < len(ids):
         _check_unique(ids, 0, place)
-    return QuestionCorpus(ids, texts)
+    return QuestionCorpus(ids, texts, rows)
 
 
 def save_corpus(corpus, path):

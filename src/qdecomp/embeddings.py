@@ -6,7 +6,7 @@ accumulation happens in 64-bit.
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -372,12 +372,15 @@ def make_vector_table(entries):
 
 def _features(token_lists, vocab):
     """Each token list's in-vocabulary ids, concatenated in order, with
-    each list's start offset and count."""
-    ids = [[vocab[t] for t in tokens if t in vocab] for tokens in token_lists]
-    lengths = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
-    flat = np.fromiter(chain.from_iterable(ids), dtype=np.intp,
-                       count=int(lengths.sum()))
-    return flat, np.cumsum(lengths) - lengths, lengths
+    each list's start offset and count; one fromiter looks every token up."""
+    sizes = np.fromiter(map(len, token_lists), dtype=np.intp,
+                        count=len(token_lists))
+    ids = np.fromiter(map(vocab.get, chain.from_iterable(token_lists),
+                          repeat(-1)), dtype=np.intp, count=int(sizes.sum()))
+    known = ids >= 0
+    ends = np.concatenate(([0], np.cumsum(known)))[np.cumsum(sizes)]
+    lengths = np.diff(ends, prepend=0)
+    return ids[known], ends - lengths, lengths
 
 
 def embed_blocks(token_lists, table):

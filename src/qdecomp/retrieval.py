@@ -102,7 +102,8 @@ class EmbeddedIndex:
     the variable-length objective is defined on un-normalized sums.
     vectors is the VectorTable the rows, and every query, are embedded with;
     vectors_sha256 the digest of the .vec file it was read from (set by
-    load_index); row_squares the _row_squares of unit_matrix.
+    load_index); row_squares the _row_squares of unit_matrix, when
+    load_index took them to check its rows (row_norm_bound takes them else).
     """
 
     ids: tuple
@@ -114,10 +115,6 @@ class EmbeddedIndex:
     vectors: VectorTable | None = None
     vectors_sha256: str | None = None
     row_squares: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.row_squares is None:
-            self.row_squares = _row_squares(self.unit_matrix)
 
     def __len__(self):
         return len(self.ids)
@@ -152,7 +149,8 @@ class EmbeddedIndex:
         if matrix.dtype != np.float32:
             raise ValueError(f"index unit matrix must be float32, "
                              f"got {matrix.dtype}")
-        squares = float(self.row_squares.max())
+        squares = float((_row_squares(matrix) if self.row_squares is None
+                         else self.row_squares).max())
         bound = squares / (1.0 - _gamma(matrix.shape[1], _U32))
         return math.sqrt(bound) * (1.0 + 2.0 ** -40)
 

@@ -1,7 +1,9 @@
 import bisect
 import errno
 import json
+import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -45,8 +47,7 @@ def test_tokenize_keeps_intra_word_characters():
 
 
 def test_only_the_space_lowers_to_a_string_with_a_space():
-    # tokenize lowers its tokens joined by spaces, then splits at spaces;
-    # no token holds a space
+    # tokenize_oracle lowers each token alone, and a token holds no space
     assert [i for i in range(0x110000) if " " in chr(i).lower()] == [0x20]
 
 
@@ -561,18 +562,75 @@ def test_load_corpus_of_several_files_keeps_their_order(tmp_path):
 def test_corpus_tokens_are_computed_once_on_first_use(monkeypatch):
     import qdecomp.corpus as corpus_module
     calls = []
-    real = corpus_module.tokenize
-    monkeypatch.setattr(corpus_module, "tokenize",
-                        lambda text: calls.append(text) or real(text))
+    real = corpus_module._tokenize_block
+    monkeypatch.setattr(corpus_module, "_tokenize_block",
+                        lambda texts: calls.append(texts) or real(texts))
     c = make_corpus(["Who is A?", "what is B?"])
     assert c.texts == ("Who is A?", "what is B?")
     assert calls == []
     assert c.tokens == (("who", "is", "a", "?"), ("what", "is", "b", "?"))
     assert c.tokens is c.tokens
     assert [q.tokens for q in c] == list(c.tokens)
-    assert len(calls) == 2
+    assert calls == [("Who is A?", "what is B?")]
     assert c.take([1]).ids == ("q00000001",)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+# Every str.isspace character, Greek sigmas, case-ignorable characters
+# (U+00AD, U+0301, U+0345, U+180E, U+200B and the marks ' . :), the
+# separators _tokenize_block joins with, and a character lowering to two.
+_TOKENIZER_ALPHABET = ("".join(filter(str.isspace, map(chr, range(0x3001))))
+                       + "\u03a3\u03c3\u03c2\u0391\u00ad\u0301\u0345"
+                       "\u180e\u200b'.:\x00\x01\x02\u0130aZ?(,")
+
+
+@settings(max_examples=300)
+@given(st.lists(st.text(alphabet=_TOKENIZER_ALPHABET, max_size=12)
+                | st.text(max_size=12), max_size=12),
+       st.integers(1, 5))
+def test_corpus_tokens_equal_the_oracle_block_by_block(texts, block):
+    with mock.patch.object(qdecomp.corpus, "_TOKEN_BLOCK", block):
+        tokens = make_corpus(texts).tokens
+    assert tokens == tuple(tuple(tokenize_oracle(t)) for t in texts)
+    assert [tokenize(t) for t in texts] == list(map(list, tokens))
+
+
+def test_corpus_tokens_of_several_default_blocks_equal_the_oracle():
+    rng = random.Random(0)
+    texts = ["".join(rng.choices(_TOKENIZER_ALPHABET, k=rng.randrange(12)))
+             for _ in range(2 * qdecomp.corpus._TOKEN_BLOCK + 5)]
+    assert make_corpus(texts).tokens == tuple(tuple(tokenize_oracle(t))
+                                              for t in texts)
+
+
+def test_a_block_holding_every_separator_is_tokenized_text_by_text(
+        monkeypatch):
+    calls = []
+    real = qdecomp.corpus.tokenize
+    monkeypatch.setattr(qdecomp.corpus, "tokenize",
+                        lambda text: calls.append(text) or real(text))
+    texts = ["A\x00\u03a3 b", "\x01\u0391\u03a3.", "\x02 X"]
+    assert make_corpus(texts).tokens == tuple(tuple(tokenize_oracle(t))
+                                              for t in texts)
+    assert calls == texts
+    calls.clear()
+    texts = ["A\x00\u03a3 b", "\x01\u0391\u03a3."]  # joined by \x02
+    assert make_corpus(texts).tokens == tuple(tuple(tokenize_oracle(t))
+                                              for t in texts)
+    assert calls == []
+
+
+def test_lowering_makes_no_whitespace_and_no_separator():
+    # tokenize splits the lowered text at whitespace, and _tokenize_block
+    # cuts the lowered block at a separator: neither may come from lowering
+    # another character. No separator is whitespace or punctuation.
+    def kept(ch):
+        return ch.isspace() or ch in qdecomp.corpus._SEPARATORS
+
+    made = [i for i in range(0x110000) if any(map(kept, chr(i).lower()))]
+    assert made == [i for i in range(0x110000) if kept(chr(i))]
+    assert not any(sep.isspace() or sep in qdecomp.corpus._PUNCT
+                   for sep in qdecomp.corpus._SEPARATORS)
 
 
 def test_corpus_questions_on_demand():

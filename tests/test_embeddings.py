@@ -366,3 +366,16 @@ def test_vec_parse_equals_oracle_on_float32_texts(tmp_path_factory, case):
     with mock.patch.object(embeddings, "_text_rows", fail), \
             mock.patch.object(embeddings, "_VEC_BLOCK", block):
         assert_parses_as_oracle(p)
+
+
+@given(st.lists(st.lists(st.integers(0, 9).map(str), max_size=6), max_size=8),
+       st.dictionaries(st.integers(0, 9).map(str), st.integers(0, 50),
+                       max_size=6))
+def test_features_equal_a_list_comprehension(token_lists, vocab):
+    ids = [[vocab[t] for t in tokens if t in vocab] for tokens in token_lists]
+    lengths = np.array([len(i) for i in ids], dtype=np.intp)
+    flat, starts, got = embeddings._features(token_lists, vocab)
+    assert flat.dtype == starts.dtype == got.dtype == np.intp
+    assert flat.tolist() == [i for row in ids for i in row]
+    assert got.tolist() == lengths.tolist()
+    assert starts.tolist() == (np.cumsum(lengths) - lengths).tolist()
